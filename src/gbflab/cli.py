@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -29,6 +28,7 @@ import numpy as np
 from .analysis import (
     PrelogValue,
     achievable_rates,
+    power_grid,
     prelog_classify,
     solve_fixed_point,
     sweep_rates,
@@ -243,12 +243,7 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
 
 
 def _cmd_verify(opts: dict) -> tuple[list[str], int]:
-    p_start, p_stop, ppd = opts["p_start"], opts["p_stop"], opts["points_per_decade"]
-    if not (p_start > 0 and p_stop > p_start):
-        raise ParameterError("need 0 < p_start < p_stop")
-    decades = math.log10(p_stop) - math.log10(p_start)
-    n = int(round(decades * ppd))
-    grid = [10.0 ** (math.log10(p_start) + i / ppd) for i in range(n)] + [p_stop]
+    grid = power_grid(opts["p_start"], opts["p_stop"], opts["points_per_decade"])
     noise = _noise_from(opts)
     report = verify_asymptotics(noise, grid, delta=opts["delta"], eps=opts["eps"])
     s1, s2 = noise.sigma1, noise.sigma2
@@ -386,7 +381,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_options(command: str, args: argparse.Namespace) -> dict:
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` as ``action``'s flag would parse it, or ParameterError when
+    its JSON type or value is one the flag would not accept."""
+    expected = bool if action.nargs == 0 else (action.type or str)
+    if expected is float and type(value) is int:
+        value = float(value)
+    if type(value) is not expected:
+        raise ParameterError(f"config key {key!r} must be a {expected.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = list(action.choices)
+        raise ParameterError(f"config key {key!r} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _effective_options(
+    parser: argparse.ArgumentParser, command: str, args: argparse.Namespace
+) -> dict:
     given = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
     config_path = getattr(args, "config", None)
     from_config: dict = {}
@@ -403,6 +414,11 @@ def _effective_options(command: str, args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - set(_DEFAULTS[command]))
         if unknown:
             raise ParameterError(f"config keys not recognized for {command}: {unknown}")
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in commands.choices[command]._actions}
+        for key, value in loaded.items():
+            if value is not None or _DEFAULTS[command][key] is not None:
+                loaded[key] = _config_value(actions[key], key, value)
         from_config = loaded
     opts = dict(_DEFAULTS[command])
     opts.update(from_config)
@@ -423,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _effective_options(args.command, args)
+        opts = _effective_options(parser, args.command, args)
         lines, code = _DISPATCH[args.command](opts)
     except ParameterError as exc:
         print(f"gbflab {args.command}: error: {exc}", file=sys.stderr)

@@ -8,11 +8,14 @@ with a one-step scalar LMMSE update from its newest output.  The deterministic
 moment schedule that generates the combining and estimation coefficients is
 shared, read-only, by every trial.
 
-Three operating modes share one engine: single-encoder broadcast, the
-two-transmitter interference variant in which each transmitter emits its own
-receiver's error term and the channel adds them, and a limited-feedback mode
-where the encoder observes a single receiver's outputs and reconstructs the
-other's (possible only for perfectly correlated or anti-correlated noises).
+One coding loop runs the scheme in three modes: single-encoder broadcast,
+the two-transmitter interference variant in which each transmitter emits its
+own receiver's error term and the channel adds them, and a limited-feedback
+mode where the encoder observes a single receiver's outputs and reconstructs
+the other's (possible only for perfectly correlated or anti-correlated
+noises).  A single trial runs the loop on one block of Python floats; a
+campaign runs it on arrays of independent blocks and folds each step into its
+moment estimates as the step arrives.
 
 Numerical note: the error process is independent of the transmitted messages,
 so trials propagate the errors directly and decode through the integer
@@ -34,8 +37,6 @@ from .analysis import ErrorState, gamma, solve_fixed_point, step_error_state
 from .channel import (
     ChannelParams,
     RngSpec,
-    broadcast_output,
-    interference_output,
     make_generator,
     reconstruct_other_output,
     sample_noise_pair,
@@ -133,12 +134,16 @@ def _decode_from_error(eps_final: float, m: int, levels: int) -> int:
     return min(max(m - d, 1), levels)
 
 
-def _draw_message(gen: np.random.Generator, levels: int) -> int:
-    """Exact uniform draw from {1..levels}, including beyond-int64 alphabets."""
-    if levels <= 1:
-        return 1
+def _draw_messages(gen: np.random.Generator, levels: int, size: int | None = None):
+    """Exact uniform draw from {1..levels}, including beyond-int64 alphabets:
+    a Python int for ``size=None``, else an array of ``size`` indices."""
     if levels <= _VECTOR_LEVEL_LIMIT:
-        return int(gen.integers(1, levels, endpoint=True, dtype=np.int64))
+        m = gen.integers(1, levels, size=size, endpoint=True, dtype=np.int64)
+        return int(m) if size is None else m
+    if size is not None:
+        # Index identity beyond 2**62 points is statistically irrelevant; keep
+        # the draws exact but store them as floats for vector arithmetic.
+        return np.array([float(_draw_messages(gen, levels)) for _ in range(size)])
     nbits = (levels - 1).bit_length()
     nwords = (nbits + 63) // 64
     mask = (1 << nbits) - 1
@@ -313,21 +318,114 @@ def lmmse_coefficient_schedule(
     )
 
 
-def _make_schedule(config: MessageConfig, params: ChannelParams, fixpoint_init: bool):
+def _checked_schedule(
+    config: MessageConfig,
+    params: ChannelParams,
+    mode: str,
+    fed_back_receiver: int,
+    schedule: CoefficientSchedule | None,
+    fixpoint_init: bool,
+) -> CoefficientSchedule:
+    """Reject inputs the coding loop cannot run, then return ``schedule`` or,
+    when it is None, the schedule of ``config``."""
+    if mode not in _MODES:
+        raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "limited":
+        if not params.noise.is_degenerate:
+            raise UnsupportedConfigurationError(
+                "limited feedback needs |rho_z| = 1 to reconstruct the unobserved output"
+            )
+        if fed_back_receiver not in (1, 2):
+            raise ParameterError(f"fed_back_receiver must be 1 or 2, got {fed_back_receiver}")
     levels1, levels2 = config.levels1, config.levels2
     if levels1 < 2 or levels2 < 2:
         raise DegenerateMessageError(
             "both users need at least two message points (n * rate must give "
             "an alphabet of size >= 2)"
         )
+    if schedule is not None:
+        if schedule.n < config.n:
+            raise ParameterError(f"schedule covers n = {schedule.n}, not n = {config.n}")
+        return schedule
     init_rho = solve_fixed_point(params).rho_star if fixpoint_init else 0.0
-    return lmmse_coefficient_schedule(
-        params,
-        config.n,
-        message_point_variance(levels1),
-        message_point_variance(levels2),
-        init_rho=init_rho,
+    var1, var2 = message_point_variance(levels1), message_point_variance(levels2)
+    return lmmse_coefficient_schedule(params, config.n, var1, var2, init_rho=init_rho)
+
+
+# ---------------------------------------------------------------------------
+# the coding loop
+# ---------------------------------------------------------------------------
+
+
+def _coding_loop(
+    config: MessageConfig,
+    params: ChannelParams,
+    schedule: CoefficientSchedule,
+    mode: str,
+    fed_back_receiver: int,
+    gen: np.random.Generator,
+    m1,
+    m2,
+    size: int | None,
+):
+    """Yield ``(x, t1, t2, eps1, eps2)`` for each channel use t = 1..n of the
+    blocks carrying messages (m1, m2): the input, its two summands (what each
+    interference-mode transmitter emits) and the receivers' errors after
+    output t (None after t = 1).  With ``size=None`` the messages are ints and
+    every value is a Python float; otherwise they are arrays of ``size``
+    independent blocks."""
+    noise, p = params.noise, params.power
+    var1, var2 = schedule.var_theta1, schedule.var_theta2
+    theta1 = 0.5 - (m1 - 1) / config.levels1
+    theta2 = 0.5 - (m2 - 1) / config.levels2
+    x1 = math.sqrt(p / var1) * theta1
+    x2 = math.sqrt(p / var2) * theta2
+
+    # t = 1 and t = 2 plant the message points (transmitter v sends point v
+    # in interference mode).  Receiver 1 keeps only t = 1 and receiver 2 only
+    # t = 2, so the initial errors are uncorrelated.
+    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size)
+    yield x1, x1, 0.0, None, None
+    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size)
+    eps1 = math.sqrt(var1 / p) * z1_t1
+    eps2 = math.sqrt(var2 / p) * z2_t2
+
+    # Encoder-side errors.  With full feedback they are the receivers' own;
+    # with limited feedback the unobserved receiver's chain is rebuilt from
+    # reconstructed outputs.
+    eps1_enc, eps2_enc = eps1, eps2
+    if mode == "limited":
+        if fed_back_receiver == 1:
+            y2_t2 = reconstruct_other_output(x2, x2 + z1_t2, 1, noise)
+            eps2_enc = math.sqrt(var2 / p) * y2_t2 - theta2
+        else:
+            y1_t1 = reconstruct_other_output(x1, x1 + z2_t1, 2, noise)
+            eps1_enc = math.sqrt(var1 / p) * y1_t1 - theta1
+    yield x2, 0.0, x2, eps1, eps2
+
+    g = gamma(noise)
+    per_step = (
+        schedule.psi, schedule.alpha1, schedule.alpha2, schedule.rho, schedule.c1, schedule.c2
     )
+    for psi, a1, a2, rho, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
+        sgn = 1.0 if rho >= 0.0 else -1.0
+        t1 = psi / math.sqrt(a1) * eps1_enc
+        t2 = (psi * g * sgn / math.sqrt(a2)) * eps2_enc
+        x = t1 + t2
+        z1, z2 = sample_noise_pair(noise, gen, size)
+        # The unit-gain interference channel adds t1 and t2 into this same x.
+        y1, y2 = x + z1, x + z2
+        eps1 = receiver_update(eps1, y1, c1)
+        eps2 = receiver_update(eps2, y2, c2)
+        if mode != "limited":
+            eps1_enc, eps2_enc = eps1, eps2
+        elif fed_back_receiver == 1:
+            eps1_enc = eps1
+            eps2_enc = receiver_update(eps2_enc, reconstruct_other_output(x, y1, 1, noise), c2)
+        else:
+            eps2_enc = eps2
+            eps1_enc = receiver_update(eps1_enc, reconstruct_other_output(x, y2, 2, noise), c1)
+        yield x, t1, t2, eps1, eps2
 
 
 # ---------------------------------------------------------------------------
@@ -365,113 +463,27 @@ def _run_trial(
     schedule: CoefficientSchedule | None = None,
     fixpoint_init: bool = False,
 ) -> TrialRecord:
-    if mode not in _MODES:
-        raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
-    noise = params.noise
-    if mode == "limited":
-        if not noise.is_degenerate:
-            raise UnsupportedConfigurationError(
-                "limited feedback needs |rho_z| = 1 to reconstruct the unobserved output"
-            )
-        if fed_back_receiver not in (1, 2):
-            raise ParameterError(f"fed_back_receiver must be 1 or 2, got {fed_back_receiver}")
-    if schedule is None:
-        schedule = _make_schedule(config, params, fixpoint_init)
-    n = config.n
-    p = params.power
-    levels1, levels2 = config.levels1, config.levels2
-    var1, var2 = schedule.var_theta1, schedule.var_theta2
-
+    """One block on its own stream: the coding loop on Python floats, then
+    the exact-integer decode, which stays exact beyond 2**62 message points."""
+    schedule = _checked_schedule(config, params, mode, fed_back_receiver, schedule, fixpoint_init)
     gen = make_generator(rng)
-    m1 = _draw_message(gen, levels1)
-    m2 = _draw_message(gen, levels2)
-    theta1 = map_message(m1, levels1)
-    theta2 = map_message(m2, levels2)
-    x_init1, x_init2 = encode_init(theta1, theta2, params)
-
-    inputs = np.zeros(n)
-    tx1_arr = np.zeros(n) if mode == "interference" else None
-    tx2_arr = np.zeros(n) if mode == "interference" else None
-    eps1_rec = np.zeros(n - 1)
-    eps2_rec = np.zeros(n - 1)
-
-    # t = 1: user 1's dedicated use (transmitter 1 in interference mode).
-    z1_t1, z2_t1 = sample_noise_pair(noise, gen)
-    _, y2_t1 = broadcast_output(x_init1, z1_t1, z2_t1)
-    inputs[0] = x_init1
-    if mode == "interference":
-        tx1_arr[0] = x_init1
-    # t = 2: user 2's dedicated use.
-    z1_t2, z2_t2 = sample_noise_pair(noise, gen)
-    y1_t2, _ = broadcast_output(x_init2, z1_t2, z2_t2)
-    inputs[1] = x_init2
-    if mode == "interference":
-        tx2_arr[1] = x_init2
-
-    # Receiver-side errors after the dedicated uses; receiver 1 ignores t=2
-    # and receiver 2 ignores t=1, so the initial errors are uncorrelated.
-    eps1 = math.sqrt(var1 / p) * z1_t1
-    eps2 = math.sqrt(var2 / p) * z2_t2
-    eps1_rec[0], eps2_rec[0] = eps1, eps2
-
-    # Encoder-side error estimates.  With full feedback they coincide with
-    # the receiver values; with limited feedback the unobserved receiver's
-    # chain is rebuilt from reconstructed outputs.
-    eps1_enc, eps2_enc = eps1, eps2
-    if mode == "limited":
-        if fed_back_receiver == 1:
-            y2_t2_rec = reconstruct_other_output(x_init2, y1_t2, 1, noise)
-            eps2_enc = math.sqrt(var2 / p) * y2_t2_rec - theta2.theta
-        else:
-            y1_t1_rec = reconstruct_other_output(x_init1, y2_t1, 2, noise)
-            eps1_enc = math.sqrt(var1 / p) * y1_t1_rec - theta1.theta
-
-    for k in range(3, n + 1):
-        i = k - 3
-        state = CoderState(
-            eps1=eps1_enc,
-            eps2=eps2_enc,
-            schedule_index=k,
-            moments=schedule.moments_at(k - 1),
-        )
-        t1, t2 = encode_terms(state, params)
-        z1, z2 = sample_noise_pair(noise, gen)
-        if mode == "interference":
-            tx1_arr[k - 1] = t1
-            tx2_arr[k - 1] = t2
-            y1, y2 = interference_output(t1, t2, z1, z2)
-            x = t1 + t2
-        else:
-            x = t1 + t2
-            y1, y2 = broadcast_output(x, z1, z2)
-        inputs[k - 1] = x
-        c1k, c2k = float(schedule.c1[i]), float(schedule.c2[i])
-        eps1 = receiver_update(eps1, y1, c1k)
-        eps2 = receiver_update(eps2, y2, c2k)
-        if mode == "limited":
-            if fed_back_receiver == 1:
-                eps1_enc = eps1
-                eps2_enc = receiver_update(eps2_enc, reconstruct_other_output(x, y1, 1, noise), c2k)
-            else:
-                eps2_enc = eps2
-                eps1_enc = receiver_update(eps1_enc, reconstruct_other_output(x, y2, 2, noise), c1k)
-        else:
-            eps1_enc, eps2_enc = eps1, eps2
-        eps1_rec[k - 2], eps2_rec[k - 2] = eps1, eps2
-
-    decoded1 = _decode_from_error(eps1, m1, levels1)
-    decoded2 = _decode_from_error(eps2, m2, levels2)
+    m1 = _draw_messages(gen, config.levels1)
+    m2 = _draw_messages(gen, config.levels2)
+    steps = _coding_loop(config, params, schedule, mode, fed_back_receiver, gen, m1, m2, None)
+    inputs, tx1, tx2, eps1, eps2 = zip(*steps)
+    decoded1 = _decode_from_error(eps1[-1], m1, config.levels1)
+    decoded2 = _decode_from_error(eps2[-1], m2, config.levels2)
     return TrialRecord(
         message1=m1,
         message2=m2,
         decoded1=decoded1,
         decoded2=decoded2,
         success=(decoded1 == m1 and decoded2 == m2),
-        inputs=inputs,
-        eps1=eps1_rec,
-        eps2=eps2_rec,
-        tx1=tx1_arr,
-        tx2=tx2_arr,
+        inputs=np.array(inputs),
+        eps1=np.array(eps1[1:]),
+        eps2=np.array(eps2[1:]),
+        tx1=np.array(tx1) if mode == "interference" else None,
+        tx2=np.array(tx2) if mode == "interference" else None,
     )
 
 
@@ -577,12 +589,13 @@ def _wilson_interval(errors: int, trials: int, confidence: float):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _draw_messages_array(gen: np.random.Generator, levels: int, n_trials: int) -> np.ndarray:
-    if levels <= _VECTOR_LEVEL_LIMIT:
-        return gen.integers(1, levels, size=n_trials, endpoint=True, dtype=np.int64)
-    # Index identity beyond 2**62 points is statistically irrelevant; keep the
-    # draws exact but store them as floats for vector arithmetic.
-    return np.array([float(_draw_message(gen, levels)) for _ in range(n_trials)])
+def _decode_messages(eps: np.ndarray, m: np.ndarray, levels: int) -> np.ndarray:
+    """``_decode_from_error`` over a campaign's blocks, with the indices in
+    floats beyond 2**62 message points."""
+    top = float(levels) if levels > _VECTOR_LEVEL_LIMIT else levels
+    val = eps * float(levels)
+    decoded = np.clip(m - np.floor(val + 0.5), 1, top)
+    return np.where(np.isfinite(val), decoded, np.where(val > 0, 1, top))
 
 
 def run_broadcast_campaign(
@@ -602,121 +615,33 @@ def run_broadcast_campaign(
     """
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
-    if mode not in _MODES:
-        raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     if not (0.0 < confidence < 1.0):
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
-    noise = params.noise
-    if mode == "limited":
-        if not noise.is_degenerate:
-            raise UnsupportedConfigurationError(
-                "limited feedback needs |rho_z| = 1 to reconstruct the unobserved output"
-            )
-        if fed_back_receiver not in (1, 2):
-            raise ParameterError(f"fed_back_receiver must be 1 or 2, got {fed_back_receiver}")
-    schedule = _make_schedule(config, params, fixpoint_init)
+    schedule = _checked_schedule(config, params, mode, fed_back_receiver, None, fixpoint_init)
     n = config.n
-    p = params.power
-    levels1, levels2 = config.levels1, config.levels2
-    var1, var2 = schedule.var_theta1, schedule.var_theta2
-    g = gamma(noise)
-
     gen = make_generator(RngSpec(master_seed, 0))
-    m1 = _draw_messages_array(gen, levels1, trials)
-    m2 = _draw_messages_array(gen, levels2, trials)
-    theta1 = 0.5 - (m1 - 1) / levels1
-    theta2 = 0.5 - (m2 - 1) / levels2
+    m1 = _draw_messages(gen, config.levels1, trials)
+    m2 = _draw_messages(gen, config.levels2, trials)
 
-    x1 = math.sqrt(p / var1) * theta1
-    x2 = math.sqrt(p / var2) * theta2
-
-    mean1 = np.zeros(n - 1)
-    mean2 = np.zeros(n - 1)
-    var1_emp = np.zeros(n - 1)
-    var2_emp = np.zeros(n - 1)
-    corr_emp = np.zeros(n - 1)
+    mean1, mean2, var1, var2, corr = (np.zeros(n - 1) for _ in range(5))
     power_per_step = np.zeros(n)
-    tx1_power_sum = 0.0
-    tx2_power_sum = 0.0
-
-    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size=trials)
-    y2_t1 = x1 + z2_t1
-    power_per_step[0] = float(np.mean(x1**2))
-    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size=trials)
-    y1_t2 = x2 + z1_t2
-    power_per_step[1] = float(np.mean(x2**2))
-    if mode == "interference":
-        tx1_power_sum += float(np.sum(x1**2))
-        tx2_power_sum += float(np.sum(x2**2))
-
-    eps1 = math.sqrt(var1 / p) * z1_t1
-    eps2 = math.sqrt(var2 / p) * z2_t2
-    eps1_enc, eps2_enc = eps1, eps2
-    if mode == "limited":
-        if fed_back_receiver == 1:
-            ratio = noise.rho_z * (noise.sigma2 / noise.sigma1)
-            y2_rec = x2 + ratio * (y1_t2 - x2)
-            eps2_enc = math.sqrt(var2 / p) * y2_rec - theta2
-        else:
-            ratio = noise.rho_z * (noise.sigma1 / noise.sigma2)
-            y1_rec = x1 + ratio * (y2_t1 - x1)
-            eps1_enc = math.sqrt(var1 / p) * y1_rec - theta1
-
-    def record(i: int, e1: np.ndarray, e2: np.ndarray) -> None:
-        mean1[i] = e1.mean()
-        mean2[i] = e2.mean()
-        var1_emp[i] = e1.var(ddof=1)
-        var2_emp[i] = e2.var(ddof=1)
-        corr_emp[i] = float(np.corrcoef(e1, e2)[0, 1])
-
-    record(0, eps1, eps2)
-
-    for k in range(3, n + 1):
-        i = k - 3
-        a1, a2, rk = float(schedule.alpha1[i]), float(schedule.alpha2[i]), float(schedule.rho[i])
-        psi = float(schedule.psi[i])
-        sgn = 1.0 if rk >= 0.0 else -1.0
-        t1 = psi / math.sqrt(a1) * eps1_enc
-        t2 = (psi * g * sgn / math.sqrt(a2)) * eps2_enc
-        x = t1 + t2
-        power_per_step[k - 1] = float(np.mean(x**2))
+    tx1_power_sum = tx2_power_sum = 0.0
+    steps = _coding_loop(config, params, schedule, mode, fed_back_receiver, gen, m1, m2, trials)
+    for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
+        power_per_step[t] = float(np.mean(x**2))
         if mode == "interference":
             tx1_power_sum += float(np.sum(t1**2))
             tx2_power_sum += float(np.sum(t2**2))
-        z1, z2 = sample_noise_pair(noise, gen, size=trials)
-        y1, y2 = x + z1, x + z2
-        c1k, c2k = float(schedule.c1[i]), float(schedule.c2[i])
-        eps1 = eps1 - c1k * y1
-        eps2 = eps2 - c2k * y2
-        if mode == "limited":
-            if fed_back_receiver == 1:
-                ratio = noise.rho_z * (noise.sigma2 / noise.sigma1)
-                eps1_enc = eps1
-                eps2_enc = eps2_enc - c2k * (x + ratio * (y1 - x))
-            else:
-                ratio = noise.rho_z * (noise.sigma1 / noise.sigma2)
-                eps2_enc = eps2
-                eps1_enc = eps1_enc - c1k * (x + ratio * (y2 - x))
-        else:
-            eps1_enc, eps2_enc = eps1, eps2
-        record(k - 2, eps1, eps2)
+        if t:
+            mean1[t - 1] = eps1.mean()
+            mean2[t - 1] = eps2.mean()
+            var1[t - 1] = eps1.var(ddof=1)
+            var2[t - 1] = eps2.var(ddof=1)
+            corr[t - 1] = float(np.corrcoef(eps1, eps2)[0, 1])
 
-    lv1 = float(levels1) if levels1 > _VECTOR_LEVEL_LIMIT else levels1
-    lv2 = float(levels2) if levels2 > _VECTOR_LEVEL_LIMIT else levels2
-    val1 = eps1 * float(levels1)
-    val2 = eps2 * float(levels2)
-    d1 = np.floor(val1 + 0.5)
-    d2 = np.floor(val2 + 0.5)
-    dec1 = np.clip(m1 - d1, 1, lv1)
-    dec2 = np.clip(m2 - d2, 1, lv2)
-    bad1 = ~np.isfinite(val1)
-    bad2 = ~np.isfinite(val2)
-    if np.any(bad1):
-        dec1 = np.where(bad1, np.where(val1 > 0, 1, lv1), dec1)
-    if np.any(bad2):
-        dec2 = np.where(bad2, np.where(val2 > 0, 1, lv2), dec2)
-    success = (dec1 == m1) & (dec2 == m2)
-    errors = int(trials - np.count_nonzero(success))
+    ok1 = _decode_messages(eps1, m1, config.levels1) == m1
+    ok2 = _decode_messages(eps2, m2, config.levels2) == m2
+    errors = int(trials - np.count_nonzero(ok1 & ok2))
     ci_low, ci_high = _wilson_interval(errors, trials, confidence)
 
     return McSummary(
@@ -727,9 +652,9 @@ def run_broadcast_campaign(
         steps=np.arange(2, n + 1),
         mean1=mean1,
         mean2=mean2,
-        var1=var1_emp,
-        var2=var2_emp,
-        corr=corr_emp,
+        var1=var1,
+        var2=var2,
+        corr=corr,
         alpha1=schedule.alpha1.copy(),
         alpha2=schedule.alpha2.copy(),
         rho=schedule.rho.copy(),

@@ -145,6 +145,12 @@ def test_verify_single_decade_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_points_per_decade_zero_exits_2(capsys):
+    code, _, err = run_cli(capsys, "verify", "--points-per-decade", "0")
+    assert code == 2
+    assert "points_per_decade" in err
+
+
 def test_classify_exit_codes(tmp_path, capsys):
     two = tmp_path / "two.txt"
     two.write_text("1 -1\n-1 1\n")
@@ -216,6 +222,30 @@ def test_config_file_precedence(tmp_path, capsys):
     bad.write_text(json.dumps({"nonsense": 1}))
     code, _, err = run_cli(capsys, "analyze", "--config", str(bad))
     assert code == 2 and "nonsense" in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("analyze", "power", "100"),
+        ("simulate", "trials", 100.5),
+        ("simulate", "fixpoint_init", "yes"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_config_integer_for_float_flag_parses_as_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"power": 10}))
+    code, out, _ = run_cli(capsys, "analyze", "--config", str(cfg))
+    assert code == 0
+    assert "# option.power=1.000000000000e+01" in out
 
 
 def test_analyze_matches_sweep_row(capsys):
