@@ -24,9 +24,6 @@ from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 RECURSION_RESIDUAL_ACCEPT = 1e-6
 # Sign-change scan resolution over [0, 1] before bisection.
 _SCAN_SUBINTERVALS = 1024
-# A root this close to 1 makes 1 - rho_star lose precision; the gap is then
-# solved for directly in its own variable.
-_GAP_SWITCH = 0.999
 _RHO_INTEGRITY_TOL = 1e-12
 
 
@@ -300,8 +297,9 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_to_float_limit(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+def _bisect_to_float_limit(f, lo: float, hi: float) -> float:
     """Bracketed bisection until the interval collapses to adjacent floats."""
+    flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -312,24 +310,21 @@ def _bisect_to_float_limit(f, lo: float, hi: float, flo: float, fhi: float) -> f
         if (flo < 0.0) == (fm < 0.0):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)
 
 
-def _scan_unit_interval_roots(f) -> list[float]:
-    """All roots of f in [0, 1] found by a sign-change scan over 1024
-    subintervals followed by bisection."""
+def _scan_unit_interval_brackets(f) -> list[tuple[float, float]]:
+    """Brackets (lo, hi) of the roots of f in [0, 1] from a sign-change scan
+    over 1024 subintervals; an exact zero at a grid point x is (x, x)."""
     xs = np.linspace(0.0, 1.0, _SCAN_SUBINTERVALS + 1)
-    ys = np.asarray(f(xs))
-    roots: list[float] = []
-    for i in range(_SCAN_SUBINTERVALS):
-        if ys[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif (ys[i] < 0.0) != (ys[i + 1] < 0.0):
-            roots.append(_bisect_to_float_limit(f, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1])))
-    if ys[-1] == 0.0:
-        roots.append(1.0)
-    return roots
+    ys = f(xs)
+    zero = ys == 0.0
+    neg = ys < 0.0
+    change = (neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:]
+    los = np.concatenate([xs[zero], xs[:-1][change]])
+    his = np.concatenate([xs[zero], xs[1:][change]])
+    return list(zip(los.tolist(), his.tolist()))
 
 
 def _validate_tol(tol: float) -> None:
@@ -344,71 +339,54 @@ def _recursion_residual(rho: float, params: ChannelParams) -> float:
 
 
 def solve_fixed_point(params: ChannelParams, tol: float = 1e-10) -> FixedPoint:
-    """Find the operating correlation magnitude rho* in [0, 1].
+    """Find the operating correlation magnitude rho* in [0, 1] and its gap
+    g = 1 - rho*.
 
-    Roots come from two routes: a scan-plus-bisection of the cubic in rho,
-    and the same for the gap form mapped back through rho = 1 - g.  The gap
-    route is what keeps the high-power regime reliable: near rho = 1 the
-    rho-form cubic evaluates as a ~1e-16 difference of order-one terms and
-    its float sign is meaningless, while the gap form is built from small
-    same-scale summands.  Every candidate is screened against the recursion
-    itself (a genuine fixed point alternates in sign with constant magnitude,
-    so one application must return to it within RECURSION_RESIDUAL_ACCEPT);
-    candidates within 1e-6 of each other are duplicates of one root and the
-    smallest-residual member represents them.  Among distinct genuine roots
-    the largest is returned (it maximizes both rates).  The gap field is
-    filled from the dedicated gap solver once rho* > 0.999, where forming
-    1 - rho* directly would cancel.
+    One sign-change scan of the gap-form cubic brackets the roots.  Each
+    bracket is bisected in the smaller variable and the other is taken as
+    its complement, so both keep full relative precision: the gap form for
+    g < 1/2 (near rho = 1 the rho form is a ~1e-16 difference of order-one
+    terms, the gap form a sum of small same-scale ones), the rho form on the
+    exact bracket [1 - g_hi, 1 - g_lo] otherwise.  A genuine fixed point
+    alternates in sign with constant magnitude, so candidates whose
+    recursion residual exceeds RECURSION_RESIDUAL_ACCEPT are dropped; the
+    genuine root with the smallest gap (it maximizes both rates) is returned
+    once the rho-form cubic certifies it within ``tol``.
     """
     _validate_tol(tol)
     coeffs = cubic_coeffs(params)
     gap_coeffs = gap_cubic_coeffs(params)
-    raw = _scan_unit_interval_roots(coeffs.evaluate)
-    raw += [1.0 - g for g in _scan_unit_interval_roots(gap_coeffs.evaluate)]
-    candidates = sorted((r, _recursion_residual(r, params)) for r in raw)
-    genuine = [(r, rr) for (r, rr) in candidates if rr <= RECURSION_RESIDUAL_ACCEPT]
+    candidates = []
+    for g_lo, g_hi in _scan_unit_interval_brackets(gap_coeffs.evaluate):
+        if g_lo >= 0.5:
+            rho = _bisect_to_float_limit(coeffs.evaluate, 1.0 - g_hi, 1.0 - g_lo)
+            g = 1.0 - rho
+        else:
+            g = _bisect_to_float_limit(gap_coeffs.evaluate, g_lo, g_hi)
+            rho = 1.0 - g
+        candidates.append((g, rho, _recursion_residual(rho, params)))
+    genuine = [c for c in candidates if c[2] <= RECURSION_RESIDUAL_ACCEPT]
     if not genuine:
         raise NoFixedPointError(
             "no root of the fixed-point cubic in [0, 1] is consistent with the "
-            f"correlation recursion (candidates: {candidates!r})"
+            f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
         )
-    clusters: list[list[tuple[float, float]]] = []
-    for r, rr in genuine:
-        if clusters and r - clusters[-1][-1][0] <= 1e-6:
-            clusters[-1].append((r, rr))
-        else:
-            clusters.append([(r, rr)])
-    representatives = [min(cluster, key=lambda t: t[1]) for cluster in clusters]
-    rho_star, rec_res = max(representatives, key=lambda t: t[0])
+    gap, rho_star, rec_res = min(genuine)
     residual = abs(coeffs.evaluate(rho_star))
     scale = 1.0 + abs(coeffs.a) + abs(coeffs.b) + abs(coeffs.c)
     if residual > tol * scale:
         raise NoFixedPointError(
             f"cubic residual {residual} exceeds tolerance {tol * scale} at rho = {rho_star}"
         )
-    gap = solve_gap(params, tol) if rho_star > _GAP_SWITCH else 1.0 - rho_star
     return FixedPoint(
         rho_star=rho_star, gap=gap, residual=residual, recursion_residual=rec_res
     )
 
 
 def solve_gap(params: ChannelParams, tol: float = 1e-10) -> float:
-    """Solve for the gap g = 1 - rho* directly in its own variable.
-
-    Bisection runs on the gap-form cubic until the bracket collapses to
-    adjacent floats, which preserves the relative precision of g even when it
-    is ~1e-10; computing 1 - rho* instead would leave no significant digits
-    there.
-    """
-    _validate_tol(tol)
-    coeffs = gap_cubic_coeffs(params)
-    roots = _scan_unit_interval_roots(coeffs.evaluate)
-    genuine = [g for g in roots if _recursion_residual(1.0 - g, params) <= RECURSION_RESIDUAL_ACCEPT]
-    if not genuine:
-        raise NoFixedPointError(
-            "no root of the gap cubic in [0, 1] is consistent with the correlation recursion"
-        )
-    return min(genuine)
+    """The gap g = 1 - rho* of ``solve_fixed_point``, solved in its own
+    variable wherever g < 1/2 so that it keeps full relative precision."""
+    return solve_fixed_point(params, tol).gap
 
 
 # ---------------------------------------------------------------------------

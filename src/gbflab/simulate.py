@@ -589,13 +589,17 @@ def _wilson_interval(errors: int, trials: int, confidence: float):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _decode_messages(eps: np.ndarray, m: np.ndarray, levels: int) -> np.ndarray:
-    """``_decode_from_error`` over a campaign's blocks, with the indices in
-    floats beyond 2**62 message points."""
-    top = float(levels) if levels > _VECTOR_LEVEL_LIMIT else levels
-    val = eps * float(levels)
-    decoded = np.clip(m - np.floor(val + 0.5), 1, top)
-    return np.where(np.isfinite(val), decoded, np.where(val > 0, 1, top))
+def _decoded_correctly(eps: np.ndarray, m: np.ndarray, levels: int) -> np.ndarray:
+    """Per block, whether ``_decode_from_error`` returns the sent index m.
+
+    Decided on the offset k = floor(eps * levels + 1/2) rather than on
+    m - k, which float arithmetic rounds back to m beyond 2**53 points: the
+    decode clips m - k into [1, levels], so it is right when k == 0, when
+    k > 0 and m == 1, and when k < 0 (or NaN, which decodes to ``levels``)
+    and m == levels.
+    """
+    k = np.floor(eps * float(levels) + 0.5)
+    return (k == 0) | ((k > 0) & (m == 1)) | (~(k >= 0) & (m == levels))
 
 
 def run_broadcast_campaign(
@@ -639,8 +643,8 @@ def run_broadcast_campaign(
             var2[t - 1] = eps2.var(ddof=1)
             corr[t - 1] = float(np.corrcoef(eps1, eps2)[0, 1])
 
-    ok1 = _decode_messages(eps1, m1, config.levels1) == m1
-    ok2 = _decode_messages(eps2, m2, config.levels2) == m2
+    ok1 = _decoded_correctly(eps1, m1, config.levels1)
+    ok2 = _decoded_correctly(eps2, m2, config.levels2)
     errors = int(trials - np.count_nonzero(ok1 & ok2))
     ci_low, ci_high = _wilson_interval(errors, trials, confidence)
 

@@ -273,6 +273,55 @@ def test_fixed_point_invariants_random_draws():
         assert fp.residual <= 1e-10 * scale
 
 
+def mpmath_fixed_point(p, s1, s2, rz):
+    """60-digit oracle: the largest root in [0, 1] of the rho-form cubic,
+    transcribed in mpmath, that the correlation recursion maps to its
+    negative; returns (rho*, 1 - rho*) as mpf."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        p, s1, s2, rz = mp.mpf(p), mp.mpf(s1), mp.mpf(s2), mp.mpf(rz)
+        s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
+        spp = mp.sqrt((p + s11) * (p + s22))
+        a = -2 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2 * s11 * s22 / (p * spp)
+        b = -1 - (s11 + s22) / p - rz * (s11 + s22) / spp - s12 * (s11 + s22) / (p * spp)
+        c = (p + s11 + s22 - rz * s12) / spp
+        tau = s12 * (s12 + p * rz) / ((p + s11) * (p + s22))
+
+        def recursion(r):
+            q = p * (1 - r * r) + s11 + s22 + 2 * s12 * r
+            return spp / (q * s12) * ((s1 + s2 * r) * (s2 + s1 * r) * tau - s12 * (1 - r * r))
+
+        genuine = [
+            mp.re(r)
+            for r in mp.polyroots([1, a, b, c], maxsteps=200, extraprec=200)
+            if abs(mp.im(r)) <= mp.mpf(10) ** -40
+            and 0 <= mp.re(r) <= 1
+            and abs(recursion(mp.re(r)) + mp.re(r)) <= mp.mpf(10) ** -30
+        ]
+        rho = max(genuine)
+        return rho, 1 - rho
+
+
+def test_fixed_point_matches_mpmath_oracle_over_domain():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    # rho_z = +1 at very high power: the rho-form cubic has a spurious float
+    # root at exactly 1 next to the genuine one at 1 - 4.76e-9.
+    draws = [(6.370232223434e13, 0.008714080980284098, 0.029299298795470774, 1.0)]
+    for i in range(150):
+        p = 10 ** rng.uniform(-3, 14)
+        s1, s2 = 10 ** rng.uniform(-3, 3, size=2)
+        rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
+        draws.append((p, s1, s2, rz))
+    for p, s1, s2, rz in draws:
+        fp = solve_fixed_point(params_of(p, s1, s2, rz))
+        rho, gap = mpmath_fixed_point(p, s1, s2, rz)
+        assert float(abs(fp.rho_star - rho) / rho) <= 1e-14, (p, s1, s2, rz)
+        assert float(abs(fp.gap - gap) / gap) <= 1e-14, (p, s1, s2, rz)
+        assert fp.rho_star + fp.gap == 1.0
+
+
 def test_solver_tolerance_validation():
     with pytest.raises(ParameterError):
         solve_fixed_point(params_of(10.0), tol=1e-3)

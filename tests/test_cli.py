@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -257,3 +258,20 @@ def test_analyze_matches_sweep_row(capsys):
     assert last[0] == pytest.approx(1e4)
     assert float(rec["rho_star"]) == pytest.approx(last[1], rel=1e-12)
     assert float(rec["sum"]) == pytest.approx(last[5], rel=1e-12)
+
+
+# stdout of the subcommands at their defaults, pinned byte for byte: a change
+# to the solver or the campaign that moves any printed digit shows here.
+GOLDEN_STDOUT_SHA256 = {
+    ("analyze",): "f5d33c0e95d8fc6352e77cf3e926bb3c6caec13230b15684d067a881e0ef1a24",
+    ("sweep",): "67cbfb111b65879e5919ea214a3aef1941138858dc52171046c96a56c3244bf9",
+    ("verify",): "98e8ffceb534b87a0c2f9ca859480429accd1d6f51c5e8c9d2378389adc372cd",
+    ("simulate", "--trials", "2000"): "7ecd3c94109f6c8a07fe5b860ec7eecf398777ea1b55162d7eba35883a6a1eb7",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_default_stdout_bytes_are_unchanged(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

@@ -32,7 +32,7 @@ from gbflab import (
     solve_fixed_point,
     step_error_state,
 )
-from gbflab.simulate import _run_trial
+from gbflab.simulate import _decode_from_error, _decoded_correctly, _run_trial
 
 HEADLINE = ChannelParams(100.0, NoiseSpec(1.0, 1.0, -1.0))
 
@@ -193,6 +193,21 @@ def test_decode_roundtrip_random():
         levels = int(rng.integers(2, 1 << 30))
         m = int(rng.integers(1, levels + 1))
         assert decode(map_message(m, levels).theta, levels) == m
+
+
+def test_campaign_success_mask_matches_exact_decode_beyond_2_53_points():
+    # At 2**61 points an offset of a few levels is below ulp(m)/2 of the
+    # index, so m - offset in float64 rounds back to m; the campaign's
+    # success decision has to follow the exact integer decode instead.
+    levels = 2**61
+    offsets = (-3.0, -1.0, -0.5, 0.0, 0.49, 0.5, 1.0, 3.0, 2.0**62, -(2.0**62),
+               math.inf, -math.inf, math.nan)
+    cases = [(m, k) for m in (1, 2, 2**60, levels - 1, levels) for k in offsets]
+    m = np.array([c[0] for c in cases], dtype=np.int64)
+    eps = np.array([c[1] for c in cases]) / levels
+    expected = [_decode_from_error(e, int(mi), levels) == mi for e, mi in zip(eps, m)]
+    assert _decoded_correctly(eps, m, levels).tolist() == expected
+    assert not _decoded_correctly(np.array([3.0 / levels]), np.array([2**60]), levels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +440,23 @@ def test_campaign_error_rate_non_increasing_in_block_length():
         rates.append((s.error_rate, s.ci_low, s.ci_high))
     for (r_small, lo_s, hi_s), (r_large, lo_l, hi_l) in zip(rates, rates[1:]):
         assert r_large <= r_small + (hi_s - lo_s)
+
+
+def test_campaign_error_rate_agrees_with_exact_trial_decodes_beyond_2_53_points():
+    # At P = 1e3 the alphabets hold ~3.5e19 points and limited-mode decodes
+    # miss by a few levels (ROADMAP item 1); the campaign must count those
+    # misses as the exact per-trial decode does.
+    params = ChannelParams(1e3, NoiseSpec(1.0, 1.0, -1.0))
+    config = headline_config(params=params)
+    assert config.levels1 > 2**53
+    campaign = run_broadcast_campaign(config, params, 2000, 7, mode="limited")
+    errors = sum(
+        not run_limited_feedback_trial(config, params, RngSpec(7, sid)).success
+        for sid in range(500)
+    )
+    pooled = (campaign.errors + errors) / 2500
+    se = math.sqrt(pooled * (1.0 - pooled) * (1 / 2000 + 1 / 500))
+    assert abs(campaign.error_rate - errors / 500) <= 5.0 * se
 
 
 def test_campaign_validation():
