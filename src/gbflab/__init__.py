@@ -29,8 +29,6 @@ from .channel import (
     ChannelParams,
     NoiseSpec,
     RngSpec,
-    broadcast_output,
-    interference_output,
     make_generator,
     reconstruct_other_output,
     sample_noise_pair,
@@ -44,19 +42,12 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .simulate import (
-    CoderState,
     CoefficientSchedule,
     McSummary,
     MessageConfig,
-    MessagePoint,
     TrialRecord,
-    decode,
-    encode_init,
-    encode_step,
-    encode_terms,
     level_count,
     lmmse_coefficient_schedule,
-    map_message,
     message_point_variance,
     receiver_update,
     run_broadcast_campaign,

@@ -410,15 +410,17 @@ def achievable_rates(params: ChannelParams, rho: float, gap: float | None = None
     p = params.power
     s1, s2 = params.noise.sigma1, params.noise.sigma2
     half_gap_power = 0.5 * p * gap
-    r1 = 0.5 * math.log2((p + s1 * s1) / (half_gap_power + s1 * s1))
-    r2 = 0.5 * math.log2((p + s2 * s2) / (half_gap_power + s2 * s2))
+    # log1p keeps full relative precision at low SNR, where the ratios
+    # (P + s^2) / (P g/2 + s^2) and 1 + P lie within rounding of 1.
+    r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / math.log(2.0)
+    r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / math.log(2.0)
     total = r1 + r2
     return RatePoint(
         power=p,
         r1=r1,
         r2=r2,
         sum=total,
-        prelog_ratio=total / (0.5 * math.log2(1.0 + p)),
+        prelog_ratio=total / (0.5 * math.log1p(p) / math.log(2.0)),
     )
 
 
@@ -441,7 +443,7 @@ def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[fl
     if points_per_decade < 1:
         raise ParameterError("points_per_decade must be at least 1")
     decades = math.log10(p_stop) - math.log10(p_start)
-    n = int(round(decades * points_per_decade))
+    n = max(1, round(decades * points_per_decade))
     lg0 = math.log10(p_start)
     grid = [10.0 ** (lg0 + i / points_per_decade) for i in range(n)]
     grid.append(p_stop)

@@ -1,9 +1,11 @@
 """Two-user additive-Gaussian channel models with correlated receiver noises.
 
-Covers the broadcast channel (one input, two outputs), its two-transmitter
-interference variant with unit gains, exact sampling of the correlated noise
-pair including the degenerate |rho_z| = 1 cases, and cross-output
-reconstruction when the noises are perfectly (anti-)correlated.
+Covers the channel parameters (block power and noise statistics), the keyed
+random streams, exact sampling of the correlated noise pair including the
+degenerate |rho_z| = 1 cases, and cross-output reconstruction when the noises
+are perfectly (anti-)correlated.  The outputs themselves, y_v = x + z_v (with
+x the sum of both inputs on the unit-gain interference channel), are formed
+in the simulation's coding loop.
 """
 
 from __future__ import annotations
@@ -107,18 +109,6 @@ def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | Non
     if size is None:
         return float(z1), float(z2)
     return z1, z2
-
-
-def broadcast_output(x, z1, z2):
-    """Single-input channel: both receivers see the input plus their own noise."""
-    return x + z1, x + z2
-
-
-def interference_output(x1, x2, z1, z2):
-    """Two-input unit-gain channel: each receiver sees the sum of both inputs
-    plus its own noise."""
-    s = x1 + x2
-    return s + z1, s + z2
 
 
 def reconstruct_other_output(

@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .channel import ChannelParams, NoiseSpec
 from .errors import NumericalIntegrityError, ParameterError
-from .simulate import MessageConfig, level_count, run_broadcast_campaign
+from .simulate import MessageConfig, run_broadcast_campaign
 
 _DEFAULTS = {
     "analyze": {
@@ -198,8 +198,8 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
         ("block_length", summary.n),
         ("rate1", rate1),
         ("rate2", rate2),
-        ("levels1", level_count(config.n, rate1)),
-        ("levels2", level_count(config.n, rate2)),
+        ("levels1", config.levels1),
+        ("levels2", config.levels2),
         ("seed", summary.master_seed),
         ("errors", summary.errors),
         ("error_rate", summary.error_rate),

@@ -8,14 +8,17 @@ with a one-step scalar LMMSE update from its newest output.  The deterministic
 moment schedule that generates the combining and estimation coefficients is
 shared, read-only, by every trial.
 
-One coding loop runs the scheme in three modes: single-encoder broadcast,
-the two-transmitter interference variant in which each transmitter emits its
-own receiver's error term and the channel adds them, and a limited-feedback
-mode where the encoder observes a single receiver's outputs and reconstructs
-the other's (possible only for perfectly correlated or anti-correlated
-noises).  A single trial runs the loop on one block of Python floats; a
-campaign runs it on arrays of independent blocks and folds each step into its
-moment estimates as the step arrives.
+The scheme is written once, in the coding loop ``_coding_loop``, which runs
+it in three modes: single-encoder broadcast, the two-transmitter interference
+variant in which each transmitter emits its own receiver's error term and the
+channel adds them, and a limited-feedback mode where the encoder observes a
+single receiver's outputs and reconstructs the other's (possible only for
+perfectly correlated or anti-correlated noises).  The message mapping, the
+encoder and the channel outputs live only there.  A single trial
+(``run_broadcast_trial``, ``run_interference_trial``,
+``run_limited_feedback_trial``) runs the loop on one block of Python floats;
+a campaign (``run_broadcast_campaign``) runs it on arrays of independent
+blocks and folds each step into its moment estimates as the step arrives.
 
 Numerical note: the error process is independent of the transmitted messages,
 so trials propagate the errors directly and decode through the integer
@@ -88,23 +91,6 @@ def level_count(n: int, rate: float) -> int:
     return max(1, math.ceil(2.0 ** (n * rate)))
 
 
-@dataclass(frozen=True)
-class MessagePoint:
-    """A message mapped onto the uniform grid in (-1/2, 1/2]."""
-
-    theta: float
-    level_count: int
-
-
-def map_message(m: int, levels: int) -> MessagePoint:
-    """Injective mapping of message index m in {1..levels} onto the grid."""
-    if levels < 1:
-        raise ParameterError(f"level count must be >= 1, got {levels}")
-    if not (1 <= m <= levels):
-        raise ParameterError(f"message index {m} outside [1, {levels}]")
-    return MessagePoint(theta=0.5 - (m - 1) / levels, level_count=levels)
-
-
 def message_point_variance(levels: int) -> float:
     """Exact variance of the uniform grid of ``levels`` points: (L^2-1)/(12 L^2)."""
     if levels < 1:
@@ -112,21 +98,11 @@ def message_point_variance(levels: int) -> float:
     return (levels * levels - 1) / (12 * levels * levels)
 
 
-def decode(theta_estimate: float, levels: int) -> int:
-    """Nearest grid point to the estimate; ties go to the smaller index,
-    estimates beyond the grid clamp to the nearest endpoint."""
-    if levels < 1:
-        raise ParameterError(f"level count must be >= 1, got {levels}")
-    u = (0.5 - theta_estimate) * levels + 1.0
-    if not math.isfinite(u):
-        return 1 if u < 0 else levels
-    m = math.ceil(u - 0.5)
-    return min(max(m, 1), levels)
-
-
 def _decode_from_error(eps_final: float, m: int, levels: int) -> int:
-    # Exact-arithmetic nearest-point decision expressed as an integer offset;
-    # round-half-up on the offset matches decode()'s smaller-index tie rule.
+    # Nearest point of the grid theta_j = 1/2 - (j-1)/L to the estimate
+    # theta_m + eps, decided in exact arithmetic as the integer offset
+    # m - j nearest eps * L: ties go to the smaller index, estimates beyond
+    # the grid clamp to the nearest endpoint, and NaN decodes to L.
     val = eps_final * float(levels)
     if not math.isfinite(val):
         return 1 if val > 0 else levels
@@ -157,54 +133,8 @@ def _draw_messages(gen: np.random.Generator, levels: int, size: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# encoder
+# receivers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoderState:
-    """Current estimation errors together with the analytic moments the
-    combining coefficients are derived from."""
-
-    eps1: float
-    eps2: float
-    schedule_index: int
-    moments: ErrorState
-
-
-def encode_init(theta1: MessagePoint, theta2: MessagePoint, params: ChannelParams):
-    """Inputs of the two dedicated channel uses that plant the message points."""
-    for i, point in ((1, theta1), (2, theta2)):
-        if point.level_count < 2:
-            raise DegenerateMessageError(
-                f"message {i} has a single-point alphabet; its variance is zero and the "
-                "power normalization of the dedicated channel use divides by it"
-            )
-    x1 = math.sqrt(params.power / message_point_variance(theta1.level_count)) * theta1.theta
-    x2 = math.sqrt(params.power / message_point_variance(theta2.level_count)) * theta2.theta
-    return x1, x2
-
-
-def encode_terms(state: CoderState, params: ChannelParams):
-    """The two summands of the feedback-iteration input, separated so the
-    interference-channel transmitters can each emit exactly one of them."""
-    mom = state.moments
-    if not (mom.alpha1 > 0.0 and mom.alpha2 > 0.0):
-        raise NumericalIntegrityError("encode_step needs strictly positive error variances")
-    g = gamma(params.noise)
-    ar = abs(mom.rho)
-    sgn = 1.0 if mom.rho >= 0.0 else -1.0
-    psi = math.sqrt(params.power / (1.0 + g * g + 2.0 * g * ar))
-    t1 = psi * (state.eps1 / math.sqrt(mom.alpha1))
-    t2 = psi * g * sgn * (state.eps2 / math.sqrt(mom.alpha2))
-    return t1, t2
-
-
-def encode_step(state: CoderState, params: ChannelParams) -> float:
-    """Feedback-iteration channel input; its analytic second moment is the
-    block power whenever the moment schedule matches the true moments."""
-    t1, t2 = encode_terms(state, params)
-    return t1 + t2
 
 
 def receiver_update(eps_prev: float, y: float, coeff: float) -> float:
@@ -239,16 +169,6 @@ class CoefficientSchedule:
     c2: np.ndarray
     var_y1: float
     var_y2: float
-
-    def moments_at(self, k: int) -> ErrorState:
-        """Analytic error moments after output k (k = 2..n)."""
-        i = k - 2
-        return ErrorState(
-            alpha1=float(self.alpha1[i]),
-            alpha2=float(self.alpha2[i]),
-            rho=float(self.rho[i]),
-            step_index=k,
-        )
 
 
 def lmmse_coefficient_schedule(
@@ -447,11 +367,6 @@ class TrialRecord:
     eps2: np.ndarray
     tx1: np.ndarray | None = None  # per-transmitter inputs, interference mode
     tx2: np.ndarray | None = None
-
-    @property
-    def powers(self) -> np.ndarray:
-        """Per-use transmitted power samples."""
-        return self.inputs**2
 
 
 def _run_trial(

@@ -24,6 +24,7 @@ from gbflab import (
     sweep_rates,
     verify_asymptotics,
 )
+from gbflab.analysis import power_grid
 
 HEADLINE = NoiseSpec(1.0, 1.0, -1.0)
 
@@ -303,6 +304,17 @@ def mpmath_fixed_point(p, s1, s2, rz):
         return rho, 1 - rho
 
 
+def mpmath_rates(p, s1, s2, gap):
+    """60-digit R1, R2, their sum and the pre-log ratio at the float gap."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        p, s1, s2, gap = mp.mpf(p), mp.mpf(s1), mp.mpf(s2), mp.mpf(gap)
+        r1 = mp.log((p + s1 * s1) / (p * gap / 2 + s1 * s1), 2) / 2
+        r2 = mp.log((p + s2 * s2) / (p * gap / 2 + s2 * s2), 2) / 2
+        return r1, r2, r1 + r2, (r1 + r2) / (mp.log(1 + p, 2) / 2)
+
+
 def test_fixed_point_matches_mpmath_oracle_over_domain():
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(2024)
@@ -315,11 +327,18 @@ def test_fixed_point_matches_mpmath_oracle_over_domain():
         rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
         draws.append((p, s1, s2, rz))
     for p, s1, s2, rz in draws:
-        fp = solve_fixed_point(params_of(p, s1, s2, rz))
+        params = params_of(p, s1, s2, rz)
+        fp = solve_fixed_point(params)
         rho, gap = mpmath_fixed_point(p, s1, s2, rz)
         assert float(abs(fp.rho_star - rho) / rho) <= 1e-14, (p, s1, s2, rz)
         assert float(abs(fp.gap - gap) / gap) <= 1e-14, (p, s1, s2, rz)
         assert fp.rho_star + fp.gap == 1.0
+        # The rates at the solver's own gap, against the same formula in
+        # 60 digits; at low SNR the log arguments lie within 1e-9 of 1.
+        rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
+        oracle = mpmath_rates(p, s1, s2, fp.gap)
+        for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), oracle):
+            assert float(abs(getattr(rp, name) - value) / value) <= 1e-14, (name, p, s1, s2, rz)
 
 
 def test_solver_tolerance_validation():
@@ -415,6 +434,16 @@ def test_sweep_delta_one_scaled_gap_is_gap():
 def test_sweep_range_validation():
     with pytest.raises(ParameterError):
         sweep_rates(HEADLINE, 100.0, 900.0)
+
+
+def test_power_grid_keeps_both_endpoints():
+    grid = power_grid(1e2, 1e10, 4)
+    assert len(grid) == 33 and grid[0] == 1e2 and grid[-1] == 1e10
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    # A span shorter than half a grid step still starts at p_start.
+    assert power_grid(1.0, 2.0, 1) == [1.0, 2.0]
+    grid = power_grid(5.0, 5.5, 3)
+    assert len(grid) == 2 and grid[0] == pytest.approx(5.0, rel=1e-15) and grid[1] == 5.5
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from gbflab import (
     ParameterError,
     RngSpec,
     UnsupportedConfigurationError,
-    broadcast_output,
-    interference_output,
     make_generator,
     reconstruct_other_output,
     sample_noise_pair,
@@ -97,30 +95,14 @@ def test_scalar_sampling_matches_contract():
     assert isinstance(z1, float) and z2 == -z1
 
 
-def test_broadcast_output_examples():
-    assert broadcast_output(0.0, 1.25, -2.5) == (1.25, -2.5)
-    assert broadcast_output(3.0, -1.0, 1.0) == (2.0, 4.0)
-
-
 def test_broadcast_anticorrelation_identity():
     gen = make_generator(RngSpec(11, 0))
     spec = NoiseSpec(1.0, 1.0, -1.0)
     for _ in range(200):
         x = float(gen.normal(scale=10.0))
         z1, z2 = sample_noise_pair(spec, gen)
-        y1, y2 = broadcast_output(x, z1, z2)
+        y1, y2 = x + z1, x + z2
         assert abs((y1 + y2) - 2.0 * x) <= 2.0 * np.spacing(abs(x) + abs(z1))
-
-
-def test_interference_output_examples():
-    assert interference_output(0.0, 0.0, 0.7, -0.7) == (0.7, -0.7)
-    assert interference_output(1.0, 2.0, 0.5, -0.5) == (3.5, 2.5)
-
-
-def test_interference_matches_broadcast_on_summed_input():
-    # if x1 + x2 equals a broadcast input, outputs coincide
-    x1, x2, z1, z2 = 0.75, 1.5, 0.3, -0.2
-    assert interference_output(x1, x2, z1, z2) == broadcast_output(x1 + x2, z1, z2)
 
 
 def test_reconstruct_examples():
@@ -142,7 +124,7 @@ def test_reconstruction_roundtrip_unit_sigmas(x, z):
     # largest quantity involved.
     spec = NoiseSpec(1.0, 1.0, -1.0)
     z2 = -z
-    y1, y2 = broadcast_output(x, z, z2)
+    y1, y2 = x + z, x + z2
     rec = reconstruct_other_output(x, y1, 1, spec)
     tol = 2.0 * np.spacing(max(abs(x), abs(y1), abs(y2), 1e-300))
     assert abs(rec - y2) <= tol
@@ -161,7 +143,7 @@ def test_reconstruction_roundtrip_general(x, u, s1, s2, sign, observed):
     spec = NoiseSpec(s1, s2, sign)
     z1 = s1 * u
     z2 = sign * (s2 / s1) * z1
-    y1, y2 = broadcast_output(x, z1, z2)
+    y1, y2 = x + z1, x + z2
     rec = reconstruct_other_output(x, y1 if observed == 1 else y2, observed, spec)
     hidden = y2 if observed == 1 else y1
     ratio = max(s1 / s2, s2 / s1)

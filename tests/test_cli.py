@@ -152,6 +152,14 @@ def test_verify_points_per_decade_zero_exits_2(capsys):
     assert "points_per_decade" in err
 
 
+def test_verify_short_span_reports_the_span(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--p-start", "1", "--p-stop", "2", "--points-per-decade", "1"
+    )
+    assert code == 2
+    assert "must span at least four decades" in err
+
+
 def test_classify_exit_codes(tmp_path, capsys):
     two = tmp_path / "two.txt"
     two.write_text("1 -1\n-1 1\n")

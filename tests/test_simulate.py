@@ -5,7 +5,6 @@ import pytest
 
 from gbflab import (
     ChannelParams,
-    CoderState,
     DegenerateMessageError,
     ErrorState,
     MessageConfig,
@@ -15,14 +14,9 @@ from gbflab import (
     RngSpec,
     UnsupportedConfigurationError,
     achievable_rates,
-    decode,
-    encode_init,
-    encode_step,
-    encode_terms,
     level_count,
     lmmse_coefficient_schedule,
     make_generator,
-    map_message,
     message_point_variance,
     receiver_update,
     run_broadcast_campaign,
@@ -32,7 +26,7 @@ from gbflab import (
     solve_fixed_point,
     step_error_state,
 )
-from gbflab.simulate import _decode_from_error, _decoded_correctly, _run_trial
+from gbflab.simulate import _coding_loop, _decode_from_error, _decoded_correctly, _run_trial
 
 HEADLINE = ChannelParams(100.0, NoiseSpec(1.0, 1.0, -1.0))
 
@@ -44,26 +38,42 @@ def headline_config(n=20, fraction=0.7, params=HEADLINE):
 
 
 # ---------------------------------------------------------------------------
-# message mapping
+# message mapping and the dedicated channel uses
 # ---------------------------------------------------------------------------
+#
+# The mapping theta = 1/2 - (m-1)/L and the encoder exist only inside the
+# coding loop, so these tests drive the loop itself.
+
+
+def dedicated_inputs(power, n, rate):
+    """Send every message index of the alphabet of ``MessageConfig(n, rate,
+    rate)`` through the two dedicated uses of the coding loop; return the
+    alphabet size and the yields of t = 1 and t = 2, one array entry per
+    index."""
+    params = ChannelParams(power, NoiseSpec(1.0, 1.0, 0.0))
+    config = MessageConfig(n=n, rate1=rate, rate2=rate)
+    levels = config.levels1
+    var = message_point_variance(levels)
+    schedule = lmmse_coefficient_schedule(params, n, var, var)
+    m = np.arange(1, levels + 1)
+    gen = make_generator(RngSpec(0, 0))
+    steps = _coding_loop(config, params, schedule, "broadcast", 0, gen, m, m, levels)
+    return levels, next(steps), next(steps)
 
 
 def test_map_message_examples():
-    assert map_message(1, 7).theta == 0.5
-    assert map_message(4, 4).theta == pytest.approx(-0.5 + 1.0 / 4.0)
-    assert map_message(3, 4).theta == 0.0
+    levels, (x1, *_), (x2, *_) = dedicated_inputs(1.0, 6, 2.0 / 6.0)
+    assert levels == 4
+    scale = math.sqrt(1.0 / message_point_variance(4))
+    # theta = 1/2, 1/4, 0, -1/4 for m = 1..4, the same grid for both users
+    assert x1.tolist() == [scale * 0.5, scale * 0.25, 0.0, scale * -0.25]
+    assert np.array_equal(x1, x2)
 
 
 def test_map_message_injective():
-    thetas = {map_message(m, 64).theta for m in range(1, 65)}
-    assert len(thetas) == 64
-
-
-def test_map_message_validation():
-    with pytest.raises(ParameterError):
-        map_message(0, 4)
-    with pytest.raises(ParameterError):
-        map_message(5, 4)
+    levels, (x1, *_), (x2, *_) = dedicated_inputs(5.0, 6, 1.0)
+    assert levels == 64
+    assert len(set(x1.tolist())) == 64 and len(set(x2.tolist())) == 64
 
 
 def test_message_point_variance_examples():
@@ -84,64 +94,56 @@ def test_level_count():
 
 
 def test_encode_init_examples():
-    params = ChannelParams(1.0, NoiseSpec(1, 1, 0))
-    x1, x2 = encode_init(map_message(1, 2), map_message(3, 4), params)
-    assert x1 == pytest.approx(2.0, rel=1e-15)  # sqrt(1/(1/16)) * 1/2
-    assert x2 == 0.0
+    levels, first, second = dedicated_inputs(1.0, 3, 1.0 / 3.0)
+    assert levels == 2
+    # sqrt(P / var) * theta with var = 1/16: 2 for theta = 1/2, 0 for theta = 0
+    x1, t1, t2, eps1, eps2 = first
+    assert x1 == pytest.approx([2.0, 0.0], rel=1e-15, abs=0.0)
+    # t = 1 is transmitter 1's use, t = 2 transmitter 2's; no errors before t = 2.
+    assert np.array_equal(t1, x1) and t2 == 0.0 and eps1 is None and eps2 is None
+    x2, t1, t2, eps1, eps2 = second
+    assert np.array_equal(x2, x1) and t1 == 0.0 and np.array_equal(t2, x2)
+    assert eps1.shape == eps2.shape == (2,)
 
 
 def test_encode_init_mean_square_close_to_power():
     # The dedicated use transmits sqrt(P/var) * theta with theta's mean
     # offset 1/(2L): its exact mean square is P (L^2+2)/(L^2-1), within
     # O(1/L^2) of the block power.
-    params = ChannelParams(5.0, NoiseSpec(1, 1, 0))
-    levels = 64
-    second_moment = np.mean(
-        [encode_init(map_message(m, levels), map_message(1, 2), params)[0] ** 2 for m in range(1, levels + 1)]
-    )
+    levels, (x1, *_), (x2, *_) = dedicated_inputs(5.0, 6, 1.0)
     exact = 5.0 * (levels**2 + 2) / (levels**2 - 1)
-    assert second_moment == pytest.approx(exact, rel=1e-12)
-    assert abs(second_moment / 5.0 - 1.0) < 1e-3
-
-
-def test_encode_init_rejects_single_point_alphabet():
-    params = ChannelParams(1.0, NoiseSpec(1, 1, 0))
-    with pytest.raises(DegenerateMessageError):
-        encode_init(map_message(1, 1), map_message(1, 2), params)
+    for x in (x1, x2):
+        second_moment = float(np.mean(x**2))
+        assert second_moment == pytest.approx(exact, rel=1e-12)
+        assert abs(second_moment / 5.0 - 1.0) < 1e-3
 
 
 def test_encode_step_examples():
-    params = ChannelParams(8.0, NoiseSpec(1, 1, -1))
-    mom = ErrorState(alpha1=1.0, alpha2=1.0, rho=0.0, step_index=2)
-    assert encode_step(CoderState(0.0, 0.0, 3, mom), params) == 0.0
-    # gamma = 1, rho = 0, eps/sqrt(alpha) = 1 for both: X = sqrt(2 P)
-    x = encode_step(CoderState(1.0, 1.0, 3, mom), params)
-    assert x == pytest.approx(math.sqrt(2.0 * 8.0), rel=1e-15)
-    with pytest.raises(NumericalIntegrityError):
-        encode_step(CoderState(1.0, 1.0, 3, ErrorState(0.0, 1.0, 0.0, 2)), params)
+    # gamma = 1 and rho = 0 after the dedicated uses, so the first feedback
+    # input is sqrt(P/2) * (eps1/sqrt(alpha1) + eps2/sqrt(alpha2)).
+    params = ChannelParams(8.0, NoiseSpec(1.0, 1.0, -1.0))
+    config = MessageConfig(n=5, rate1=0.4, rate2=0.4)
+    var = message_point_variance(config.levels1)
+    schedule = lmmse_coefficient_schedule(params, config.n, var, var)
+    m = np.arange(1, 101) % config.levels1 + 1
+    gen = make_generator(RngSpec(3, 0))
+    steps = list(_coding_loop(config, params, schedule, "broadcast", 0, gen, m, m, 100))
+    _, _, _, eps1, eps2 = steps[1]
+    x = steps[2][0]
+    alpha = var / 8.0
+    expected = math.sqrt(8.0 / 2.0) * (eps1 / math.sqrt(alpha) + eps2 / math.sqrt(alpha))
+    assert np.allclose(x, expected, rtol=1e-12, atol=0.0)
 
 
 def test_encode_step_power_normalization_monte_carlo():
-    # empirical mean of X^2 within 5 standard errors of P
+    # From t = 3 on, the empirical mean of X^2 is within 5 standard errors
+    # of P at every step.
     params = ChannelParams(10.0, NoiseSpec(1.0, 2.0, 0.4))
-    n_samples = 100_000
-    rng = make_generator(RngSpec(88, 0))
-    rho = -0.6
-    a1, a2 = 0.8, 1.7
-    u = rng.standard_normal(n_samples)
-    w = rng.standard_normal(n_samples)
-    e1 = math.sqrt(a1) * u
-    e2 = math.sqrt(a2) * (rho * u - math.sqrt(1 - rho * rho) * w)
-    mom = ErrorState(alpha1=a1, alpha2=a2, rho=rho, step_index=5)
-    g = 0.5
-    psi = math.sqrt(10.0 / (1 + g * g + 2 * g * abs(rho)))
-    x = psi * (e1 / math.sqrt(a1) + g * (-1.0) * e2 / math.sqrt(a2))
-    emp = float(np.mean(x * x))
-    se = 10.0 * math.sqrt(2.0 / n_samples)
-    assert abs(emp - 10.0) <= 5 * se
-    # and the scalar path agrees with the vectorized expression
-    scalar = encode_step(CoderState(float(e1[0]), float(e2[0]), 5, mom), params)
-    assert scalar == pytest.approx(float(x[0]), rel=1e-12)
+    config = MessageConfig(n=12, rate1=0.5, rate2=0.4)
+    trials = 20_000
+    summary = run_broadcast_campaign(config, params, trials, 88)
+    se = 10.0 * math.sqrt(2.0 / trials)
+    assert np.all(np.abs(summary.power_per_step[2:] - 10.0) <= 5 * se)
 
 
 def test_receiver_update_identities():
@@ -177,22 +179,29 @@ def test_receiver_update_orthogonality_monte_carlo():
 
 
 def test_decode_examples():
+    # The receiver's estimate is theta_m + eps; it decodes to the nearest
+    # point of the grid theta_j = 1/2 - (j-1)/L.
     for m in (1, 2, 17, 100):
-        assert decode(map_message(m, 100).theta, 100) == m
-    assert decode(0.3, 2) == 1  # 0.5 is nearer than 0.0
-    assert decode(5.0, 8) == 1  # clamps to the largest theta
-    assert decode(-5.0, 8) == 8  # clamps to the smallest theta
-    assert decode(0.25, 2) == 1  # exact midpoint: smaller index wins
-    with pytest.raises(ParameterError):
-        decode(0.0, 0)
+        assert _decode_from_error(0.0, m, 100) == m
+    assert _decode_from_error(0.3, 2, 2) == 1  # estimate 0.3: 1/2 is nearer than 0
+    assert _decode_from_error(0.25, 2, 2) == 1  # exact midpoint: smaller index wins
+    assert _decode_from_error(-0.25, 1, 2) == 1
+    assert _decode_from_error(5.0 - 0.125, 4, 8) == 1  # estimate 5: clamps to j = 1
+    assert _decode_from_error(-5.0 - 0.125, 4, 8) == 8  # estimate -5: clamps to j = L
+    assert _decode_from_error(math.inf, 4, 8) == 1
+    assert _decode_from_error(-math.inf, 4, 8) == 8
+    assert _decode_from_error(math.nan, 4, 8) == 8
 
 
 def test_decode_roundtrip_random():
+    # An error within half a grid step decodes to the sent index, also
+    # beyond 2**53 points where float64 cannot hold the index.
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        levels = int(rng.integers(2, 1 << 30))
-        m = int(rng.integers(1, levels + 1))
-        assert decode(map_message(m, levels).theta, levels) == m
+    for i in range(200):
+        levels = int(rng.integers(2, 1 << 30)) << (40 if i % 2 else 0)
+        m = levels - int(rng.integers(0, min(levels, 1 << 62)))
+        eps = rng.uniform(-0.499, 0.499) / levels
+        assert _decode_from_error(eps, m, levels) == m
 
 
 def test_campaign_success_mask_matches_exact_decode_beyond_2_53_points():
@@ -312,8 +321,15 @@ def test_trial_record_shapes_and_powers():
     rec = run_broadcast_trial(config, HEADLINE, RngSpec(5, 5))
     assert rec.inputs.shape == (9,)
     assert rec.eps1.shape == (8,) and rec.eps2.shape == (8,)
-    assert np.array_equal(rec.powers, rec.inputs**2)
     assert rec.success == (rec.decoded1 == rec.message1 and rec.decoded2 == rec.message2)
+    # Over independent trials each feedback use (t >= 3) has mean power P,
+    # within 5 standard errors.
+    trials = 400
+    inputs = np.array(
+        [run_broadcast_trial(config, HEADLINE, RngSpec(5, sid)).inputs for sid in range(trials)]
+    )
+    se = 100.0 * math.sqrt(2.0 / trials)
+    assert np.all(np.abs(np.mean(inputs[:, 2:] ** 2, axis=0) - 100.0) <= 5 * se)
 
 
 def test_trial_runs_config_length_on_a_longer_schedule_and_rejects_a_shorter_one():
