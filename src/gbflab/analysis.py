@@ -438,16 +438,13 @@ def single_user_bound(params: ChannelParams, receiver: int) -> float:
 
 def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[float]:
     """Logarithmic power grid, ascending, endpoints included."""
-    if not (p_start > 0 and p_stop > p_start):
-        raise ParameterError("need 0 < p_start < p_stop")
+    if not (0 < p_start < p_stop < math.inf):
+        raise ParameterError("need 0 < p_start < p_stop < inf")
     if points_per_decade < 1:
         raise ParameterError("points_per_decade must be at least 1")
-    decades = math.log10(p_stop) - math.log10(p_start)
-    n = max(1, round(decades * points_per_decade))
     lg0 = math.log10(p_start)
-    grid = [10.0 ** (lg0 + i / points_per_decade) for i in range(n)]
-    grid.append(p_stop)
-    return grid
+    n = max(1, round((math.log10(p_stop) - lg0) * points_per_decade))
+    return [p_start] + [10.0 ** (lg0 + i / points_per_decade) for i in range(1, n)] + [p_stop]
 
 
 def sweep_rates(

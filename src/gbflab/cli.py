@@ -38,58 +38,6 @@ from .channel import ChannelParams, NoiseSpec
 from .errors import NumericalIntegrityError, ParameterError
 from .simulate import MessageConfig, run_broadcast_campaign
 
-_DEFAULTS = {
-    "analyze": {
-        "power": 100.0,
-        "sigma1": 1.0,
-        "sigma2": 1.0,
-        "rhoz": -1.0,
-        "tol": 1e-10,
-        "out": None,
-    },
-    "sweep": {
-        "p_start": 1e2,
-        "p_stop": 1e10,
-        "points_per_decade": 4,
-        "sigma1": 1.0,
-        "sigma2": 1.0,
-        "rhoz": -1.0,
-        "tol": 1e-10,
-        "delta": 0.2,
-        "out": None,
-    },
-    "simulate": {
-        "power": 100.0,
-        "sigma1": 1.0,
-        "sigma2": 1.0,
-        "rhoz": -1.0,
-        "tol": 1e-10,
-        "trials": 10_000,
-        "block_length": 20,
-        "rate1": None,
-        "rate2": None,
-        "rate_fraction": 0.7,
-        "mode": "broadcast",
-        "fed_back_receiver": 1,
-        "fixpoint_init": False,
-        "seed": 20240901,
-        "out": None,
-    },
-    "verify": {
-        "p_start": 1e2,
-        "p_stop": 1e10,
-        "points_per_decade": 4,
-        "sigma1": 1.0,
-        "sigma2": 1.0,
-        "rhoz": -1.0,
-        "delta": 0.2,
-        "eps": 0.1,
-        "out": None,
-    },
-    "classify": {"matrix": None, "out": None},
-}
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool) or value is None:
         return str(value)
@@ -109,9 +57,12 @@ def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file {out_path!r}: {exc}") from exc
 
 
 def _csv_row(values) -> str:
@@ -305,124 +256,110 @@ def _cmd_classify(opts: dict) -> tuple[list[str], int]:
 # ---------------------------------------------------------------------------
 
 
+# name -> (type, default, help, choices); a type of bool is a store_true flag
+_OPTIONS = {
+    "power": (float, 100.0, "average block power P", None),
+    "sigma1": (float, 1.0, "noise std. dev. at receiver 1", None),
+    "sigma2": (float, 1.0, "noise std. dev. at receiver 2", None),
+    "rhoz": (float, -1.0, "noise correlation coefficient", None),
+    "p_start": (float, 1e2, "first grid power", None),
+    "p_stop": (float, 1e10, "last grid power", None),
+    "points_per_decade": (int, 4, "grid density", None),
+    "tol": (float, 1e-10, "cubic residual tolerance", None),
+    "delta": (float, 0.2, "exponent in scaled_gap = P^(1-delta) * g", None),
+    "eps": (float, 0.1, "slack exponent, 0 < eps < delta", None),
+    "trials": (int, 10_000, "number of independent blocks", None),
+    "block_length": (int, 20, "channel uses per block", None),
+    "rate1": (float, None, "bits per use for user 1", None),
+    "rate2": (float, None, "bits per use for user 2", None),
+    "rate_fraction": (
+        float,
+        0.7,
+        "set unspecified rates to this fraction of the achievable rates at the fixed point",
+        None,
+    ),
+    "mode": (str, "broadcast", None, ["broadcast", "interference", "limited"]),
+    "fed_back_receiver": (int, 1, "receiver whose outputs are fed back in limited mode", [1, 2]),
+    "fixpoint_init": (
+        bool,
+        False,
+        "derive the coefficient schedule from a correlation pinned at the fixed point",
+        None,
+    ),
+    "seed": (int, 20240901, "master seed", None),
+    "matrix": (str, None, "text file, one matrix row per line, whitespace separated", None),
+    "out": (str, None, "output file (default: stdout)", None),
+}
+
+_NOISE = ("sigma1", "sigma2", "rhoz")
+_GRID = ("p_start", "p_stop", "points_per_decade")
+
+# subcommand -> (help, its options in --help order); each also takes --config
+_COMMANDS = {
+    "analyze": ("fixed point and rates at one power", ("power", *_NOISE, "tol", "out")),
+    "sweep": ("rates and gap over a power grid", (*_GRID, *_NOISE, "tol", "delta", "out")),
+    "simulate": (
+        "Monte Carlo campaign",
+        ("power", *_NOISE, "tol", "trials", "block_length", "rate1", "rate2", "rate_fraction",
+         "mode", "fed_back_receiver", "fixpoint_init", "seed", "out"),
+    ),
+    "verify": ("high-power limit diagnostics", (*_GRID, *_NOISE, "delta", "eps", "out")),
+    "classify": ("K-receiver pre-log class from a correlation matrix", ("matrix", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbflab",
         description="feedback coding laboratory for two-user Gaussian channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common_channel(p, with_power: bool) -> None:
-        if with_power:
-            p.add_argument("--power", type=float, help="average block power P")
-        p.add_argument("--sigma1", type=float, help="noise std. dev. at receiver 1")
-        p.add_argument("--sigma2", type=float, help="noise std. dev. at receiver 2")
-        p.add_argument("--rhoz", type=float, help="noise correlation coefficient")
-
-    def add_grid(p) -> None:
-        p.add_argument("--p-start", dest="p_start", type=float, help="first grid power")
-        p.add_argument("--p-stop", dest="p_stop", type=float, help="last grid power")
-        p.add_argument(
-            "--points-per-decade", dest="points_per_decade", type=int, help="grid density"
-        )
-
-    def add_io(p) -> None:
-        p.add_argument("--out", help="output file (default: stdout)")
+    for command, (command_help, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name in names:
+            kind, _, help_text, choices = _OPTIONS[name]
+            flag = name if name == "matrix" else "--" + name.replace("_", "-")  # one positional
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, choices=choices, help=help_text)
         p.add_argument("--config", help="JSON file of option defaults; flags override it")
-
-    p = sub.add_parser("analyze", help="fixed point and rates at one power")
-    add_common_channel(p, with_power=True)
-    p.add_argument("--tol", type=float, help="cubic residual tolerance")
-    add_io(p)
-
-    p = sub.add_parser("sweep", help="rates and gap over a power grid")
-    add_grid(p)
-    add_common_channel(p, with_power=False)
-    p.add_argument("--tol", type=float, help="cubic residual tolerance")
-    p.add_argument("--delta", type=float, help="exponent in scaled_gap = P^(1-delta) * g")
-    add_io(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo campaign")
-    add_common_channel(p, with_power=True)
-    p.add_argument("--tol", type=float, help="cubic residual tolerance")
-    p.add_argument("--trials", type=int, help="number of independent blocks")
-    p.add_argument("--block-length", dest="block_length", type=int, help="channel uses per block")
-    p.add_argument("--rate1", type=float, help="bits per use for user 1")
-    p.add_argument("--rate2", type=float, help="bits per use for user 2")
-    p.add_argument(
-        "--rate-fraction",
-        dest="rate_fraction",
-        type=float,
-        help="set unspecified rates to this fraction of the achievable rates at the fixed point",
-    )
-    p.add_argument("--mode", choices=["broadcast", "interference", "limited"])
-    p.add_argument(
-        "--fed-back-receiver", dest="fed_back_receiver", type=int, choices=[1, 2],
-        help="receiver whose outputs are fed back in limited mode",
-    )
-    p.add_argument(
-        "--fixpoint-init", dest="fixpoint_init", action="store_true", default=argparse.SUPPRESS,
-        help="derive the coefficient schedule from a correlation pinned at the fixed point",
-    )
-    p.add_argument("--seed", type=int, help="master seed")
-    add_io(p)
-
-    p = sub.add_parser("verify", help="high-power limit diagnostics")
-    add_grid(p)
-    add_common_channel(p, with_power=False)
-    p.add_argument("--delta", type=float, help="gap decay exponent probe")
-    p.add_argument("--eps", type=float, help="slack exponent, 0 < eps < delta")
-    add_io(p)
-
-    p = sub.add_parser("classify", help="K-receiver pre-log class from a correlation matrix")
-    p.add_argument("matrix", help="text file, one matrix row per line, whitespace separated")
-    add_io(p)
-
     return parser
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """``value`` as ``action``'s flag would parse it, or ParameterError when
+def _config_value(key: str, value):
+    """``value`` as ``key``'s flag would parse it, or ParameterError when
     its JSON type or value is one the flag would not accept."""
-    expected = bool if action.nargs == 0 else (action.type or str)
+    expected, _, _, choices = _OPTIONS[key]
     if expected is float and type(value) is int:
         value = float(value)
     if type(value) is not expected:
         raise ParameterError(f"config key {key!r} must be a {expected.__name__}, got {value!r}")
-    if action.choices is not None and value not in action.choices:
-        choices = list(action.choices)
+    if choices is not None and value not in choices:
         raise ParameterError(f"config key {key!r} must be one of {choices}, got {value!r}")
     return value
 
 
-def _effective_options(
-    parser: argparse.ArgumentParser, command: str, args: argparse.Namespace
-) -> dict:
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
-    config_path = getattr(args, "config", None)
-    from_config: dict = {}
-    if config_path is not None:
+def _effective_options(command: str, args: argparse.Namespace) -> dict:
+    opts = {name: _OPTIONS[name][1] for name in _COMMANDS[command][1]}
+    if args.config is not None:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
-            raise ParameterError(f"cannot read config file {config_path!r}: {exc}") from exc
+            raise ParameterError(f"cannot read config file {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ParameterError(f"config file {config_path!r} is not valid JSON: {exc}") from exc
+            raise ParameterError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError("config file must contain a JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS[command]))
+        unknown = sorted(set(loaded) - set(opts))
         if unknown:
             raise ParameterError(f"config keys not recognized for {command}: {unknown}")
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in commands.choices[command]._actions}
         for key, value in loaded.items():
-            if value is not None or _DEFAULTS[command][key] is not None:
-                loaded[key] = _config_value(actions[key], key, value)
-        from_config = loaded
-    opts = dict(_DEFAULTS[command])
-    opts.update(from_config)
-    opts.update(given)
+            if value is not None or opts[key] is not None:
+                value = _config_value(key, value)
+            opts[key] = value
+    opts.update((k, v) for k, v in vars(args).items() if k in opts and v is not None)
     return opts
 
 
@@ -436,18 +373,17 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        opts = _effective_options(parser, args.command, args)
+        opts = _effective_options(args.command, args)
         lines, code = _DISPATCH[args.command](opts)
+        _emit(lines, opts["out"])
     except ParameterError as exc:
         print(f"gbflab {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except NumericalIntegrityError as exc:
         print(f"gbflab {args.command}: numerical-integrity failure: {exc}", file=sys.stderr)
         return 4
-    _emit(lines, opts.get("out"))
     return code
 
 

@@ -443,7 +443,7 @@ def test_power_grid_keeps_both_endpoints():
     # A span shorter than half a grid step still starts at p_start.
     assert power_grid(1.0, 2.0, 1) == [1.0, 2.0]
     grid = power_grid(5.0, 5.5, 3)
-    assert len(grid) == 2 and grid[0] == pytest.approx(5.0, rel=1e-15) and grid[1] == 5.5
+    assert grid == [5.0, 5.5]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gbflab.cli import main
+from gbflab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -283,3 +283,66 @@ def test_default_stdout_bytes_are_unchanged(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_infinite_grid_bound_exits_2(tmp_path, capsys, command, via_config):
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p_stop": Infinity}')
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--p-stop", "inf"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "p_stop" in err
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "analyze", "--out", str(target))
+    assert code == 2 and out == ""
+    assert "cannot write output file" in err and str(target) in err
+
+
+# every option of every subcommand at its documented default
+OPTION_DEFAULTS = {
+    "power": 100.0, "sigma1": 1.0, "sigma2": 1.0, "rhoz": -1.0, "tol": 1e-10,
+    "p_start": 1e2, "p_stop": 1e10, "points_per_decade": 4, "delta": 0.2, "eps": 0.1,
+    "trials": 10_000, "block_length": 20, "rate1": None, "rate2": None,
+    "rate_fraction": 0.7, "mode": "broadcast", "fed_back_receiver": 1,
+    "fixpoint_init": False, "seed": 20240901, "matrix": None, "out": None,
+}
+
+
+def argv_of(command, tmp_path):
+    if command == "classify":
+        matrix = tmp_path / "corr.txt"
+        matrix.write_text("1 -1\n-1 1\n")
+        return [command, str(matrix)]
+    return [command, "--trials", "200"] if command == "simulate" else [command]
+
+
+def echoed_options(out):
+    return {l.split("=", 1)[0][len("# option."):] for l in out.splitlines()
+            if l.startswith("# option.")}
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate", "verify", "classify"])
+def test_config_of_all_defaults_changes_nothing(tmp_path, capsys, command):
+    argv = argv_of(command, tmp_path)
+    code, plain, _ = run_cli(capsys, *argv)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: OPTION_DEFAULTS[k] for k in echoed_options(plain)}))
+    code_cfg, with_cfg, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code_cfg == code and err == ""
+    assert with_cfg == plain
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate", "verify", "classify"])
+def test_echoed_options_are_the_parser_options(tmp_path, capsys, command):
+    argv = argv_of(command, tmp_path)
+    dests = set(vars(build_parser().parse_args(argv))) - {"command", "config"}
+    code, out, _ = run_cli(capsys, *argv)
+    assert echoed_options(out) == dests
