@@ -34,10 +34,8 @@ class NoiseSpec:
             raise ParameterError(f"sigma2 must be a positive finite real, got {self.sigma2}")
         if not (-1.0 <= self.rho_z <= 1.0):
             raise ParameterError(f"rho_z must lie in [-1, 1], got {self.rho_z}")
-        # PSD holds automatically given the bounds above; assert anyway.
-        eig_min = min(np.linalg.eigvalsh(self.covariance()))
-        if eig_min < -1e-9:
-            raise ParameterError(f"noise covariance is not PSD (min eigenvalue {eig_min})")
+        # These bounds make the covariance PSD: its trace is positive and its
+        # determinant sigma1^2 sigma2^2 (1 - rho_z^2) is nonnegative.
 
     def covariance(self) -> np.ndarray:
         """2x2 covariance matrix of one (z1, z2) noise sample."""
@@ -68,8 +66,10 @@ class RngSpec:
 
     Streams are counter-based (Philox) and keyed by the pair
     (master_seed, stream_id): distinct pairs give statistically independent
-    streams, identical pairs give bitwise-identical streams, and trials keyed
-    by stream_id can therefore run in any order or in parallel.
+    streams, identical pairs give bitwise-identical streams, and work keyed
+    by stream_id can therefore run in any order or in parallel.  A campaign
+    runs its chunk c (at most 65,536 blocks) on ``RngSpec(master_seed, c)``;
+    a single trial runs on the stream it is given.
     """
 
     master_seed: int

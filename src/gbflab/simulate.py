@@ -19,6 +19,10 @@ encoder and the channel outputs live only there.  A single trial
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats;
 a campaign (``run_broadcast_campaign``) runs it on arrays of independent
 blocks and folds each step into its moment estimates as the step arrives.
+A campaign holds at most 65,536 blocks at once: chunk c of its blocks runs on
+the stream ``RngSpec(master_seed, c)``, and the per-chunk moments merge
+through a fixed pairwise tree over chunk index, so memory does not grow with
+the trial count and the result does not depend on the order chunks run in.
 
 Numerical note: the error process is independent of the transmitted messages,
 so trials propagate the errors directly and decode through the integer
@@ -52,6 +56,7 @@ from .errors import (
 )
 
 _VECTOR_LEVEL_LIMIT = 1 << 62  # beyond this, message indices live in floats
+_CHUNK_TRIALS = 1 << 16  # most campaign blocks held in memory at once
 _MODES = ("broadcast", "interference", "limited")
 
 
@@ -167,8 +172,6 @@ class CoefficientSchedule:
     psi: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    var_y1: float
-    var_y2: float
 
 
 def lmmse_coefficient_schedule(
@@ -233,8 +236,6 @@ def lmmse_coefficient_schedule(
         psi=np.array(psi),
         c1=np.array(c1),
         c2=np.array(c2),
-        var_y1=pi1,
-        var_y2=pi2,
     )
 
 
@@ -517,6 +518,113 @@ def _decoded_correctly(eps: np.ndarray, m: np.ndarray, levels: int) -> np.ndarra
     return (k == 0) | ((k > 0) & (m == 1)) | (~(k >= 0) & (m == levels))
 
 
+def _chunk_sizes(trials: int) -> list[int]:
+    """Split ``trials`` into ceil(trials / _CHUNK_TRIALS) chunks whose sizes
+    differ by at most one, larger chunks first: with two or more chunks each
+    holds at least _CHUNK_TRIALS / 2 blocks."""
+    chunks = -(-trials // _CHUNK_TRIALS)
+    base, extra = divmod(trials, chunks)
+    return [base + (c < extra) for c in range(chunks)]
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """What a campaign keeps of ``count`` blocks: per-step error means,
+    unbiased variances and correlation after outputs k = 2..n, mean x^2 per
+    use t = 1..n, the interference transmitters' summed squared inputs and the
+    number of blocks decoded wrongly."""
+
+    count: int
+    mean1: np.ndarray
+    mean2: np.ndarray
+    var1: np.ndarray
+    var2: np.ndarray
+    corr: np.ndarray
+    power: np.ndarray
+    tx1_sum: float
+    tx2_sum: float
+    errors: int
+
+
+def _chunk_moments(
+    config: MessageConfig,
+    params: ChannelParams,
+    schedule: CoefficientSchedule,
+    mode: str,
+    fed_back_receiver: int,
+    rng: RngSpec,
+    size: int,
+) -> _Moments:
+    """Run ``size`` blocks on the stream ``rng``, folding each step into its
+    moments as it arrives, and count the blocks decoded wrongly."""
+    n = config.n
+    gen = make_generator(rng)
+    m1 = _draw_messages(gen, config.levels1, size)
+    m2 = _draw_messages(gen, config.levels2, size)
+
+    mean1, mean2, var1, var2, corr = (np.zeros(n - 1) for _ in range(5))
+    power = np.zeros(n)
+    tx1_sum = tx2_sum = 0.0
+    steps = _coding_loop(config, params, schedule, mode, fed_back_receiver, gen, m1, m2, size)
+    for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
+        power[t] = float(np.mean(x**2))
+        if mode == "interference":
+            tx1_sum += float(np.sum(t1**2))
+            tx2_sum += float(np.sum(t2**2))
+        if t:
+            mean1[t - 1] = eps1.mean()
+            mean2[t - 1] = eps2.mean()
+            var1[t - 1] = eps1.var(ddof=1)
+            var2[t - 1] = eps2.var(ddof=1)
+            corr[t - 1] = float(np.corrcoef(eps1, eps2)[0, 1])
+
+    ok1 = _decoded_correctly(eps1, m1, config.levels1)
+    ok2 = _decoded_correctly(eps2, m2, config.levels2)
+    errors = int(size - np.count_nonzero(ok1 & ok2))
+    return _Moments(size, mean1, mean2, var1, var2, corr, power, tx1_sum, tx2_sum, errors)
+
+
+def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
+    """Moments of the union of two disjoint sets of blocks (Chan, Golub and
+    LeVeque 1979): the means move by the weighted mean difference, and the
+    sums of squared deviations and the co-moment gain a between-set term."""
+    count = a.count + b.count
+    share, between = b.count / count, a.count * b.count / count
+    d1, d2 = b.mean1 - a.mean1, b.mean2 - a.mean2
+    ss1 = a.var1 * (a.count - 1) + b.var1 * (b.count - 1) + between * d1 * d1
+    ss2 = a.var2 * (a.count - 1) + b.var2 * (b.count - 1) + between * d2 * d2
+    # The co-moment is rebuilt as corr * sd1 * sd2 * (count - 1); square
+    # roots are taken before multiplying so that tiny variances do not
+    # underflow.
+    co = (
+        a.corr * np.sqrt(a.var1) * np.sqrt(a.var2) * (a.count - 1)
+        + b.corr * np.sqrt(b.var1) * np.sqrt(b.var2) * (b.count - 1)
+        + between * d1 * d2
+    )
+    return _Moments(
+        count=count,
+        mean1=a.mean1 + share * d1,
+        mean2=a.mean2 + share * d2,
+        var1=ss1 / (count - 1),
+        var2=ss2 / (count - 1),
+        corr=co / (np.sqrt(ss1) * np.sqrt(ss2)),
+        power=a.power + share * (b.power - a.power),
+        tx1_sum=a.tx1_sum + b.tx1_sum,
+        tx2_sum=a.tx2_sum + b.tx2_sum,
+        errors=a.errors + b.errors,
+    )
+
+
+def _pool(chunks: list[_Moments]) -> _Moments:
+    """Merge per-chunk moments through a fixed pairwise tree over chunk index,
+    so the result does not depend on the order the chunks ran in; a single
+    chunk comes back unchanged."""
+    if len(chunks) == 1:
+        return chunks[0]
+    mid = len(chunks) // 2
+    return _merge_moments(_pool(chunks[:mid]), _pool(chunks[mid:]))
+
+
 def run_broadcast_campaign(
     config: MessageConfig,
     params: ChannelParams,
@@ -529,8 +637,12 @@ def run_broadcast_campaign(
 ) -> McSummary:
     """Aggregate ``trials`` independent blocks, vectorized across trials.
 
-    Deterministic for a given master seed; aggregation order is fixed, so
-    identical invocations produce bitwise-identical summaries.
+    The blocks run in ceil(trials / 65,536) chunks of balanced size; chunk c
+    draws its messages and noises from ``RngSpec(master_seed, c)``, and the
+    per-chunk moments merge through a fixed pairwise tree over chunk index.
+    Memory is therefore bounded by the chunk size, not by ``trials``, and
+    identical invocations produce bitwise-identical summaries.  A campaign of
+    at most 65,536 trials is a single chunk on ``RngSpec(master_seed, 0)``.
     """
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
@@ -538,30 +650,13 @@ def run_broadcast_campaign(
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
     schedule = _checked_schedule(config, params, mode, fed_back_receiver, None, fixpoint_init)
     n = config.n
-    gen = make_generator(RngSpec(master_seed, 0))
-    m1 = _draw_messages(gen, config.levels1, trials)
-    m2 = _draw_messages(gen, config.levels2, trials)
-
-    mean1, mean2, var1, var2, corr = (np.zeros(n - 1) for _ in range(5))
-    power_per_step = np.zeros(n)
-    tx1_power_sum = tx2_power_sum = 0.0
-    steps = _coding_loop(config, params, schedule, mode, fed_back_receiver, gen, m1, m2, trials)
-    for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
-        power_per_step[t] = float(np.mean(x**2))
-        if mode == "interference":
-            tx1_power_sum += float(np.sum(t1**2))
-            tx2_power_sum += float(np.sum(t2**2))
-        if t:
-            mean1[t - 1] = eps1.mean()
-            mean2[t - 1] = eps2.mean()
-            var1[t - 1] = eps1.var(ddof=1)
-            var2[t - 1] = eps2.var(ddof=1)
-            corr[t - 1] = float(np.corrcoef(eps1, eps2)[0, 1])
-
-    ok1 = _decoded_correctly(eps1, m1, config.levels1)
-    ok2 = _decoded_correctly(eps2, m2, config.levels2)
-    errors = int(trials - np.count_nonzero(ok1 & ok2))
-    ci_low, ci_high = _wilson_interval(errors, trials, confidence)
+    pooled = _pool([
+        _chunk_moments(
+            config, params, schedule, mode, fed_back_receiver, RngSpec(master_seed, c), size
+        )
+        for c, size in enumerate(_chunk_sizes(trials))
+    ])
+    ci_low, ci_high = _wilson_interval(pooled.errors, trials, confidence)
 
     return McSummary(
         mode=mode,
@@ -569,21 +664,21 @@ def run_broadcast_campaign(
         n=n,
         master_seed=master_seed,
         steps=np.arange(2, n + 1),
-        mean1=mean1,
-        mean2=mean2,
-        var1=var1,
-        var2=var2,
-        corr=corr,
+        mean1=pooled.mean1,
+        mean2=pooled.mean2,
+        var1=pooled.var1,
+        var2=pooled.var2,
+        corr=pooled.corr,
         alpha1=schedule.alpha1.copy(),
         alpha2=schedule.alpha2.copy(),
         rho=schedule.rho.copy(),
-        power_per_step=power_per_step,
-        mean_power=float(np.mean(power_per_step)),
-        errors=errors,
-        error_rate=errors / trials,
+        power_per_step=pooled.power,
+        mean_power=float(np.mean(pooled.power)),
+        errors=pooled.errors,
+        error_rate=pooled.errors / trials,
         confidence=confidence,
         ci_low=ci_low,
         ci_high=ci_high,
-        tx1_mean_power=(tx1_power_sum / (trials * n)) if mode == "interference" else None,
-        tx2_mean_power=(tx2_power_sum / (trials * n)) if mode == "interference" else None,
+        tx1_mean_power=(pooled.tx1_sum / (trials * n)) if mode == "interference" else None,
+        tx2_mean_power=(pooled.tx2_sum / (trials * n)) if mode == "interference" else None,
     )

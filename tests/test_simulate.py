@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from gbflab import (
     solve_fixed_point,
     step_error_state,
 )
-from gbflab.simulate import _coding_loop, _decode_from_error, _decoded_correctly, _run_trial
+from gbflab.simulate import (
+    _chunk_sizes,
+    _coding_loop,
+    _decode_from_error,
+    _decoded_correctly,
+    _draw_messages,
+    _run_trial,
+)
 
 HEADLINE = ChannelParams(100.0, NoiseSpec(1.0, 1.0, -1.0))
 
@@ -224,12 +232,6 @@ def test_campaign_success_mask_matches_exact_decode_beyond_2_53_points():
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_output_variance_is_constant():
-    sched = lmmse_coefficient_schedule(HEADLINE, 12, 1.0 / 12.0, 1.0 / 16.0)
-    assert sched.var_y1 == 101.0
-    assert sched.var_y2 == 101.0
-
-
 def test_schedule_projection_reproduces_moment_recursion():
     # Defining cross-check: the moments induced by the closed-form LMMSE
     # projection equal the recursion values, across random parameter draws.
@@ -242,6 +244,7 @@ def test_schedule_projection_reproduces_moment_recursion():
         g = s1 / s2
         n = 50
         sched = lmmse_coefficient_schedule(params, n, 1.0 / 12.0, 1.0 / 12.0)
+        var_y1, var_y2 = p + s1 * s1, p + s2 * s2
         for k in range(3, n + 1):
             i = k - 3
             a1 = float(sched.alpha1[i])
@@ -251,12 +254,12 @@ def test_schedule_projection_reproduces_moment_recursion():
             ar, sg = abs(rho), (1.0 if rho >= 0 else -1.0)
             cov1 = psi * math.sqrt(a1) * (1 + g * ar)
             cov2 = psi * math.sqrt(a2) * sg * (g + ar)
-            c1 = cov1 / sched.var_y1
-            c2 = cov2 / sched.var_y2
+            c1 = cov1 / var_y1
+            c2 = cov2 / var_y2
             assert c1 == pytest.approx(float(sched.c1[i]), rel=1e-12)
             assert c2 == pytest.approx(float(sched.c2[i]), rel=1e-12)
-            a1_next = a1 - cov1 * cov1 / sched.var_y1
-            a2_next = a2 - cov2 * cov2 / sched.var_y2
+            a1_next = a1 - cov1 * cov1 / var_y1
+            a2_next = a2 - cov2 * cov2 / var_y2
             assert a1_next == pytest.approx(float(sched.alpha1[i + 1]), rel=1e-12)
             assert a2_next == pytest.approx(float(sched.alpha2[i + 1]), rel=1e-12)
             # correlation via the projected cross-moment
@@ -424,6 +427,76 @@ def test_campaign_deterministic_bitwise():
     assert np.array_equal(a.var2, b.var2)
     assert np.array_equal(a.corr, b.corr)
     assert a.error_rate == b.error_rate and a.mean_power == b.mean_power
+
+
+def test_multi_chunk_campaign_pools_its_chunk_streams():
+    # Oracle for the chunk merge: chunk c of a campaign runs on
+    # RngSpec(seed, c), so the concatenated chunk arrays rebuilt here are the
+    # campaign's blocks, and plain numpy moments over them are the pooled
+    # moments the merge tree must reproduce.
+    config = headline_config(n=6, fraction=0.75)
+    trials, seed = 150_000, 4
+    summary = run_broadcast_campaign(config, HEADLINE, trials, seed, mode="interference")
+    again = run_broadcast_campaign(config, HEADLINE, trials, seed, mode="interference")
+    for field in ("mean1", "mean2", "var1", "var2", "corr", "power_per_step"):
+        assert getattr(summary, field).tobytes() == getattr(again, field).tobytes(), field
+    assert (summary.errors, summary.tx1_mean_power) == (again.errors, again.tx1_mean_power)
+
+    var1, var2 = message_point_variance(config.levels1), message_point_variance(config.levels2)
+    schedule = lmmse_coefficient_schedule(HEADLINE, config.n, var1, var2)
+    chunks, errors = [], 0
+    for c, size in enumerate(_chunk_sizes(trials)):
+        gen = make_generator(RngSpec(seed, c))
+        m1 = _draw_messages(gen, config.levels1, size)
+        m2 = _draw_messages(gen, config.levels2, size)
+        steps = list(_coding_loop(config, HEADLINE, schedule, "interference", 0, gen, m1, m2, size))
+        eps1, eps2 = steps[-1][3], steps[-1][4]
+        ok = _decoded_correctly(eps1, m1, config.levels1) & _decoded_correctly(eps2, m2, config.levels2)
+        errors += size - int(np.count_nonzero(ok))
+        chunks.append([[np.broadcast_to(v, (size,)) for v in step if v is not None] for step in steps])
+    assert len(chunks) == 3
+    assert summary.errors == errors > 0
+
+    x, t1, t2 = (np.array([np.concatenate([ch[t][j] for ch in chunks]) for t in range(config.n)])
+                 for j in range(3))
+    eps1, eps2 = (np.array([np.concatenate([ch[t][j] for ch in chunks]) for t in range(1, config.n)])
+                  for j in (3, 4))
+    rel = 1e-12
+    np.testing.assert_allclose(summary.mean1, eps1.mean(axis=1), rtol=rel, atol=0)
+    np.testing.assert_allclose(summary.mean2, eps2.mean(axis=1), rtol=rel, atol=0)
+    np.testing.assert_allclose(summary.var1, eps1.var(axis=1, ddof=1), rtol=rel, atol=0)
+    np.testing.assert_allclose(summary.var2, eps2.var(axis=1, ddof=1), rtol=rel, atol=0)
+    corr = [np.corrcoef(a, b)[0, 1] for a, b in zip(eps1, eps2)]
+    np.testing.assert_allclose(summary.corr, corr, rtol=rel, atol=0)
+    np.testing.assert_allclose(summary.power_per_step, np.mean(x**2, axis=1), rtol=rel, atol=0)
+    cells = trials * config.n
+    assert summary.tx1_mean_power == pytest.approx(np.sum(t1**2) / cells, rel=rel)
+    assert summary.tx2_mean_power == pytest.approx(np.sum(t2**2) / cells, rel=rel)
+
+
+def test_campaign_chunks_are_balanced():
+    assert _chunk_sizes(100) == [100]
+    assert _chunk_sizes(65_536) == [65_536]
+    assert sorted(_chunk_sizes(65_537)) == [32_768, 32_769]
+    sizes = _chunk_sizes(1_000_000)
+    assert len(sizes) == 16 and sum(sizes) == 1_000_000 and max(sizes) - min(sizes) <= 1
+    summary = run_broadcast_campaign(headline_config(n=5), HEADLINE, 65_537, 9)
+    for field in ("mean1", "mean2", "var1", "var2", "corr", "power_per_step"):
+        assert np.all(np.isfinite(getattr(summary, field))), field
+
+
+def test_campaign_memory_is_bounded_by_the_chunk():
+    # Holding every block at once would peak near 60 MB here; a campaign
+    # holds one chunk of at most 65,536 blocks.  Limited mode keeps the most
+    # arrays per step.
+    config = headline_config(n=10)
+    tracemalloc.start()
+    try:
+        run_broadcast_campaign(config, HEADLINE, 300_000, 3, mode="limited")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_campaign_moments_match_recursion_asymmetric():
