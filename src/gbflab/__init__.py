@@ -30,7 +30,7 @@ from .channel import (
     NoiseSpec,
     RngSpec,
     make_generator,
-    reconstruct_other_output,
+    reconstruct_other_noise,
     sample_noise_pair,
 )
 from .errors import (

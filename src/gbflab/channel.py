@@ -28,10 +28,11 @@ class NoiseSpec:
     rho_z: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma1 > 0.0 and np.isfinite(self.sigma1)):
-            raise ParameterError(f"sigma1 must be a positive finite real, got {self.sigma1}")
-        if not (self.sigma2 > 0.0 and np.isfinite(self.sigma2)):
-            raise ParameterError(f"sigma2 must be a positive finite real, got {self.sigma2}")
+        for name, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
+            if not (sigma > 0.0 and np.isfinite(sigma)):
+                raise ParameterError(f"{name} must be a positive finite real, got {sigma}")
+            if not np.isfinite(sigma * sigma):
+                raise ParameterError(f"{name} = {sigma} is too large: its square overflows")
         if not (-1.0 <= self.rho_z <= 1.0):
             raise ParameterError(f"rho_z must lie in [-1, 1], got {self.rho_z}")
         # These bounds make the covariance PSD: its trace is positive and its
@@ -76,10 +77,9 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.master_seed) <= _UINT64_MASK):
-            raise ParameterError("master_seed must be an unsigned 64-bit integer")
-        if not (0 <= int(self.stream_id) <= _UINT64_MASK):
-            raise ParameterError("stream_id must be an unsigned 64-bit integer")
+        for name, value in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
+            if not (isinstance(value, (int, np.integer)) and 0 <= value <= _UINT64_MASK):
+                raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 
 def make_generator(spec: RngSpec) -> np.random.Generator:
@@ -88,19 +88,29 @@ def make_generator(spec: RngSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | None = None):
+def sample_noise_pair(
+    spec: NoiseSpec, rng: np.random.Generator, size: int | None = None, drawn_receiver: int = 1
+):
     """Draw jointly Gaussian (z1, z2) with the covariance of ``spec``.
 
-    For |rho_z| = 1 only one Gaussian is drawn and the second output is the
-    exact scaling z2 = rho_z * (sigma2/sigma1) * z1, so perfect
+    For |rho_z| = 1 only one Gaussian u is drawn: ``drawn_receiver``'s noise
+    is the scaled draw (z1 = sigma1 * u, or z2 = rho_z * sigma2 * u) and the
+    other is its rebuild by ``reconstruct_other_noise``, so perfect
     (anti-)correlation holds sample by sample rather than merely in
-    distribution.  Returns scalars for ``size=None``, else arrays of shape
-    ``(size,)``.  A degenerate spec consumes one standard normal per sample,
-    a non-degenerate one consumes two.
+    distribution, and an encoder that sees only the drawn noise rebuilds the
+    other bit for bit.  Equal sigmas give the same pair from either side.
+    Returns scalars for ``size=None``, else arrays of shape ``(size,)``.  A
+    degenerate spec consumes one standard normal per sample, a non-degenerate
+    one consumes two.
     """
     if spec.is_degenerate:
-        z1 = spec.sigma1 * rng.standard_normal(size if size is not None else ())
-        z2 = (spec.rho_z * (spec.sigma2 / spec.sigma1)) * z1
+        u = rng.standard_normal(size)
+        if drawn_receiver == 2:
+            z2 = spec.rho_z * spec.sigma2 * u
+            z1 = reconstruct_other_noise(z2, 2, spec)
+        else:
+            z1 = spec.sigma1 * u
+            z2 = reconstruct_other_noise(z1, 1, spec)
     else:
         draws = rng.standard_normal((2,) if size is None else (2, size))
         u, v = draws[0], draws[1]
@@ -111,15 +121,15 @@ def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | Non
     return z1, z2
 
 
-def reconstruct_other_output(
-    x: float, y_observed: float, observed_receiver: int, spec: NoiseSpec
-) -> float:
-    """Recover the unobserved receiver's output from the input and the
-    observed output.
+def reconstruct_other_noise(z_observed, observed_receiver: int, spec: NoiseSpec):
+    """Recover the unobserved receiver's noise from the observed one,
+    rho_z * (sigma_hidden / sigma_observed) * z_observed.
 
     Only possible for |rho_z| = 1, where the two noises are exact scalings of
-    one another; anything less correlated leaves the hidden output genuinely
-    random given (x, y_observed).
+    one another; anything less correlated leaves the hidden noise genuinely
+    random given the observed one.  Working on the noise rather than on the
+    output y = x + z avoids the cancellation in y - x, whose rounding is
+    about ulp(x) however small the noise term it should recover.
     """
     if not spec.is_degenerate:
         raise UnsupportedConfigurationError(
@@ -131,4 +141,4 @@ def reconstruct_other_output(
         ratio = spec.sigma1 / spec.sigma2
     else:
         raise ParameterError(f"observed_receiver must be 1 or 2, got {observed_receiver}")
-    return x + spec.rho_z * ratio * (y_observed - x)
+    return spec.rho_z * ratio * z_observed

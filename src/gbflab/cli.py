@@ -39,8 +39,6 @@ from .errors import NumericalIntegrityError, ParameterError
 from .simulate import MessageConfig, run_broadcast_campaign
 
 def _fmt(value) -> str:
-    if isinstance(value, bool) or value is None:
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12e}"
     return str(value)
@@ -294,17 +292,19 @@ _OPTIONS = {
 _NOISE = ("sigma1", "sigma2", "rhoz")
 _GRID = ("p_start", "p_stop", "points_per_decade")
 
-# subcommand -> (help, its options in --help order); each also takes --config
+# subcommand -> (help, handler, its options in --help order); each also takes --config
 _COMMANDS = {
-    "analyze": ("fixed point and rates at one power", ("power", *_NOISE, "tol", "out")),
-    "sweep": ("rates and gap over a power grid", (*_GRID, *_NOISE, "tol", "delta", "out")),
-    "simulate": (
-        "Monte Carlo campaign",
-        ("power", *_NOISE, "tol", "trials", "block_length", "rate1", "rate2", "rate_fraction",
-         "mode", "fed_back_receiver", "fixpoint_init", "seed", "out"),
-    ),
-    "verify": ("high-power limit diagnostics", (*_GRID, *_NOISE, "delta", "eps", "out")),
-    "classify": ("K-receiver pre-log class from a correlation matrix", ("matrix", "out")),
+    "analyze": ("fixed point and rates at one power", _cmd_analyze,
+                ("power", *_NOISE, "tol", "out")),
+    "sweep": ("rates and gap over a power grid", _cmd_sweep,
+              (*_GRID, *_NOISE, "tol", "delta", "out")),
+    "simulate": ("Monte Carlo campaign", _cmd_simulate,
+                 ("power", *_NOISE, "tol", "trials", "block_length", "rate1", "rate2",
+                  "rate_fraction", "mode", "fed_back_receiver", "fixpoint_init", "seed", "out")),
+    "verify": ("high-power limit diagnostics", _cmd_verify,
+               (*_GRID, *_NOISE, "delta", "eps", "out")),
+    "classify": ("K-receiver pre-log class from a correlation matrix", _cmd_classify,
+                 ("matrix", "out")),
 }
 
 
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="feedback coding laboratory for two-user Gaussian channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, names) in _COMMANDS.items():
+    for command, (command_help, _, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
         for name in names:
             kind, _, help_text, choices = _OPTIONS[name]
@@ -341,7 +341,7 @@ def _config_value(key: str, value):
 
 
 def _effective_options(command: str, args: argparse.Namespace) -> dict:
-    opts = {name: _OPTIONS[name][1] for name in _COMMANDS[command][1]}
+    opts = {name: _OPTIONS[name][1] for name in _COMMANDS[command][2]}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -363,20 +363,11 @@ def _effective_options(command: str, args: argparse.Namespace) -> dict:
     return opts
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "classify": _cmd_classify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _effective_options(args.command, args)
-        lines, code = _DISPATCH[args.command](opts)
+        lines, code = _COMMANDS[args.command][1](opts)
         _emit(lines, opts["out"])
     except ParameterError as exc:
         print(f"gbflab {args.command}: error: {exc}", file=sys.stderr)

@@ -12,17 +12,17 @@ The scheme is written once, in the coding loop ``_coding_loop``, which runs
 it in three modes: single-encoder broadcast, the two-transmitter interference
 variant in which each transmitter emits its own receiver's error term and the
 channel adds them, and a limited-feedback mode where the encoder observes a
-single receiver's outputs and reconstructs the other's (possible only for
-perfectly correlated or anti-correlated noises).  The message mapping, the
-encoder and the channel outputs live only there.  A single trial
-(``run_broadcast_trial``, ``run_interference_trial``,
+single receiver's outputs and rebuilds the other's noise from the observed
+noise (possible only for perfectly correlated or anti-correlated noises).
+The message mapping, the encoder and the channel outputs live only there.
+A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats;
 a campaign (``run_broadcast_campaign``) runs it on arrays of independent
 blocks and folds each step into its moment estimates as the step arrives.
 A campaign holds at most 65,536 blocks at once: chunk c of its blocks runs on
-the stream ``RngSpec(master_seed, c)``, and the per-chunk moments merge
-through a fixed pairwise tree over chunk index, so memory does not grow with
-the trial count and the result does not depend on the order chunks run in.
+the stream ``RngSpec(master_seed, c)``, and the per-chunk moments are pooled
+in one pass in chunk-index order, so memory does not grow with the trial
+count and the result does not depend on the order chunks run in.
 
 Numerical note: the error process is independent of the transmitted messages,
 so trials propagate the errors directly and decode through the integer
@@ -45,7 +45,7 @@ from .channel import (
     ChannelParams,
     RngSpec,
     make_generator,
-    reconstruct_other_output,
+    reconstruct_other_noise,
     sample_noise_pair,
 )
 from .errors import (
@@ -57,6 +57,7 @@ from .errors import (
 
 _VECTOR_LEVEL_LIMIT = 1 << 62  # beyond this, message indices live in floats
 _CHUNK_TRIALS = 1 << 16  # most campaign blocks held in memory at once
+_CONFIDENCE = 0.95  # level of a campaign's Wilson interval for the block error rate
 _MODES = ("broadcast", "interference", "limited")
 
 
@@ -165,7 +166,6 @@ class CoefficientSchedule:
     n: int
     var_theta1: float
     var_theta2: float
-    init_rho: float
     alpha1: np.ndarray
     alpha2: np.ndarray
     rho: np.ndarray
@@ -229,7 +229,6 @@ def lmmse_coefficient_schedule(
         n=n,
         var_theta1=var_theta1,
         var_theta2=var_theta2,
-        init_rho=init_rho,
         alpha1=np.array(alpha1),
         alpha2=np.array(alpha2),
         rho=np.array(rho),
@@ -244,8 +243,8 @@ def _checked_schedule(
     params: ChannelParams,
     mode: str,
     fed_back_receiver: int,
-    schedule: CoefficientSchedule | None,
-    fixpoint_init: bool,
+    schedule: CoefficientSchedule | None = None,
+    fixpoint_init: bool = False,
 ) -> CoefficientSchedule:
     """Reject inputs the coding loop cannot run, then return ``schedule`` or,
     when it is None, the schedule of ``config``."""
@@ -302,26 +301,30 @@ def _coding_loop(
     x1 = math.sqrt(p / var1) * theta1
     x2 = math.sqrt(p / var2) * theta2
 
+    # With limited feedback the encoder sees only the fed-back receiver's
+    # noise; the degenerate sampler draws that noise and derives the other
+    # with the very rebuild the encoder applies, so the encoder's copy of the
+    # hidden receiver's error is exact.
+    drawn = fed_back_receiver if mode == "limited" else 1
+
     # t = 1 and t = 2 plant the message points (transmitter v sends point v
     # in interference mode).  Receiver 1 keeps only t = 1 and receiver 2 only
     # t = 2, so the initial errors are uncorrelated.
-    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size)
+    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size, drawn)
     yield x1, x1, 0.0, None, None
-    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size)
+    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size, drawn)
     eps1 = math.sqrt(var1 / p) * z1_t1
     eps2 = math.sqrt(var2 / p) * z2_t2
 
     # Encoder-side errors.  With full feedback they are the receivers' own;
     # with limited feedback the unobserved receiver's chain is rebuilt from
-    # reconstructed outputs.
+    # its reconstructed noise.
     eps1_enc, eps2_enc = eps1, eps2
     if mode == "limited":
         if fed_back_receiver == 1:
-            y2_t2 = reconstruct_other_output(x2, x2 + z1_t2, 1, noise)
-            eps2_enc = math.sqrt(var2 / p) * y2_t2 - theta2
+            eps2_enc = math.sqrt(var2 / p) * reconstruct_other_noise(z1_t2, 1, noise)
         else:
-            y1_t1 = reconstruct_other_output(x1, x1 + z2_t1, 2, noise)
-            eps1_enc = math.sqrt(var1 / p) * y1_t1 - theta1
+            eps1_enc = math.sqrt(var1 / p) * reconstruct_other_noise(z2_t1, 2, noise)
     yield x2, 0.0, x2, eps1, eps2
 
     g = gamma(noise)
@@ -333,7 +336,7 @@ def _coding_loop(
         t1 = psi / math.sqrt(a1) * eps1_enc
         t2 = (psi * g * sgn / math.sqrt(a2)) * eps2_enc
         x = t1 + t2
-        z1, z2 = sample_noise_pair(noise, gen, size)
+        z1, z2 = sample_noise_pair(noise, gen, size, drawn)
         # The unit-gain interference channel adds t1 and t2 into this same x.
         y1, y2 = x + z1, x + z2
         eps1 = receiver_update(eps1, y1, c1)
@@ -342,10 +345,10 @@ def _coding_loop(
             eps1_enc, eps2_enc = eps1, eps2
         elif fed_back_receiver == 1:
             eps1_enc = eps1
-            eps2_enc = receiver_update(eps2_enc, reconstruct_other_output(x, y1, 1, noise), c2)
+            eps2_enc = receiver_update(eps2_enc, x + reconstruct_other_noise(z1, 1, noise), c2)
         else:
             eps2_enc = eps2
-            eps1_enc = receiver_update(eps1_enc, reconstruct_other_output(x, y2, 2, noise), c1)
+            eps1_enc = receiver_update(eps1_enc, x + reconstruct_other_noise(z2, 2, noise), c1)
         yield x, t1, t2, eps1, eps2
 
 
@@ -377,11 +380,10 @@ def _run_trial(
     mode: str,
     fed_back_receiver: int,
     schedule: CoefficientSchedule | None = None,
-    fixpoint_init: bool = False,
 ) -> TrialRecord:
     """One block on its own stream: the coding loop on Python floats, then
     the exact-integer decode, which stays exact beyond 2**62 message points."""
-    schedule = _checked_schedule(config, params, mode, fed_back_receiver, schedule, fixpoint_init)
+    schedule = _checked_schedule(config, params, mode, fed_back_receiver, schedule)
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1)
     m2 = _draw_messages(gen, config.levels2)
@@ -408,10 +410,9 @@ def run_broadcast_trial(
     params: ChannelParams,
     rng: RngSpec,
     schedule: CoefficientSchedule | None = None,
-    fixpoint_init: bool = False,
 ) -> TrialRecord:
     """One block through the single-encoder broadcast channel."""
-    return _run_trial(config, params, rng, "broadcast", 0, schedule, fixpoint_init)
+    return _run_trial(config, params, rng, "broadcast", 0, schedule)
 
 
 def run_interference_trial(
@@ -419,7 +420,6 @@ def run_interference_trial(
     params: ChannelParams,
     rng: RngSpec,
     schedule: CoefficientSchedule | None = None,
-    fixpoint_init: bool = False,
 ) -> TrialRecord:
     """One block with the two transmitters mimicking the broadcast encoder.
 
@@ -428,7 +428,7 @@ def run_interference_trial(
     shared random stream the output trajectories coincide with the broadcast
     trial's.
     """
-    return _run_trial(config, params, rng, "interference", 0, schedule, fixpoint_init)
+    return _run_trial(config, params, rng, "interference", 0, schedule)
 
 
 def run_limited_feedback_trial(
@@ -437,11 +437,10 @@ def run_limited_feedback_trial(
     rng: RngSpec,
     fed_back_receiver: int = 1,
     schedule: CoefficientSchedule | None = None,
-    fixpoint_init: bool = False,
 ) -> TrialRecord:
     """One broadcast block where the encoder sees only one receiver's outputs
     and reconstructs the other's (requires |rho_z| = 1)."""
-    return _run_trial(config, params, rng, "limited", fed_back_receiver, schedule, fixpoint_init)
+    return _run_trial(config, params, rng, "limited", fed_back_receiver, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +495,8 @@ class McSummary:
         }
 
 
-def _wilson_interval(errors: int, trials: int, confidence: float):
-    z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+def _wilson_interval(errors: int, trials: int):
+    z = NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -584,45 +583,41 @@ def _chunk_moments(
     return _Moments(size, mean1, mean2, var1, var2, corr, power, tx1_sum, tx2_sum, errors)
 
 
-def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
-    """Moments of the union of two disjoint sets of blocks (Chan, Golub and
-    LeVeque 1979): the means move by the weighted mean difference, and the
-    sums of squared deviations and the co-moment gain a between-set term."""
-    count = a.count + b.count
-    share, between = b.count / count, a.count * b.count / count
-    d1, d2 = b.mean1 - a.mean1, b.mean2 - a.mean2
-    ss1 = a.var1 * (a.count - 1) + b.var1 * (b.count - 1) + between * d1 * d1
-    ss2 = a.var2 * (a.count - 1) + b.var2 * (b.count - 1) + between * d2 * d2
-    # The co-moment is rebuilt as corr * sd1 * sd2 * (count - 1); square
+def _pool(chunks: list[_Moments]) -> _Moments:
+    """Moments of the union of the chunks' blocks, pooled in one pass over
+    the chunk list in index order, so the result does not depend on the
+    order the chunks ran in: count-weighted means and power, and sums of
+    squared deviations and the co-moment as within-chunk plus between-chunk
+    terms (Chan, Golub and LeVeque 1979).  A single chunk comes back
+    unchanged."""
+    if len(chunks) == 1:
+        return chunks[0]
+    k = np.array([[c.count] for c in chunks], dtype=float)
+    count = sum(c.count for c in chunks)
+    mean1, mean2, var1, var2, corr, power = (
+        np.array([getattr(c, f) for c in chunks])
+        for f in ("mean1", "mean2", "var1", "var2", "corr", "power")
+    )
+    pooled1, pooled2 = (k * mean1).sum(axis=0) / count, (k * mean2).sum(axis=0) / count
+    d1, d2 = mean1 - pooled1, mean2 - pooled2
+    ss1 = ((k - 1) * var1 + k * d1 * d1).sum(axis=0)
+    ss2 = ((k - 1) * var2 + k * d2 * d2).sum(axis=0)
+    # The within-chunk co-moment is corr * sd1 * sd2 * (count - 1); square
     # roots are taken before multiplying so that tiny variances do not
     # underflow.
-    co = (
-        a.corr * np.sqrt(a.var1) * np.sqrt(a.var2) * (a.count - 1)
-        + b.corr * np.sqrt(b.var1) * np.sqrt(b.var2) * (b.count - 1)
-        + between * d1 * d2
-    )
+    co = ((k - 1) * corr * np.sqrt(var1) * np.sqrt(var2) + k * d1 * d2).sum(axis=0)
     return _Moments(
         count=count,
-        mean1=a.mean1 + share * d1,
-        mean2=a.mean2 + share * d2,
+        mean1=pooled1,
+        mean2=pooled2,
         var1=ss1 / (count - 1),
         var2=ss2 / (count - 1),
         corr=co / (np.sqrt(ss1) * np.sqrt(ss2)),
-        power=a.power + share * (b.power - a.power),
-        tx1_sum=a.tx1_sum + b.tx1_sum,
-        tx2_sum=a.tx2_sum + b.tx2_sum,
-        errors=a.errors + b.errors,
+        power=(k * power).sum(axis=0) / count,
+        tx1_sum=sum(c.tx1_sum for c in chunks),
+        tx2_sum=sum(c.tx2_sum for c in chunks),
+        errors=sum(c.errors for c in chunks),
     )
-
-
-def _pool(chunks: list[_Moments]) -> _Moments:
-    """Merge per-chunk moments through a fixed pairwise tree over chunk index,
-    so the result does not depend on the order the chunks ran in; a single
-    chunk comes back unchanged."""
-    if len(chunks) == 1:
-        return chunks[0]
-    mid = len(chunks) // 2
-    return _merge_moments(_pool(chunks[:mid]), _pool(chunks[mid:]))
 
 
 def run_broadcast_campaign(
@@ -633,22 +628,22 @@ def run_broadcast_campaign(
     mode: str = "broadcast",
     fed_back_receiver: int = 1,
     fixpoint_init: bool = False,
-    confidence: float = 0.95,
 ) -> McSummary:
     """Aggregate ``trials`` independent blocks, vectorized across trials.
 
     The blocks run in ceil(trials / 65,536) chunks of balanced size; chunk c
     draws its messages and noises from ``RngSpec(master_seed, c)``, and the
-    per-chunk moments merge through a fixed pairwise tree over chunk index.
-    Memory is therefore bounded by the chunk size, not by ``trials``, and
-    identical invocations produce bitwise-identical summaries.  A campaign of
-    at most 65,536 trials is a single chunk on ``RngSpec(master_seed, 0)``.
+    per-chunk moments are pooled in one pass in chunk-index order.  Memory
+    is therefore bounded by the chunk size, not by ``trials``, and identical
+    invocations produce bitwise-identical summaries.  A campaign of at most
+    65,536 trials is a single chunk on ``RngSpec(master_seed, 0)``.  The
+    block error rate comes with a 95% Wilson interval.
     """
-    if trials < 100:
-        raise ParameterError(f"need at least 100 trials, got {trials}")
-    if not (0.0 < confidence < 1.0):
-        raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
-    schedule = _checked_schedule(config, params, mode, fed_back_receiver, None, fixpoint_init)
+    if not (isinstance(trials, (int, np.integer)) and trials >= 100):
+        raise ParameterError(f"trials must be an integer >= 100, got {trials!r}")
+    schedule = _checked_schedule(
+        config, params, mode, fed_back_receiver, fixpoint_init=fixpoint_init
+    )
     n = config.n
     pooled = _pool([
         _chunk_moments(
@@ -656,7 +651,7 @@ def run_broadcast_campaign(
         )
         for c, size in enumerate(_chunk_sizes(trials))
     ])
-    ci_low, ci_high = _wilson_interval(pooled.errors, trials, confidence)
+    ci_low, ci_high = _wilson_interval(pooled.errors, trials)
 
     return McSummary(
         mode=mode,
@@ -676,7 +671,7 @@ def run_broadcast_campaign(
         mean_power=float(np.mean(pooled.power)),
         errors=pooled.errors,
         error_rate=pooled.errors / trials,
-        confidence=confidence,
+        confidence=_CONFIDENCE,
         ci_low=ci_low,
         ci_high=ci_high,
         tx1_mean_power=(pooled.tx1_sum / (trials * n)) if mode == "interference" else None,

@@ -12,7 +12,7 @@ from gbflab import (
     RngSpec,
     UnsupportedConfigurationError,
     make_generator,
-    reconstruct_other_output,
+    reconstruct_other_noise,
     sample_noise_pair,
 )
 
@@ -26,6 +26,14 @@ def test_noise_spec_validation():
         NoiseSpec(1.0, 1.0, 1.5)
     with pytest.raises(ParameterError, match="power"):
         ChannelParams(0.0, NoiseSpec(1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("name", ["sigma1", "sigma2"])
+def test_noise_spec_rejects_sigma_whose_square_overflows(name):
+    sigmas = {"sigma1": 1.0, "sigma2": 1.0, name: 1e160}
+    with pytest.raises(ParameterError, match=rf"{name} = 1e\+160 .*square overflows"):
+        NoiseSpec(sigmas["sigma1"], sigmas["sigma2"], -1.0)
+    NoiseSpec(1e150, 1e150, -1.0)
 
 
 def test_covariance_matrix():
@@ -106,49 +114,48 @@ def test_broadcast_anticorrelation_identity():
 
 
 def test_reconstruct_examples():
-    assert reconstruct_other_output(0.0, 1.5, 1, NoiseSpec(1, 1, -1.0)) == -1.5
-    assert reconstruct_other_output(2.0, 3.0, 1, NoiseSpec(1, 2, -1.0)) == 0.0
+    assert reconstruct_other_noise(1.5, 1, NoiseSpec(1, 1, -1.0)) == -1.5
+    assert reconstruct_other_noise(1.0, 1, NoiseSpec(1, 2, -1.0)) == -2.0
+    assert reconstruct_other_noise(-2.0, 2, NoiseSpec(1, 2, -1.0)) == 1.0
     with pytest.raises(UnsupportedConfigurationError):
-        reconstruct_other_output(0.0, 1.0, 1, NoiseSpec(1, 1, 0.5))
+        reconstruct_other_noise(1.0, 1, NoiseSpec(1, 1, 0.5))
     with pytest.raises(ParameterError):
-        reconstruct_other_output(0.0, 1.0, 3, NoiseSpec(1, 1, 1.0))
+        reconstruct_other_noise(1.0, 3, NoiseSpec(1, 1, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), sign=st.sampled_from([-1.0, 1.0]))
+def test_reconstruction_roundtrip_unit_sigmas(seed, sign):
+    # Equal sigmas: the hidden noise is rebuilt bit for bit from either
+    # side, and drawing from either side gives the same pair.
+    spec = NoiseSpec(1.0, 1.0, sign)
+    z1, z2 = sample_noise_pair(spec, make_generator(RngSpec(seed, 0)), 64)
+    assert np.array_equal(reconstruct_other_noise(z1, 1, spec), z2)
+    assert np.array_equal(reconstruct_other_noise(z2, 2, spec), z1)
+    w1, w2 = sample_noise_pair(spec, make_generator(RngSpec(seed, 0)), 64, drawn_receiver=2)
+    assert np.array_equal(w1, z1) and np.array_equal(w2, z2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    x=st.floats(-1e6, 1e6, allow_nan=False),
-    z=st.floats(-1e3, 1e3, allow_nan=False),
-)
-def test_reconstruction_roundtrip_unit_sigmas(x, z):
-    # Equal sigmas: the hidden output is recovered to within 2 ulps of the
-    # largest quantity involved.
-    spec = NoiseSpec(1.0, 1.0, -1.0)
-    z2 = -z
-    y1, y2 = x + z, x + z2
-    rec = reconstruct_other_output(x, y1, 1, spec)
-    tol = 2.0 * np.spacing(max(abs(x), abs(y1), abs(y2), 1e-300))
-    assert abs(rec - y2) <= tol
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    x=st.floats(-1e6, 1e6, allow_nan=False),
-    u=st.floats(-1e3, 1e3, allow_nan=False),
-    s1=st.floats(0.25, 4.0),
-    s2=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**64 - 1),
+    s1=st.floats(1e-3, 1e3),
+    s2=st.floats(1e-3, 1e3),
     sign=st.sampled_from([-1.0, 1.0]),
     observed=st.sampled_from([1, 2]),
+    size=st.sampled_from([None, 64]),
 )
-def test_reconstruction_roundtrip_general(x, u, s1, s2, sign, observed):
+def test_reconstruction_roundtrip_general(seed, s1, s2, sign, observed, size):
+    # The noise the sampler draws is the one the rebuild observes, and the
+    # rebuild reproduces the sampler's hidden noise exactly.
     spec = NoiseSpec(s1, s2, sign)
-    z1 = s1 * u
-    z2 = sign * (s2 / s1) * z1
-    y1, y2 = x + z1, x + z2
-    rec = reconstruct_other_output(x, y1 if observed == 1 else y2, observed, spec)
-    hidden = y2 if observed == 1 else y1
-    ratio = max(s1 / s2, s2 / s1)
-    tol = 2.0 * (1.0 + ratio) * np.spacing(max(abs(x), abs(y1), abs(y2), 1e-300))
-    assert abs(rec - hidden) <= tol
+    gen = make_generator(RngSpec(seed, 0))
+    z1, z2 = sample_noise_pair(spec, gen, size, drawn_receiver=observed)
+    seen, hidden = (z1, z2) if observed == 1 else (z2, z1)
+    rec = reconstruct_other_noise(seen, observed, spec)
+    assert np.array_equal(rec, hidden)
+    if size is None:
+        assert isinstance(rec, float)
 
 
 def test_rng_spec_validation():
@@ -156,3 +163,13 @@ def test_rng_spec_validation():
         RngSpec(-1, 0)
     with pytest.raises(ParameterError):
         RngSpec(2**64, 0)
+    same = make_generator(RngSpec(np.uint64(1), np.int64(0))).standard_normal()
+    assert same == make_generator(RngSpec(1, 0)).standard_normal()
+
+
+@pytest.mark.parametrize("field", ["master_seed", "stream_id"])
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+def test_rng_spec_rejects_non_integers(field, value):
+    # A float seed would otherwise be truncated: 1.5 keyed the stream of 1.
+    with pytest.raises(ParameterError, match=field):
+        RngSpec(**{"master_seed": 1, "stream_id": 0, field: value})

@@ -60,6 +60,14 @@ def test_analyze_invalid_sigma_exits_2(capsys):
     assert "sigma1" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate"])
+@pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])
+def test_sigma_whose_square_overflows_exits_2(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag, "1e160")
+    assert code == 2 and out == ""
+    assert f"{flag[2:]} = 1e+160" in err and "overflows" in err
+
+
 def test_sweep_table_schema_and_monotonicity(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--p-start", "1e2", "--p-stop", "1e6")
     assert code == 0

@@ -28,11 +28,13 @@ from gbflab import (
     step_error_state,
 )
 from gbflab.simulate import (
+    _Moments,
     _chunk_sizes,
     _coding_loop,
     _decode_from_error,
     _decoded_correctly,
     _draw_messages,
+    _pool,
     _run_trial,
 )
 
@@ -474,6 +476,47 @@ def test_multi_chunk_campaign_pools_its_chunk_streams():
     assert summary.tx2_mean_power == pytest.approx(np.sum(t2**2) / cells, rel=rel)
 
 
+def test_pool_of_unequal_chunks_matches_the_concatenated_blocks():
+    # Chunks of a campaign differ in size by at most one, which hides a
+    # missing count weight; pool unequal synthetic chunks instead.
+    gen = np.random.default_rng(8)
+    sizes, steps = (3, 50, 400, 7), 4
+    shift = np.linspace(-1.0, 1.0, steps)
+    blocks = [
+        (gen.normal(shift, 1.0, (size, steps)), gen.normal(2.0 * shift, 3.0, (size, steps)),
+         gen.normal(0.0, 2.0, (size, steps + 1)))
+        for size in sizes
+    ]
+    chunks = [
+        _Moments(
+            count=len(e1),
+            mean1=e1.mean(axis=0),
+            mean2=e2.mean(axis=0),
+            var1=e1.var(axis=0, ddof=1),
+            var2=e2.var(axis=0, ddof=1),
+            corr=np.array([np.corrcoef(a, b)[0, 1] for a, b in zip(e1.T, e2.T)]),
+            power=np.mean(x**2, axis=0),
+            tx1_sum=float(len(e1)),
+            tx2_sum=2.0 * len(e1),
+            errors=len(e1) // 2,
+        )
+        for e1, e2, x in blocks
+    ]
+    assert _pool(chunks[:1]) is chunks[0]
+    pooled = _pool(chunks)
+    e1, e2, x = (np.concatenate(parts) for parts in zip(*blocks))
+    assert pooled.count == len(e1) == 460
+    rel = 1e-12
+    np.testing.assert_allclose(pooled.mean1, e1.mean(axis=0), rtol=rel, atol=0)
+    np.testing.assert_allclose(pooled.mean2, e2.mean(axis=0), rtol=rel, atol=0)
+    np.testing.assert_allclose(pooled.var1, e1.var(axis=0, ddof=1), rtol=rel, atol=0)
+    np.testing.assert_allclose(pooled.var2, e2.var(axis=0, ddof=1), rtol=rel, atol=0)
+    corr = [np.corrcoef(a, b)[0, 1] for a, b in zip(e1.T, e2.T)]
+    np.testing.assert_allclose(pooled.corr, corr, rtol=rel, atol=0)
+    np.testing.assert_allclose(pooled.power, np.mean(x**2, axis=0), rtol=rel, atol=0)
+    assert (pooled.tx1_sum, pooled.tx2_sum, pooled.errors) == (460.0, 920.0, 1 + 25 + 200 + 3)
+
+
 def test_campaign_chunks_are_balanced():
     assert _chunk_sizes(100) == [100]
     assert _chunk_sizes(65_536) == [65_536]
@@ -532,13 +575,14 @@ def test_campaign_error_rate_non_increasing_in_block_length():
 
 
 def test_campaign_error_rate_agrees_with_exact_trial_decodes_beyond_2_53_points():
-    # At P = 1e3 the alphabets hold ~3.5e19 points and limited-mode decodes
-    # miss by a few levels (ROADMAP item 1); the campaign must count those
-    # misses as the exact per-trial decode does.
+    # At P = 1e3 and 93% of the rates the alphabets hold beyond 2**53 points
+    # and about 60% of blocks miss by a few levels; the campaign must count
+    # those misses as the exact per-trial decode does.
     params = ChannelParams(1e3, NoiseSpec(1.0, 1.0, -1.0))
-    config = headline_config(params=params)
+    config = headline_config(params=params, fraction=0.93)
     assert config.levels1 > 2**53
     campaign = run_broadcast_campaign(config, params, 2000, 7, mode="limited")
+    assert 0 < campaign.errors < 2000
     errors = sum(
         not run_limited_feedback_trial(config, params, RngSpec(7, sid)).success
         for sid in range(500)
@@ -554,6 +598,12 @@ def test_campaign_validation():
         run_broadcast_campaign(config, HEADLINE, 50, 0)
     with pytest.raises(ParameterError):
         run_broadcast_campaign(config, HEADLINE, 100, 0, mode="bogus")
+
+
+@pytest.mark.parametrize("trials", [1000.0, "1000", None, 99])
+def test_campaign_rejects_trials_that_are_not_an_integer_of_at_least_100(trials):
+    with pytest.raises(ParameterError, match="trials"):
+        run_broadcast_campaign(headline_config(n=10), HEADLINE, trials, 0)
 
 
 def test_campaign_fixpoint_init_pins_schedule_correlation():
@@ -611,30 +661,27 @@ def test_trials_and_campaigns_reject_the_same_inputs(entry, inputs, error):
 
 
 # ---------------------------------------------------------------------------
-# limited-feedback precision floor
+# limited feedback at full precision
 # ---------------------------------------------------------------------------
-
-LIMITED_FLOOR = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: limited feedback rebuilds the hidden output as x + r*(y - x), "
-    "whose rounding stalls the encoder's copy of the hidden error",
-)
+#
+# The encoder's copy of the hidden receiver's error must be exact: a rebuild
+# of the hidden output from y - x rounds by about ulp(x) on every step while
+# the true error decays geometrically (max |z| about 3e3 at the CLI defaults,
+# wrong decodes at P >= 1e3).
 
 
 def _max_abs_z(summary):
     return max(float(np.max(np.abs(z))) for z in summary.moment_z_scores().values())
 
 
-@LIMITED_FLOOR
 def test_limited_campaign_moments_at_cli_defaults():
-    # `gbflab simulate --mode limited` at its defaults; today max |z| is about 3e3.
+    # `gbflab simulate --mode limited` at its defaults.
     summary = run_broadcast_campaign(
         headline_config(), HEADLINE, 10_000, 20240901, mode="limited", fed_back_receiver=1
     )
     assert _max_abs_z(summary) <= 6.0
 
 
-@LIMITED_FLOOR
 @pytest.mark.parametrize("power", [1e3, 1e4])
 def test_limited_decodes_equal_broadcast_at_high_power(power):
     params = ChannelParams(power, NoiseSpec(1.0, 1.0, -1.0))
@@ -650,7 +697,6 @@ def test_limited_decodes_equal_broadcast_at_high_power(power):
     assert differing == 0
 
 
-@LIMITED_FLOOR
 def test_limited_feedback_from_receiver_2_asymmetric_noise():
     # Receiver 2 fed back with unequal noise levels: the fix has to hold for
     # the other reconstruction direction and for a noise ratio other than 1.
@@ -660,3 +706,17 @@ def test_limited_feedback_from_receiver_2_asymmetric_noise():
         config, params, 10_000, 20240901, mode="limited", fed_back_receiver=2
     )
     assert _max_abs_z(summary) <= 6.0
+
+
+@pytest.mark.parametrize("fed_back_receiver", [1, 2])
+def test_limited_campaign_equals_broadcast_bitwise(fed_back_receiver):
+    # With equal sigmas either receiver's side draws the broadcast noise
+    # pair, and the encoder's rebuilt errors are the receivers' own.
+    config = headline_config(n=12)
+    full = run_broadcast_campaign(config, HEADLINE, 2000, 5)
+    lim = run_broadcast_campaign(
+        config, HEADLINE, 2000, 5, mode="limited", fed_back_receiver=fed_back_receiver
+    )
+    for field in ("mean1", "mean2", "var1", "var2", "corr", "power_per_step"):
+        assert getattr(lim, field).tobytes() == getattr(full, field).tobytes(), field
+    assert lim.errors == full.errors
