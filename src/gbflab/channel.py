@@ -2,14 +2,15 @@
 
 Covers the channel parameters (block power and noise statistics), the keyed
 random streams, exact sampling of the correlated noise pair including the
-degenerate |rho_z| = 1 cases, and cross-output reconstruction when the noises
-are perfectly (anti-)correlated.  The outputs themselves, y_v = x + z_v (with
-x the sum of both inputs on the unit-gain interference channel), are formed
-in the simulation's coding loop.
+degenerate |rho_z| = 1 cases, and the rebuild of one receiver's noise from the
+other's when the noises are perfectly (anti-)correlated.  The outputs
+themselves, y_v = x + z_v (with x the sum of both inputs on the unit-gain
+interference channel), are formed in the simulation's coding loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,9 @@ class NoiseSpec:
         for name, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
             if not (sigma > 0.0 and np.isfinite(sigma)):
                 raise ParameterError(f"{name} must be a positive finite real, got {sigma}")
-            if not np.isfinite(sigma * sigma):
+            # Squared as a Python float, which overflows to inf without the
+            # RuntimeWarning a numpy scalar raises.
+            if not math.isfinite(float(sigma) * float(sigma)):
                 raise ParameterError(f"{name} = {sigma} is too large: its square overflows")
         if not (-1.0 <= self.rho_z <= 1.0):
             raise ParameterError(f"rho_z must lie in [-1, 1], got {self.rho_z}")
@@ -88,29 +91,19 @@ def make_generator(spec: RngSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_noise_pair(
-    spec: NoiseSpec, rng: np.random.Generator, size: int | None = None, drawn_receiver: int = 1
-):
+def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | None = None):
     """Draw jointly Gaussian (z1, z2) with the covariance of ``spec``.
 
-    For |rho_z| = 1 only one Gaussian u is drawn: ``drawn_receiver``'s noise
-    is the scaled draw (z1 = sigma1 * u, or z2 = rho_z * sigma2 * u) and the
-    other is its rebuild by ``reconstruct_other_noise``, so perfect
+    For |rho_z| = 1 only one Gaussian is drawn, z1 = sigma1 * u, and z2 is
+    its rebuild ``reconstruct_other_noise(z1, 1, spec)``, so perfect
     (anti-)correlation holds sample by sample rather than merely in
-    distribution, and an encoder that sees only the drawn noise rebuilds the
-    other bit for bit.  Equal sigmas give the same pair from either side.
-    Returns scalars for ``size=None``, else arrays of shape ``(size,)``.  A
-    degenerate spec consumes one standard normal per sample, a non-degenerate
-    one consumes two.
+    distribution.  Returns scalars for ``size=None``, else arrays of shape
+    ``(size,)``.  A degenerate spec consumes one standard normal per sample,
+    a non-degenerate one consumes two.
     """
     if spec.is_degenerate:
-        u = rng.standard_normal(size)
-        if drawn_receiver == 2:
-            z2 = spec.rho_z * spec.sigma2 * u
-            z1 = reconstruct_other_noise(z2, 2, spec)
-        else:
-            z1 = spec.sigma1 * u
-            z2 = reconstruct_other_noise(z1, 1, spec)
+        z1 = spec.sigma1 * rng.standard_normal(size)
+        z2 = reconstruct_other_noise(z1, 1, spec)
     else:
         draws = rng.standard_normal((2,) if size is None else (2, size))
         u, v = draws[0], draws[1]

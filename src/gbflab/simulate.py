@@ -45,7 +45,6 @@ from .channel import (
     ChannelParams,
     RngSpec,
     make_generator,
-    reconstruct_other_noise,
     sample_noise_pair,
 )
 from .errors import (
@@ -281,8 +280,6 @@ def _coding_loop(
     config: MessageConfig,
     params: ChannelParams,
     schedule: CoefficientSchedule,
-    mode: str,
-    fed_back_receiver: int,
     gen: np.random.Generator,
     m1,
     m2,
@@ -293,7 +290,12 @@ def _coding_loop(
     interference-mode transmitter emits) and the receivers' errors after
     output t (None after t = 1).  With ``size=None`` the messages are ints and
     every value is a Python float; otherwise they are arrays of ``size``
-    independent blocks."""
+    independent blocks.
+
+    The encoder works on the receivers' own errors in every mode.  With
+    limited feedback it sees one receiver's output, hence that receiver's
+    noise, and |rho_z| = 1 makes the other noise an exact scaling of it: the
+    encoder knows both errors, so the mode runs the broadcast scheme."""
     noise, p = params.noise, params.power
     var1, var2 = schedule.var_theta1, schedule.var_theta2
     theta1 = 0.5 - (m1 - 1) / config.levels1
@@ -301,30 +303,15 @@ def _coding_loop(
     x1 = math.sqrt(p / var1) * theta1
     x2 = math.sqrt(p / var2) * theta2
 
-    # With limited feedback the encoder sees only the fed-back receiver's
-    # noise; the degenerate sampler draws that noise and derives the other
-    # with the very rebuild the encoder applies, so the encoder's copy of the
-    # hidden receiver's error is exact.
-    drawn = fed_back_receiver if mode == "limited" else 1
-
     # t = 1 and t = 2 plant the message points (transmitter v sends point v
     # in interference mode).  Receiver 1 keeps only t = 1 and receiver 2 only
     # t = 2, so the initial errors are uncorrelated.
-    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size, drawn)
+    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size)
     yield x1, x1, 0.0, None, None
-    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size, drawn)
+    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size)
     eps1 = math.sqrt(var1 / p) * z1_t1
     eps2 = math.sqrt(var2 / p) * z2_t2
 
-    # Encoder-side errors.  With full feedback they are the receivers' own;
-    # with limited feedback the unobserved receiver's chain is rebuilt from
-    # its reconstructed noise.
-    eps1_enc, eps2_enc = eps1, eps2
-    if mode == "limited":
-        if fed_back_receiver == 1:
-            eps2_enc = math.sqrt(var2 / p) * reconstruct_other_noise(z1_t2, 1, noise)
-        else:
-            eps1_enc = math.sqrt(var1 / p) * reconstruct_other_noise(z2_t1, 2, noise)
     yield x2, 0.0, x2, eps1, eps2
 
     g = gamma(noise)
@@ -333,22 +320,14 @@ def _coding_loop(
     )
     for psi, a1, a2, rho, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
         sgn = 1.0 if rho >= 0.0 else -1.0
-        t1 = psi / math.sqrt(a1) * eps1_enc
-        t2 = (psi * g * sgn / math.sqrt(a2)) * eps2_enc
+        t1 = psi / math.sqrt(a1) * eps1
+        t2 = (psi * g * sgn / math.sqrt(a2)) * eps2
         x = t1 + t2
-        z1, z2 = sample_noise_pair(noise, gen, size, drawn)
+        z1, z2 = sample_noise_pair(noise, gen, size)
         # The unit-gain interference channel adds t1 and t2 into this same x.
         y1, y2 = x + z1, x + z2
         eps1 = receiver_update(eps1, y1, c1)
         eps2 = receiver_update(eps2, y2, c2)
-        if mode != "limited":
-            eps1_enc, eps2_enc = eps1, eps2
-        elif fed_back_receiver == 1:
-            eps1_enc = eps1
-            eps2_enc = receiver_update(eps2_enc, x + reconstruct_other_noise(z1, 1, noise), c2)
-        else:
-            eps2_enc = eps2
-            eps1_enc = receiver_update(eps1_enc, x + reconstruct_other_noise(z2, 2, noise), c1)
         yield x, t1, t2, eps1, eps2
 
 
@@ -387,7 +366,7 @@ def _run_trial(
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1)
     m2 = _draw_messages(gen, config.levels2)
-    steps = _coding_loop(config, params, schedule, mode, fed_back_receiver, gen, m1, m2, None)
+    steps = _coding_loop(config, params, schedule, gen, m1, m2, None)
     inputs, tx1, tx2, eps1, eps2 = zip(*steps)
     decoded1 = _decode_from_error(eps1[-1], m1, config.levels1)
     decoded2 = _decode_from_error(eps2[-1], m2, config.levels2)
@@ -439,7 +418,8 @@ def run_limited_feedback_trial(
     schedule: CoefficientSchedule | None = None,
 ) -> TrialRecord:
     """One broadcast block where the encoder sees only one receiver's outputs
-    and reconstructs the other's (requires |rho_z| = 1)."""
+    and reconstructs the other's (requires |rho_z| = 1).  The reconstruction
+    is exact, so the block equals the broadcast block on the same stream."""
     return _run_trial(config, params, rng, "limited", fed_back_receiver, schedule)
 
 
@@ -550,7 +530,6 @@ def _chunk_moments(
     params: ChannelParams,
     schedule: CoefficientSchedule,
     mode: str,
-    fed_back_receiver: int,
     rng: RngSpec,
     size: int,
 ) -> _Moments:
@@ -564,7 +543,7 @@ def _chunk_moments(
     mean1, mean2, var1, var2, corr = (np.zeros(n - 1) for _ in range(5))
     power = np.zeros(n)
     tx1_sum = tx2_sum = 0.0
-    steps = _coding_loop(config, params, schedule, mode, fed_back_receiver, gen, m1, m2, size)
+    steps = _coding_loop(config, params, schedule, gen, m1, m2, size)
     for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
         power[t] = float(np.mean(x**2))
         if mode == "interference":
@@ -646,9 +625,7 @@ def run_broadcast_campaign(
     )
     n = config.n
     pooled = _pool([
-        _chunk_moments(
-            config, params, schedule, mode, fed_back_receiver, RngSpec(master_seed, c), size
-        )
+        _chunk_moments(config, params, schedule, mode, RngSpec(master_seed, c), size)
         for c, size in enumerate(_chunk_sizes(trials))
     ])
     ci_low, ci_high = _wilson_interval(pooled.errors, trials)

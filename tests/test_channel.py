@@ -28,12 +28,14 @@ def test_noise_spec_validation():
         ChannelParams(0.0, NoiseSpec(1.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("big", [1e160, np.float64(1e160)], ids=["float", "float64"])
 @pytest.mark.parametrize("name", ["sigma1", "sigma2"])
-def test_noise_spec_rejects_sigma_whose_square_overflows(name):
-    sigmas = {"sigma1": 1.0, "sigma2": 1.0, name: 1e160}
+def test_noise_spec_rejects_sigma_whose_square_overflows(name, big):
+    # A numpy scalar must not overflow into a RuntimeWarning before the check.
+    sigmas = {"sigma1": 1.0, "sigma2": 1.0, name: big}
     with pytest.raises(ParameterError, match=rf"{name} = 1e\+160 .*square overflows"):
         NoiseSpec(sigmas["sigma1"], sigmas["sigma2"], -1.0)
-    NoiseSpec(1e150, 1e150, -1.0)
+    NoiseSpec(1e150, np.float64(1e150), -1.0)
 
 
 def test_covariance_matrix():
@@ -126,14 +128,11 @@ def test_reconstruct_examples():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), sign=st.sampled_from([-1.0, 1.0]))
 def test_reconstruction_roundtrip_unit_sigmas(seed, sign):
-    # Equal sigmas: the hidden noise is rebuilt bit for bit from either
-    # side, and drawing from either side gives the same pair.
+    # Equal sigmas: the hidden noise is rebuilt bit for bit from either side.
     spec = NoiseSpec(1.0, 1.0, sign)
     z1, z2 = sample_noise_pair(spec, make_generator(RngSpec(seed, 0)), 64)
     assert np.array_equal(reconstruct_other_noise(z1, 1, spec), z2)
     assert np.array_equal(reconstruct_other_noise(z2, 2, spec), z1)
-    w1, w2 = sample_noise_pair(spec, make_generator(RngSpec(seed, 0)), 64, drawn_receiver=2)
-    assert np.array_equal(w1, z1) and np.array_equal(w2, z2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,20 +141,20 @@ def test_reconstruction_roundtrip_unit_sigmas(seed, sign):
     s1=st.floats(1e-3, 1e3),
     s2=st.floats(1e-3, 1e3),
     sign=st.sampled_from([-1.0, 1.0]),
-    observed=st.sampled_from([1, 2]),
     size=st.sampled_from([None, 64]),
 )
-def test_reconstruction_roundtrip_general(seed, s1, s2, sign, observed, size):
-    # The noise the sampler draws is the one the rebuild observes, and the
-    # rebuild reproduces the sampler's hidden noise exactly.
+def test_reconstruction_roundtrip_general(seed, s1, s2, sign, size):
+    # The sampler's receiver-2 noise is the rebuild of its receiver-1 noise,
+    # bit for bit; the rebuild back to receiver 1 is off by a few roundings.
     spec = NoiseSpec(s1, s2, sign)
-    gen = make_generator(RngSpec(seed, 0))
-    z1, z2 = sample_noise_pair(spec, gen, size, drawn_receiver=observed)
-    seen, hidden = (z1, z2) if observed == 1 else (z2, z1)
-    rec = reconstruct_other_noise(seen, observed, spec)
-    assert np.array_equal(rec, hidden)
+    z1, z2 = sample_noise_pair(spec, make_generator(RngSpec(seed, 0)), size)
+    rec2 = reconstruct_other_noise(z1, 1, spec)
+    assert np.array_equal(rec2, z2)
     if size is None:
-        assert isinstance(rec, float)
+        assert isinstance(rec2, float)
+    np.testing.assert_allclose(
+        reconstruct_other_noise(z2, 2, spec), z1, rtol=4 * np.finfo(float).eps, atol=0
+    )
 
 
 def test_rng_spec_validation():

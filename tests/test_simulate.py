@@ -67,7 +67,7 @@ def dedicated_inputs(power, n, rate):
     schedule = lmmse_coefficient_schedule(params, n, var, var)
     m = np.arange(1, levels + 1)
     gen = make_generator(RngSpec(0, 0))
-    steps = _coding_loop(config, params, schedule, "broadcast", 0, gen, m, m, levels)
+    steps = _coding_loop(config, params, schedule, gen, m, m, levels)
     return levels, next(steps), next(steps)
 
 
@@ -137,7 +137,7 @@ def test_encode_step_examples():
     schedule = lmmse_coefficient_schedule(params, config.n, var, var)
     m = np.arange(1, 101) % config.levels1 + 1
     gen = make_generator(RngSpec(3, 0))
-    steps = list(_coding_loop(config, params, schedule, "broadcast", 0, gen, m, m, 100))
+    steps = list(_coding_loop(config, params, schedule, gen, m, m, 100))
     _, _, _, eps1, eps2 = steps[1]
     x = steps[2][0]
     alpha = var / 8.0
@@ -451,7 +451,7 @@ def test_multi_chunk_campaign_pools_its_chunk_streams():
         gen = make_generator(RngSpec(seed, c))
         m1 = _draw_messages(gen, config.levels1, size)
         m2 = _draw_messages(gen, config.levels2, size)
-        steps = list(_coding_loop(config, HEADLINE, schedule, "interference", 0, gen, m1, m2, size))
+        steps = list(_coding_loop(config, HEADLINE, schedule, gen, m1, m2, size))
         eps1, eps2 = steps[-1][3], steps[-1][4]
         ok = _decoded_correctly(eps1, m1, config.levels1) & _decoded_correctly(eps2, m2, config.levels2)
         errors += size - int(np.count_nonzero(ok))
@@ -664,10 +664,12 @@ def test_trials_and_campaigns_reject_the_same_inputs(entry, inputs, error):
 # limited feedback at full precision
 # ---------------------------------------------------------------------------
 #
-# The encoder's copy of the hidden receiver's error must be exact: a rebuild
-# of the hidden output from y - x rounds by about ulp(x) on every step while
-# the true error decays geometrically (max |z| about 3e3 at the CLI defaults,
-# wrong decodes at P >= 1e3).
+# The encoder's copy of the hidden receiver's error must be exact.  With
+# |rho_z| = 1 the hidden noise is an exact scaling of the observed one, so the
+# encoder holds the receivers' own errors; a rebuild of the hidden output from
+# y - x instead rounds by about ulp(x) on every step while the true error
+# decays geometrically (max |z| about 3e3 at the CLI defaults, wrong decodes
+# at P >= 1e3).
 
 
 def _max_abs_z(summary):
@@ -708,14 +710,16 @@ def test_limited_feedback_from_receiver_2_asymmetric_noise():
     assert _max_abs_z(summary) <= 6.0
 
 
+@pytest.mark.parametrize("sigmas", [(1.0, 1.0), (1.3, 0.7)], ids=["equal", "unequal"])
 @pytest.mark.parametrize("fed_back_receiver", [1, 2])
-def test_limited_campaign_equals_broadcast_bitwise(fed_back_receiver):
-    # With equal sigmas either receiver's side draws the broadcast noise
-    # pair, and the encoder's rebuilt errors are the receivers' own.
-    config = headline_config(n=12)
-    full = run_broadcast_campaign(config, HEADLINE, 2000, 5)
+def test_limited_campaign_equals_broadcast_bitwise(fed_back_receiver, sigmas):
+    # Whichever receiver is fed back, the encoder knows both errors exactly,
+    # so limited feedback runs the broadcast scheme on the same noise pair.
+    params = ChannelParams(HEADLINE.power, NoiseSpec(*sigmas, -1.0))
+    config = headline_config(n=12, params=params)
+    full = run_broadcast_campaign(config, params, 2000, 5)
     lim = run_broadcast_campaign(
-        config, HEADLINE, 2000, 5, mode="limited", fed_back_receiver=fed_back_receiver
+        config, params, 2000, 5, mode="limited", fed_back_receiver=fed_back_receiver
     )
     for field in ("mean1", "mean2", "var1", "var2", "corr", "power_per_step"):
         assert getattr(lim, field).tobytes() == getattr(full, field).tobytes(), field
