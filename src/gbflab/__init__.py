@@ -30,7 +30,6 @@ from .channel import (
     NoiseSpec,
     RngSpec,
     make_generator,
-    reconstruct_other_noise,
     sample_noise_pair,
 )
 from .errors import (
@@ -49,7 +48,6 @@ from .simulate import (
     level_count,
     lmmse_coefficient_schedule,
     message_point_variance,
-    receiver_update,
     run_broadcast_campaign,
     run_broadcast_trial,
     run_interference_trial,

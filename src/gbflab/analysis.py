@@ -298,12 +298,12 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
 
 
 def _bisect_to_float_limit(f, lo: float, hi: float) -> float:
-    """Bracketed bisection until the interval collapses to adjacent floats."""
+    """Bracketed bisection until the interval collapses to adjacent floats,
+    with no step limit: a root g in [0, 2^-10] takes log2(2^-10 / g) + 53
+    halvings, up to about 1,075 for the smallest floats."""
     flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -311,7 +311,8 @@ def _bisect_to_float_limit(f, lo: float, hi: float) -> float:
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _scan_unit_interval_brackets(f) -> list[tuple[float, float]]:
@@ -394,17 +395,12 @@ def solve_gap(params: ChannelParams, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 
 
-def achievable_rates(params: ChannelParams, rho: float, gap: float | None = None) -> RatePoint:
-    """Rate pair achievable at operating correlation rho.
-
-    ``gap`` may be supplied to evaluate the rate denominators as
-    P * gap / 2 + sigma^2 without ever forming 1 - rho; when omitted it is
-    taken as 1 - rho, which is fine away from the degenerate regime.
-    """
+def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
+    """Rate pair achievable at operating correlation rho and its gap
+    g = 1 - rho (``FixedPoint.gap``), whose denominators P * gap / 2 + sigma^2
+    never form 1 - rho."""
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
-    if gap is None:
-        gap = 1.0 - rho
     if not (0.0 <= gap <= 1.0):
         raise ParameterError(f"gap must lie in [0, 1], got {gap}")
     p = params.power

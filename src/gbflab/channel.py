@@ -1,11 +1,11 @@
 """Two-user additive-Gaussian channel models with correlated receiver noises.
 
 Covers the channel parameters (block power and noise statistics), the keyed
-random streams, exact sampling of the correlated noise pair including the
-degenerate |rho_z| = 1 cases, and the rebuild of one receiver's noise from the
-other's when the noises are perfectly (anti-)correlated.  The outputs
-themselves, y_v = x + z_v (with x the sum of both inputs on the unit-gain
-interference channel), are formed in the simulation's coding loop.
+random streams and exact sampling of the correlated noise pair, including the
+degenerate |rho_z| = 1 cases where one noise is an exact scaling of the
+other.  The outputs themselves, y_v = x + z_v (with x the sum of both inputs
+on the unit-gain interference channel), are formed in the simulation's
+coding loop.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedConfigurationError
+from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -95,15 +95,15 @@ def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | Non
     """Draw jointly Gaussian (z1, z2) with the covariance of ``spec``.
 
     For |rho_z| = 1 only one Gaussian is drawn, z1 = sigma1 * u, and z2 is
-    its rebuild ``reconstruct_other_noise(z1, 1, spec)``, so perfect
-    (anti-)correlation holds sample by sample rather than merely in
-    distribution.  Returns scalars for ``size=None``, else arrays of shape
-    ``(size,)``.  A degenerate spec consumes one standard normal per sample,
-    a non-degenerate one consumes two.
+    its rebuild rho_z * (sigma2 / sigma1) * z1, so perfect (anti-)correlation
+    holds sample by sample rather than merely in distribution.  Returns
+    scalars for ``size=None``, else arrays of shape ``(size,)``.  A degenerate
+    spec consumes one standard normal per sample, a non-degenerate one
+    consumes two.
     """
     if spec.is_degenerate:
         z1 = spec.sigma1 * rng.standard_normal(size)
-        z2 = reconstruct_other_noise(z1, 1, spec)
+        z2 = spec.rho_z * (spec.sigma2 / spec.sigma1) * z1
     else:
         draws = rng.standard_normal((2,) if size is None else (2, size))
         u, v = draws[0], draws[1]
@@ -113,25 +113,3 @@ def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | Non
         return float(z1), float(z2)
     return z1, z2
 
-
-def reconstruct_other_noise(z_observed, observed_receiver: int, spec: NoiseSpec):
-    """Recover the unobserved receiver's noise from the observed one,
-    rho_z * (sigma_hidden / sigma_observed) * z_observed.
-
-    Only possible for |rho_z| = 1, where the two noises are exact scalings of
-    one another; anything less correlated leaves the hidden noise genuinely
-    random given the observed one.  Working on the noise rather than on the
-    output y = x + z avoids the cancellation in y - x, whose rounding is
-    about ulp(x) however small the noise term it should recover.
-    """
-    if not spec.is_degenerate:
-        raise UnsupportedConfigurationError(
-            f"cross-output reconstruction needs |rho_z| = 1, got rho_z = {spec.rho_z}"
-        )
-    if observed_receiver == 1:
-        ratio = spec.sigma2 / spec.sigma1
-    elif observed_receiver == 2:
-        ratio = spec.sigma1 / spec.sigma2
-    else:
-        raise ParameterError(f"observed_receiver must be 1 or 2, got {observed_receiver}")
-    return spec.rho_z * ratio * z_observed

@@ -15,7 +15,7 @@ class ParameterError(GbflabError, ValueError):
 
 class UnsupportedConfigurationError(ParameterError):
     """The requested operation needs a configuration the model cannot provide
-    (e.g. cross-output reconstruction with |rho_z| < 1)."""
+    (e.g. limited feedback with |rho_z| < 1)."""
 
 
 class DegenerateMessageError(ParameterError):

@@ -116,36 +116,34 @@ def _decode_from_error(eps_final: float, m: int, levels: int) -> int:
 
 
 def _draw_messages(gen: np.random.Generator, levels: int, size: int | None = None):
-    """Exact uniform draw from {1..levels}, including beyond-int64 alphabets:
-    a Python int for ``size=None``, else an array of ``size`` indices."""
+    """Exact uniform draw from {1..levels}: a Python int for ``size=None``,
+    else an array of ``size`` indices.
+
+    Beyond 2**62 points a draw is a group of full-range 64-bit words, most
+    significant first, masked to the bit length of levels - 1 and kept only
+    if it lies below ``levels``.  Each round draws, as one array, one group
+    per index still missing and keeps the groups in stream order, so an
+    array draw equals as many successive scalar draws.
+    """
     if levels <= _VECTOR_LEVEL_LIMIT:
         m = gen.integers(1, levels, size=size, endpoint=True, dtype=np.int64)
         return int(m) if size is None else m
-    if size is not None:
-        # Index identity beyond 2**62 points is statistically irrelevant; keep
-        # the draws exact but store them as floats for vector arithmetic.
-        return np.array([float(_draw_messages(gen, levels)) for _ in range(size)])
     nbits = (levels - 1).bit_length()
     nwords = (nbits + 63) // 64
     mask = (1 << nbits) - 1
-    while True:
-        value = 0
-        for _ in range(nwords):
-            value = (value << 64) | int(gen.integers(0, 2**64 - 1, endpoint=True, dtype=np.uint64))
-        value &= mask
-        if value < levels:
-            return value + 1
-
-
-# ---------------------------------------------------------------------------
-# receivers
-# ---------------------------------------------------------------------------
-
-
-def receiver_update(eps_prev: float, y: float, coeff: float) -> float:
-    """Subtract the scalar LMMSE estimate of the current error built from the
-    newest channel output."""
-    return eps_prev - coeff * y
+    wanted = 1 if size is None else size
+    m = []
+    while len(m) < wanted:
+        count = (wanted - len(m)) * nwords
+        words = gen.integers(0, 2**64 - 1, count, endpoint=True, dtype=np.uint64)
+        raw = words.astype(">u8").tobytes()
+        for i in range(0, len(raw), 8 * nwords):
+            g = int.from_bytes(raw[i : i + 8 * nwords], "big") & mask
+            if g < levels:
+                m.append(g + 1)
+    # Index identity beyond 2**62 points is statistically irrelevant; keep
+    # the draws exact but store them as floats for vector arithmetic.
+    return m[0] if size is None else np.array([float(v) for v in m])
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +324,9 @@ def _coding_loop(
         z1, z2 = sample_noise_pair(noise, gen, size)
         # The unit-gain interference channel adds t1 and t2 into this same x.
         y1, y2 = x + z1, x + z2
-        eps1 = receiver_update(eps1, y1, c1)
-        eps2 = receiver_update(eps2, y2, c2)
+        # Each receiver subtracts its LMMSE estimate of its error from y_v.
+        eps1 = eps1 - c1 * y1
+        eps2 = eps2 - c2 * y2
         yield x, t1, t2, eps1, eps2
 
 

@@ -218,6 +218,14 @@ def test_fixed_point_near_degenerate_high_power():
     # sigma1 = sigma2 = 1, anti-correlated: the gap times P approaches the
     # positive root of 2 g^2 + 4 g - 8 scaled by 1/P, i.e. sqrt(5) - 1.
     assert fp.gap * 1e10 == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-5)
+    # Far enough up, the leading-order limits hold to rounding and bisecting
+    # the bracket [0, 2^-10] down to the gap takes more than 200 halvings:
+    # the gap times P is sqrt(5) - 1 when anti-correlated, and the gap times
+    # sqrt(P) is 2 when positively correlated.
+    for p in (1e60, 1e100, 1e150):
+        assert solve_gap(params_of(p)) * p == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-14)
+    for p in (1e120, 1e150):
+        assert solve_gap(params_of(p, rz=1.0)) * math.sqrt(p) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_fixed_point_contrast_uncorrelated_moderate_power():
@@ -357,14 +365,14 @@ def test_solver_tolerance_validation():
 
 def test_rates_at_full_correlation_reach_single_user_bounds():
     params = params_of(37.0, 1.0, 2.0, -1.0)
-    rp = achievable_rates(params, 1.0)
+    rp = achievable_rates(params, 1.0, gap=0.0)
     assert rp.r1 == pytest.approx(single_user_bound(params, 1), rel=1e-12)
     assert rp.r2 == pytest.approx(single_user_bound(params, 2), rel=1e-12)
 
 
 def test_rates_at_zero_correlation_symmetric():
     p, s = 10.0, 1.0
-    rp = achievable_rates(params_of(p, s, s), 0.0)
+    rp = achievable_rates(params_of(p, s, s), 0.0, gap=1.0)
     expected = 0.5 * math.log2((p + s * s) / (p / 2 + s * s))
     assert rp.r1 == pytest.approx(expected, rel=1e-14)
     assert rp.r2 == pytest.approx(expected, rel=1e-14)
@@ -383,7 +391,8 @@ def test_rates_headline_value():
 
 def test_rates_monotone_in_rho():
     params = params_of(50.0, 1.0, 2.0, 0.3)
-    values = [achievable_rates(params, r).sum for r in np.linspace(0, 1, 101)]
+    rhos = np.linspace(0, 1, 101)
+    values = [achievable_rates(params, r, gap=1.0 - r).sum for r in rhos]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -392,14 +401,14 @@ def test_rates_never_exceed_single_user_bounds():
     for _ in range(50):
         params = params_of(10 ** rng.uniform(-1, 6), *rng.uniform(0.5, 2, size=2), rng.uniform(-1, 1))
         rho = float(rng.uniform(0, 1))
-        rp = achievable_rates(params, rho)
+        rp = achievable_rates(params, rho, gap=1.0 - rho)
         assert rp.r1 <= single_user_bound(params, 1) + 1e-12
         assert rp.r2 <= single_user_bound(params, 2) + 1e-12
 
 
 def test_rates_validation():
-    with pytest.raises(ParameterError):
-        achievable_rates(params_of(10.0), 1.5)
+    with pytest.raises(ParameterError, match="rho must"):
+        achievable_rates(params_of(10.0), 1.5, gap=1.0 - 1.5)
     with pytest.raises(ParameterError):
         achievable_rates(params_of(10.0), 0.5, gap=-0.1)
 

@@ -19,11 +19,11 @@ from gbflab import (
     lmmse_coefficient_schedule,
     make_generator,
     message_point_variance,
-    receiver_update,
     run_broadcast_campaign,
     run_broadcast_trial,
     run_interference_trial,
     run_limited_feedback_trial,
+    sample_noise_pair,
     solve_fixed_point,
     step_error_state,
 )
@@ -156,31 +156,30 @@ def test_encode_step_power_normalization_monte_carlo():
     assert np.all(np.abs(summary.power_per_step[2:] - 10.0) <= 5 * se)
 
 
-def test_receiver_update_identities():
-    assert receiver_update(0.7, 123.4, 0.0) == 0.7
-    assert receiver_update(0.7, 0.0, 0.9) == 0.7
-    assert receiver_update(1.0, 2.0, 0.25) == 0.5
-
-
 def test_receiver_update_orthogonality_monte_carlo():
-    # After the LMMSE update the residual error is uncorrelated with the
-    # output it used.
-    params = ChannelParams(25.0, NoiseSpec(1.0, 1.0, -1.0))
-    n_samples = 100_000
-    rng = make_generator(RngSpec(4242, 0))
-    var_theta = message_point_variance(16)
-    a1 = var_theta * 1.0 / 25.0
-    z_init = rng.standard_normal(n_samples)
-    e1 = math.sqrt(a1) * z_init
-    e2 = math.sqrt(a1) * rng.standard_normal(n_samples)
-    psi = math.sqrt(25.0 / 2.0)  # gamma=1, rho=0
-    x = psi * (e1 / math.sqrt(a1) + e2 / math.sqrt(a1))
-    z1 = rng.standard_normal(n_samples)
-    y1 = x + z1
-    c1 = psi * math.sqrt(a1) * 1.0 / (25.0 + 1.0)
-    e1_new = e1 - c1 * y1
-    corr = float(np.corrcoef(e1_new, y1)[0, 1])
-    assert abs(corr) <= 5.0 / math.sqrt(n_samples)
+    # The coding loop's receiver update eps_v <- eps_v - c_v * y_v is the
+    # scalar LMMSE step.  A twin of the loop's stream rebuilds the outputs
+    # y_v = x + z_v: the loop's errors are that update bit for bit, and each
+    # residual error is uncorrelated with the output it used.
+    params = ChannelParams(25.0, NoiseSpec(1.0, 2.0, 0.3))
+    config = MessageConfig(n=5, rate1=1.0, rate2=1.0)
+    var = message_point_variance(config.levels1)
+    schedule = lmmse_coefficient_schedule(params, config.n, var, var)
+    size = 100_000
+    m = np.ones(size, dtype=np.int64)
+    gen = make_generator(RngSpec(4242, 0))
+    steps = list(_coding_loop(config, params, schedule, gen, m, m, size))
+    twin = make_generator(RngSpec(4242, 0))
+    sample_noise_pair(params.noise, twin, size)
+    sample_noise_pair(params.noise, twin, size)
+    for t in range(2, config.n):
+        x, _, _, eps1, eps2 = steps[t]
+        z1, z2 = sample_noise_pair(params.noise, twin, size)
+        y1, y2 = x + z1, x + z2
+        assert np.array_equal(eps1, steps[t - 1][3] - schedule.c1[t - 2] * y1)
+        assert np.array_equal(eps2, steps[t - 1][4] - schedule.c2[t - 2] * y2)
+        for eps, y in ((eps1, y1), (eps2, y2)):
+            assert abs(float(np.corrcoef(eps, y)[0, 1])) <= 5.0 / math.sqrt(size)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +211,33 @@ def test_decode_roundtrip_random():
         m = levels - int(rng.integers(0, min(levels, 1 << 62)))
         eps = rng.uniform(-0.499, 0.499) / levels
         assert _decode_from_error(eps, m, levels) == m
+
+
+def test_wide_alphabet_array_draw_equals_successive_scalar_draws():
+    # At 2**64 + 1 points a draw is a 65-bit group of two words, and about
+    # half the groups are rejected.  The scalar draws are the groups a
+    # word-at-a-time rejection loop keeps; the array draw must hand the same
+    # groups out in the same order and leave the stream at the same place.
+    levels, size = 2**64 + 1, 2000
+    reference_gen, scalar_gen, array_gen = (make_generator(RngSpec(21, 0)) for _ in range(3))
+    reference, groups = [], 0
+    while len(reference) < size:
+        value = 0
+        for _ in range(2):
+            word = reference_gen.integers(0, 2**64 - 1, endpoint=True, dtype=np.uint64)
+            value = (value << 64) | int(word)
+        value &= (1 << 65) - 1
+        groups += 1
+        if value < levels:
+            reference.append(value + 1)
+    assert 0.4 < 1.0 - size / groups < 0.6
+    scalar = [_draw_messages(scalar_gen, levels) for _ in range(size)]
+    assert scalar == reference
+    drawn = _draw_messages(array_gen, levels, size)
+    assert drawn.dtype == np.float64
+    assert drawn.tolist() == [float(m) for m in scalar]
+    after = reference_gen.standard_normal()
+    assert scalar_gen.standard_normal() == array_gen.standard_normal() == after
 
 
 def test_campaign_success_mask_matches_exact_decode_beyond_2_53_points():
