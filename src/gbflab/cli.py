@@ -20,6 +20,7 @@ classification, 4 internal numerical-integrity failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -36,7 +37,7 @@ from .analysis import (
 )
 from .channel import ChannelParams, NoiseSpec
 from .errors import NumericalIntegrityError, ParameterError
-from .simulate import MessageConfig, run_broadcast_campaign
+from .simulate import _MODES, MessageConfig, run_broadcast_campaign
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -110,10 +111,7 @@ def _cmd_sweep(opts: dict) -> tuple[list[str], int]:
     )
     lines = _option_header("sweep", opts)
     lines.append("P,rho_star,g,R1,R2,sum,prelog_ratio,scaled_gap")
-    for r in rows:
-        lines.append(
-            _csv_row([r.power, r.rho_star, r.gap, r.r1, r.r2, r.sum, r.prelog_ratio, r.scaled_gap])
-        )
+    lines.extend(_csv_row(dataclasses.astuple(r)) for r in rows)
     return lines, 0
 
 
@@ -202,22 +200,7 @@ def _cmd_verify(opts: dict) -> tuple[list[str], int]:
         "P,lambda2,lambda2_err,lambda1_scaled,root_defect,root_defect_err,"
         "lambda0_scaled,gap,gap_scaled"
     )
-    for r in report.rows:
-        lines.append(
-            _csv_row(
-                [
-                    r.power,
-                    r.lambda2,
-                    r.lambda2_err,
-                    r.lambda1_scaled,
-                    r.root_defect,
-                    r.root_defect_err,
-                    r.lambda0_scaled,
-                    r.gap,
-                    r.gap_scaled,
-                ]
-            )
-        )
+    lines.extend(_csv_row(dataclasses.astuple(r)) for r in report.rows)
     last = report.rows[-1]
     checks: list[tuple[str, bool | None]] = [
         ("lambda2_to_two", last.lambda2_err < 1e-3),
@@ -276,7 +259,7 @@ _OPTIONS = {
         "set unspecified rates to this fraction of the achievable rates at the fixed point",
         None,
     ),
-    "mode": (str, "broadcast", None, ["broadcast", "interference", "limited"]),
+    "mode": (str, "broadcast", None, _MODES),
     "fed_back_receiver": (int, 1, "receiver whose outputs are fed back in limited mode", [1, 2]),
     "fixpoint_init": (
         bool,

@@ -18,11 +18,12 @@ The message mapping, the encoder and the channel outputs live only there.
 A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats;
 a campaign (``run_broadcast_campaign``) runs it on arrays of independent
-blocks and folds each step into its moment estimates as the step arrives.
+blocks and reduces each step to per-step sums as the step arrives.
 A campaign holds at most 65,536 blocks at once: chunk c of its blocks runs on
-the stream ``RngSpec(master_seed, c)``, and the per-chunk moments are pooled
-in one pass in chunk-index order, so memory does not grow with the trial
-count and the result does not depend on the order chunks run in.
+the stream ``RngSpec(master_seed, c)``, the chunks' sums are added in
+chunk-index order, and every moment is formed once from the totals, so memory
+does not grow with the trial count and the result does not depend on the
+order chunks run in or on how many there are.
 
 Numerical note: the error process is independent of the transmitted messages,
 so trials propagate the errors directly and decode through the integer
@@ -260,12 +261,17 @@ def _checked_schedule(
             "both users need at least two message points (n * rate must give "
             "an alphabet of size >= 2)"
         )
+    var1, var2 = message_point_variance(levels1), message_point_variance(levels2)
     if schedule is not None:
         if schedule.n < config.n:
             raise ParameterError(f"schedule covers n = {schedule.n}, not n = {config.n}")
+        if (schedule.var_theta1, schedule.var_theta2) != (var1, var2):
+            raise ParameterError(
+                f"schedule is built for message-point variances "
+                f"({schedule.var_theta1}, {schedule.var_theta2}), not ({var1}, {var2})"
+            )
         return schedule
     init_rho = solve_fixed_point(params).rho_star if fixpoint_init else 0.0
-    var1, var2 = message_point_variance(levels1), message_point_variance(levels2)
     return lmmse_coefficient_schedule(params, config.n, var1, var2, init_rho=init_rho)
 
 
@@ -505,97 +511,35 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [base + (c < extra) for c in range(chunks)]
 
 
-@dataclass(frozen=True)
-class _Moments:
-    """What a campaign keeps of ``count`` blocks: per-step error means,
-    unbiased variances and correlation after outputs k = 2..n, mean x^2 per
-    use t = 1..n, the interference transmitters' summed squared inputs and the
-    number of blocks decoded wrongly."""
-
-    count: int
-    mean1: np.ndarray
-    mean2: np.ndarray
-    var1: np.ndarray
-    var2: np.ndarray
-    corr: np.ndarray
-    power: np.ndarray
-    tx1_sum: float
-    tx2_sum: float
-    errors: int
-
-
-def _chunk_moments(
+def _chunk_sums(
     config: MessageConfig,
     params: ChannelParams,
     schedule: CoefficientSchedule,
     mode: str,
     rng: RngSpec,
     size: int,
-) -> _Moments:
-    """Run ``size`` blocks on the stream ``rng``, folding each step into its
-    moments as it arrives, and count the blocks decoded wrongly."""
-    n = config.n
+) -> tuple[np.ndarray, int]:
+    """Run ``size`` blocks on the stream ``rng``; return the number of blocks
+    decoded wrongly and, per channel use t = 1..n, eight sums over the
+    blocks: x^2, t1^2 and t2^2 (interference mode only, else 0), then eps1,
+    eps2, eps1^2, eps2^2 and eps1*eps2 (0 at t = 1, before the errors exist).
+    Each is numpy's pairwise ``np.sum``; a BLAS dot product would make the
+    bytes depend on the BLAS build and its thread count."""
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
-
-    mean1, mean2, var1, var2, corr = (np.zeros(n - 1) for _ in range(5))
-    power = np.zeros(n)
-    tx1_sum = tx2_sum = 0.0
+    sums = np.zeros((8, config.n))
     steps = _coding_loop(config, params, schedule, gen, m1, m2, size)
     for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
-        power[t] = float(np.mean(x**2))
+        sums[0, t] = np.sum(x * x)
         if mode == "interference":
-            tx1_sum += float(np.sum(t1**2))
-            tx2_sum += float(np.sum(t2**2))
+            sums[1:3, t] = np.sum(t1 * t1), np.sum(t2 * t2)
         if t:
-            mean1[t - 1] = eps1.mean()
-            mean2[t - 1] = eps2.mean()
-            var1[t - 1] = eps1.var(ddof=1)
-            var2[t - 1] = eps2.var(ddof=1)
-            corr[t - 1] = float(np.corrcoef(eps1, eps2)[0, 1])
+            sums[3:, t] = [np.sum(v) for v in (eps1, eps2, eps1 * eps1, eps2 * eps2, eps1 * eps2)]
 
     ok1 = _decoded_correctly(eps1, m1, config.levels1)
     ok2 = _decoded_correctly(eps2, m2, config.levels2)
-    errors = int(size - np.count_nonzero(ok1 & ok2))
-    return _Moments(size, mean1, mean2, var1, var2, corr, power, tx1_sum, tx2_sum, errors)
-
-
-def _pool(chunks: list[_Moments]) -> _Moments:
-    """Moments of the union of the chunks' blocks, pooled in one pass over
-    the chunk list in index order, so the result does not depend on the
-    order the chunks ran in: count-weighted means and power, and sums of
-    squared deviations and the co-moment as within-chunk plus between-chunk
-    terms (Chan, Golub and LeVeque 1979).  A single chunk comes back
-    unchanged."""
-    if len(chunks) == 1:
-        return chunks[0]
-    k = np.array([[c.count] for c in chunks], dtype=float)
-    count = sum(c.count for c in chunks)
-    mean1, mean2, var1, var2, corr, power = (
-        np.array([getattr(c, f) for c in chunks])
-        for f in ("mean1", "mean2", "var1", "var2", "corr", "power")
-    )
-    pooled1, pooled2 = (k * mean1).sum(axis=0) / count, (k * mean2).sum(axis=0) / count
-    d1, d2 = mean1 - pooled1, mean2 - pooled2
-    ss1 = ((k - 1) * var1 + k * d1 * d1).sum(axis=0)
-    ss2 = ((k - 1) * var2 + k * d2 * d2).sum(axis=0)
-    # The within-chunk co-moment is corr * sd1 * sd2 * (count - 1); square
-    # roots are taken before multiplying so that tiny variances do not
-    # underflow.
-    co = ((k - 1) * corr * np.sqrt(var1) * np.sqrt(var2) + k * d1 * d2).sum(axis=0)
-    return _Moments(
-        count=count,
-        mean1=pooled1,
-        mean2=pooled2,
-        var1=ss1 / (count - 1),
-        var2=ss2 / (count - 1),
-        corr=co / (np.sqrt(ss1) * np.sqrt(ss2)),
-        power=(k * power).sum(axis=0) / count,
-        tx1_sum=sum(c.tx1_sum for c in chunks),
-        tx2_sum=sum(c.tx2_sum for c in chunks),
-        errors=sum(c.errors for c in chunks),
-    )
+    return sums, int(size - np.count_nonzero(ok1 & ok2))
 
 
 def run_broadcast_campaign(
@@ -610,12 +554,16 @@ def run_broadcast_campaign(
     """Aggregate ``trials`` independent blocks, vectorized across trials.
 
     The blocks run in ceil(trials / 65,536) chunks of balanced size; chunk c
-    draws its messages and noises from ``RngSpec(master_seed, c)``, and the
-    per-chunk moments are pooled in one pass in chunk-index order.  Memory
-    is therefore bounded by the chunk size, not by ``trials``, and identical
-    invocations produce bitwise-identical summaries.  A campaign of at most
-    65,536 trials is a single chunk on ``RngSpec(master_seed, 0)``.  The
-    block error rate comes with a 95% Wilson interval.
+    draws its messages and noises from ``RngSpec(master_seed, c)`` and
+    returns per-step sums of the errors, their squares and their product.
+    The sums are added in chunk-index order and the moments formed once from
+    the totals: mean = S / N, SS = S_2 - N mean^2, variance SS / (N - 1) and
+    correlation co-moment / (sqrt(SS_1) sqrt(SS_2)), the same for one chunk
+    or many.  Memory is therefore bounded by the chunk size, not by
+    ``trials``, and identical invocations produce bitwise-identical
+    summaries.  A campaign of at most 65,536 trials is a single chunk on
+    ``RngSpec(master_seed, 0)``.  The block error rate comes with a 95%
+    Wilson interval.
     """
     if not (isinstance(trials, (int, np.integer)) and trials >= 100):
         raise ParameterError(f"trials must be an integer >= 100, got {trials!r}")
@@ -623,11 +571,21 @@ def run_broadcast_campaign(
         config, params, mode, fed_back_receiver, fixpoint_init=fixpoint_init
     )
     n = config.n
-    pooled = _pool([
-        _chunk_moments(config, params, schedule, mode, RngSpec(master_seed, c), size)
+    chunks = [
+        _chunk_sums(config, params, schedule, mode, RngSpec(master_seed, c), size)
         for c, size in enumerate(_chunk_sizes(trials))
-    ])
-    ci_low, ci_high = _wilson_interval(pooled.errors, trials)
+    ]
+    # Summed in chunk-index order, whatever order the chunks ran in.
+    power, tx1, tx2, s1, s2, sq1, sq2, s12 = sum(sums for sums, _ in chunks)
+    errors = sum(e for _, e in chunks)
+    ci_low, ci_high = _wilson_interval(errors, trials)
+    # The errors have mean zero, so removing trials * mean^2 from the sums
+    # of squares cancels nothing.
+    mean1, mean2 = s1[1:] / trials, s2[1:] / trials
+    ss1 = sq1[1:] - trials * mean1**2
+    ss2 = sq2[1:] - trials * mean2**2
+    co = s12[1:] - trials * mean1 * mean2
+    power = power / trials
 
     return McSummary(
         mode=mode,
@@ -635,21 +593,22 @@ def run_broadcast_campaign(
         n=n,
         master_seed=master_seed,
         steps=np.arange(2, n + 1),
-        mean1=pooled.mean1,
-        mean2=pooled.mean2,
-        var1=pooled.var1,
-        var2=pooled.var2,
-        corr=pooled.corr,
+        mean1=mean1,
+        mean2=mean2,
+        var1=ss1 / (trials - 1),
+        var2=ss2 / (trials - 1),
+        # Square roots before the product, so tiny variances do not underflow.
+        corr=co / (np.sqrt(ss1) * np.sqrt(ss2)),
         alpha1=schedule.alpha1.copy(),
         alpha2=schedule.alpha2.copy(),
         rho=schedule.rho.copy(),
-        power_per_step=pooled.power,
-        mean_power=float(np.mean(pooled.power)),
-        errors=pooled.errors,
-        error_rate=pooled.errors / trials,
+        power_per_step=power,
+        mean_power=float(np.mean(power)),
+        errors=errors,
+        error_rate=errors / trials,
         confidence=_CONFIDENCE,
         ci_low=ci_low,
         ci_high=ci_high,
-        tx1_mean_power=(pooled.tx1_sum / (trials * n)) if mode == "interference" else None,
-        tx2_mean_power=(pooled.tx2_sum / (trials * n)) if mode == "interference" else None,
+        tx1_mean_power=float(np.sum(tx1)) / (trials * n) if mode == "interference" else None,
+        tx2_mean_power=float(np.sum(tx2)) / (trials * n) if mode == "interference" else None,
     )

@@ -282,7 +282,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("analyze",): "f5d33c0e95d8fc6352e77cf3e926bb3c6caec13230b15684d067a881e0ef1a24",
     ("sweep",): "67cbfb111b65879e5919ea214a3aef1941138858dc52171046c96a56c3244bf9",
     ("verify",): "98e8ffceb534b87a0c2f9ca859480429accd1d6f51c5e8c9d2378389adc372cd",
-    ("simulate", "--trials", "2000"): "7ecd3c94109f6c8a07fe5b860ec7eecf398777ea1b55162d7eba35883a6a1eb7",
+    ("simulate", "--trials", "2000"): "ce7b9769f4a356c71020ee8b954522675778833e08ce414ccd1ee9520131242a",
 }
 
 

@@ -28,13 +28,11 @@ from gbflab import (
     step_error_state,
 )
 from gbflab.simulate import (
-    _Moments,
     _chunk_sizes,
     _coding_loop,
     _decode_from_error,
     _decoded_correctly,
     _draw_messages,
-    _pool,
     _run_trial,
 )
 
@@ -374,6 +372,13 @@ def test_trial_runs_config_length_on_a_longer_schedule_and_rejects_a_shorter_one
     shorter = lmmse_coefficient_schedule(HEADLINE, 8, var1, var2)
     with pytest.raises(ParameterError, match="schedule"):
         run_broadcast_trial(config, HEADLINE, RngSpec(3, 3), schedule=shorter)
+    # A 2-level alphabet has variance 1/16; a schedule built for 1/12 would
+    # plant the message points at 0.75 P.
+    two_level = MessageConfig(n=12, rate1=1.0 / 12.0, rate2=1.0 / 12.0)
+    assert message_point_variance(two_level.levels1) == 1.0 / 16.0
+    other = lmmse_coefficient_schedule(HEADLINE, 12, 1.0 / 12.0, 1.0 / 12.0)
+    with pytest.raises(ParameterError, match="variances"):
+        run_broadcast_trial(two_level, HEADLINE, RngSpec(3, 3), schedule=other)
 
 
 def test_interference_trial_equals_broadcast_bitwise():
@@ -457,90 +462,77 @@ def test_campaign_deterministic_bitwise():
     assert a.error_rate == b.error_rate and a.mean_power == b.mean_power
 
 
+def _fsum_moments(e1, e2):
+    """Two-pass moments of one step's errors, every sum exactly rounded:
+    means, unbiased variances and correlation."""
+    count = len(e1)
+    mean1, mean2 = math.fsum(e1) / count, math.fsum(e2) / count
+    d1, d2 = e1 - mean1, e2 - mean2
+    ss1, ss2, co = (math.fsum(v) for v in (d1 * d1, d2 * d2, d1 * d2))
+    return mean1, mean2, ss1 / (count - 1), ss2 / (count - 1), co / math.sqrt(ss1 * ss2)
+
+
 def test_multi_chunk_campaign_pools_its_chunk_streams():
-    # Oracle for the chunk merge: chunk c of a campaign runs on
+    # Oracle for the pooled sums: chunk c of a campaign runs on
     # RngSpec(seed, c), so the concatenated chunk arrays rebuilt here are the
-    # campaign's blocks, and plain numpy moments over them are the pooled
-    # moments the merge tree must reproduce.
-    config = headline_config(n=6, fraction=0.75)
-    trials, seed = 150_000, 4
-    summary = run_broadcast_campaign(config, HEADLINE, trials, seed, mode="interference")
-    again = run_broadcast_campaign(config, HEADLINE, trials, seed, mode="interference")
-    for field in ("mean1", "mean2", "var1", "var2", "corr", "power_per_step"):
-        assert getattr(summary, field).tobytes() == getattr(again, field).tobytes(), field
-    assert (summary.errors, summary.tx1_mean_power) == (again.errors, again.tx1_mean_power)
-
-    var1, var2 = message_point_variance(config.levels1), message_point_variance(config.levels2)
-    schedule = lmmse_coefficient_schedule(HEADLINE, config.n, var1, var2)
-    chunks, errors = [], 0
-    for c, size in enumerate(_chunk_sizes(trials)):
-        gen = make_generator(RngSpec(seed, c))
-        m1 = _draw_messages(gen, config.levels1, size)
-        m2 = _draw_messages(gen, config.levels2, size)
-        steps = list(_coding_loop(config, HEADLINE, schedule, gen, m1, m2, size))
-        eps1, eps2 = steps[-1][3], steps[-1][4]
-        ok = _decoded_correctly(eps1, m1, config.levels1) & _decoded_correctly(eps2, m2, config.levels2)
-        errors += size - int(np.count_nonzero(ok))
-        chunks.append([[np.broadcast_to(v, (size,)) for v in step if v is not None] for step in steps])
-    assert len(chunks) == 3
-    assert summary.errors == errors > 0
-
-    x, t1, t2 = (np.array([np.concatenate([ch[t][j] for ch in chunks]) for t in range(config.n)])
-                 for j in range(3))
-    eps1, eps2 = (np.array([np.concatenate([ch[t][j] for ch in chunks]) for t in range(1, config.n)])
-                  for j in (3, 4))
-    rel = 1e-12
-    np.testing.assert_allclose(summary.mean1, eps1.mean(axis=1), rtol=rel, atol=0)
-    np.testing.assert_allclose(summary.mean2, eps2.mean(axis=1), rtol=rel, atol=0)
-    np.testing.assert_allclose(summary.var1, eps1.var(axis=1, ddof=1), rtol=rel, atol=0)
-    np.testing.assert_allclose(summary.var2, eps2.var(axis=1, ddof=1), rtol=rel, atol=0)
-    corr = [np.corrcoef(a, b)[0, 1] for a, b in zip(eps1, eps2)]
-    np.testing.assert_allclose(summary.corr, corr, rtol=rel, atol=0)
-    np.testing.assert_allclose(summary.power_per_step, np.mean(x**2, axis=1), rtol=rel, atol=0)
-    cells = trials * config.n
-    assert summary.tx1_mean_power == pytest.approx(np.sum(t1**2) / cells, rel=rel)
-    assert summary.tx2_mean_power == pytest.approx(np.sum(t2**2) / cells, rel=rel)
-
-
-def test_pool_of_unequal_chunks_matches_the_concatenated_blocks():
-    # Chunks of a campaign differ in size by at most one, which hides a
-    # missing count weight; pool unequal synthetic chunks instead.
-    gen = np.random.default_rng(8)
-    sizes, steps = (3, 50, 400, 7), 4
-    shift = np.linspace(-1.0, 1.0, steps)
-    blocks = [
-        (gen.normal(shift, 1.0, (size, steps)), gen.normal(2.0 * shift, 3.0, (size, steps)),
-         gen.normal(0.0, 2.0, (size, steps + 1)))
-        for size in sizes
+    # campaign's blocks, and an fsum two-pass over them gives the moments the
+    # campaign must reproduce, through the same path for one chunk or three.
+    cases = [
+        (HEADLINE, 6, 0.75, 150_000, 4, 3),
+        # At the rate bound, so that some blocks decode wrongly.
+        (ChannelParams(1e4, NoiseSpec(1.0, 1.0, 1.0)), 20, 1.0, 10_000, 5, 1),
     ]
-    chunks = [
-        _Moments(
-            count=len(e1),
-            mean1=e1.mean(axis=0),
-            mean2=e2.mean(axis=0),
-            var1=e1.var(axis=0, ddof=1),
-            var2=e2.var(axis=0, ddof=1),
-            corr=np.array([np.corrcoef(a, b)[0, 1] for a, b in zip(e1.T, e2.T)]),
-            power=np.mean(x**2, axis=0),
-            tx1_sum=float(len(e1)),
-            tx2_sum=2.0 * len(e1),
-            errors=len(e1) // 2,
+    for params, n, fraction, trials, seed, chunk_count in cases:
+        config = headline_config(n=n, fraction=fraction, params=params)
+        summary = run_broadcast_campaign(config, params, trials, seed, mode="interference")
+        again = run_broadcast_campaign(config, params, trials, seed, mode="interference")
+        for field in ("mean1", "mean2", "var1", "var2", "corr", "power_per_step"):
+            assert getattr(summary, field).tobytes() == getattr(again, field).tobytes(), field
+        assert (summary.errors, summary.tx1_mean_power) == (again.errors, again.tx1_mean_power)
+
+        var1 = message_point_variance(config.levels1)
+        var2 = message_point_variance(config.levels2)
+        schedule = lmmse_coefficient_schedule(params, n, var1, var2)
+        chunks, errors = [], 0
+        for c, size in enumerate(_chunk_sizes(trials)):
+            gen = make_generator(RngSpec(seed, c))
+            m1 = _draw_messages(gen, config.levels1, size)
+            m2 = _draw_messages(gen, config.levels2, size)
+            steps = list(_coding_loop(config, params, schedule, gen, m1, m2, size))
+            eps1, eps2 = steps[-1][3], steps[-1][4]
+            ok1 = _decoded_correctly(eps1, m1, config.levels1)
+            ok2 = _decoded_correctly(eps2, m2, config.levels2)
+            errors += size - int(np.count_nonzero(ok1 & ok2))
+            chunks.append(
+                [[np.broadcast_to(v, (size,)) for v in step if v is not None] for step in steps]
+            )
+        assert len(chunks) == chunk_count
+        assert summary.errors == errors > 0
+
+        x, t1, t2 = (
+            [np.concatenate([ch[t][j] for ch in chunks]).tolist() for t in range(n)]
+            for j in range(3)
         )
-        for e1, e2, x in blocks
-    ]
-    assert _pool(chunks[:1]) is chunks[0]
-    pooled = _pool(chunks)
-    e1, e2, x = (np.concatenate(parts) for parts in zip(*blocks))
-    assert pooled.count == len(e1) == 460
-    rel = 1e-12
-    np.testing.assert_allclose(pooled.mean1, e1.mean(axis=0), rtol=rel, atol=0)
-    np.testing.assert_allclose(pooled.mean2, e2.mean(axis=0), rtol=rel, atol=0)
-    np.testing.assert_allclose(pooled.var1, e1.var(axis=0, ddof=1), rtol=rel, atol=0)
-    np.testing.assert_allclose(pooled.var2, e2.var(axis=0, ddof=1), rtol=rel, atol=0)
-    corr = [np.corrcoef(a, b)[0, 1] for a, b in zip(e1.T, e2.T)]
-    np.testing.assert_allclose(pooled.corr, corr, rtol=rel, atol=0)
-    np.testing.assert_allclose(pooled.power, np.mean(x**2, axis=0), rtol=rel, atol=0)
-    assert (pooled.tx1_sum, pooled.tx2_sum, pooled.errors) == (460.0, 920.0, 1 + 25 + 200 + 3)
+        eps1, eps2 = (
+            [np.concatenate([ch[t][j] for ch in chunks]) for t in range(1, n)] for j in (3, 4)
+        )
+        mean1, mean2, ref1, ref2, corr = np.array(
+            [_fsum_moments(a, b) for a, b in zip(eps1, eps2)]
+        ).T
+        rel = 2e-15
+        np.testing.assert_allclose(summary.var1, ref1, rtol=rel, atol=0)
+        np.testing.assert_allclose(summary.var2, ref2, rtol=rel, atol=0)
+        np.testing.assert_allclose(summary.corr, corr, rtol=0, atol=rel)
+        # The means are near 0, so their error is measured against the spread.
+        assert np.all(np.abs(summary.mean1 - mean1) <= rel * np.sqrt(ref1))
+        assert np.all(np.abs(summary.mean2 - mean2) <= rel * np.sqrt(ref2))
+        power = [math.fsum(v * v for v in xt) / trials for xt in x]
+        np.testing.assert_allclose(summary.power_per_step, power, rtol=rel, atol=0)
+        cells = trials * n
+        tx1 = math.fsum(v * v for t in t1 for v in t) / cells
+        tx2 = math.fsum(v * v for t in t2 for v in t) / cells
+        assert summary.tx1_mean_power == pytest.approx(tx1, rel=rel)
+        assert summary.tx2_mean_power == pytest.approx(tx2, rel=rel)
 
 
 def test_campaign_chunks_are_balanced():
