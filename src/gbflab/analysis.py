@@ -24,6 +24,8 @@ from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 RECURSION_RESIDUAL_ACCEPT = 1e-6
 # Sign-change scan resolution over [0, 1] before bisection.
 _SCAN_SUBINTERVALS = 1024
+# Powers per block of the 2-D scan, which bounds its sample array's size.
+_SCAN_BLOCK = 16
 _RHO_INTEGRITY_TOL = 1e-12
 
 
@@ -168,14 +170,19 @@ def gamma(noise: NoiseSpec) -> float:
     return noise.sigma1 / noise.sigma2
 
 
-def _sqrt_pi_product(power: float, s1: float, s2: float) -> float:
+def _sqrt_pi_product(power, s1: float, s2: float):
     # Factored square roots never overflow for power up to ~1e308 and carry
     # full relative precision, which the plain product under one root loses
-    # first.
-    return math.sqrt(power + s1 * s1) * math.sqrt(power + s2 * s2)
+    # first.  np.sqrt is correctly rounded, as math.sqrt is.
+    return np.sqrt(power + s1 * s1) * np.sqrt(power + s2 * s2)
 
 
-def _root_defect(power: float, s1: float, s2: float) -> float:
+# At the ends of the accepted range (P near 1e154, or tiny P or sigmas)
+# intermediate values overflow to inf.  The coefficient formulas, the
+# bisection and the certification let them do so silently, as the same
+# arithmetic on Python floats does; the scan and the recursion warn.
+@np.errstate(over="ignore", invalid="ignore")
+def _root_defect(power, s1: float, s2: float):
     """1 - P / sqrt((P+s1^2)(P+s2^2)), computed without cancellation.
 
     Equal to (P(s1^2+s2^2) + s1^2 s2^2) / (spp (spp + P)); the direct form
@@ -186,10 +193,10 @@ def _root_defect(power: float, s1: float, s2: float) -> float:
     return (power * (s1 * s1 + s2 * s2) + (s1 * s1) * (s2 * s2)) / (spp * (spp + power))
 
 
-def cubic_coeffs(params: ChannelParams) -> CubicCoeffs:
-    """Coefficients (a, b, c) of the fixed-point cubic in rho."""
-    p = params.power
-    s1, s2, rz = params.noise.sigma1, params.noise.sigma2, params.noise.rho_z
+@np.errstate(over="ignore", invalid="ignore")
+def _cubic_coeffs(noise: NoiseSpec, p):
+    """Rho-form coefficients (a, b, c) at each power of the array ``p``."""
+    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
     spp = _sqrt_pi_product(p, s1, s2)
     s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
     a = -2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / (p * spp)
@@ -200,14 +207,15 @@ def cubic_coeffs(params: ChannelParams) -> CubicCoeffs:
         - s12 * (s11 + s22) / (p * spp)
     )
     c = (p + s11 + s22 - rz * s12) / spp
-    return CubicCoeffs(a=a, b=b, c=c)
+    return a, b, c
 
 
-def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
-    """Coefficients of the gap form, transcribed term by term (not derived
-    from (a, b, c)) so the two forms cross-check each other."""
-    p = params.power
-    s1, s2, rz = params.noise.sigma1, params.noise.sigma2, params.noise.rho_z
+@np.errstate(over="ignore", invalid="ignore")
+def _gap_cubic_coeffs(noise: NoiseSpec, p):
+    """Gap-form coefficients (lambda0, lambda1, lambda2) at each power of the
+    array ``p``, transcribed term by term (not derived from (a, b, c)) so the
+    two forms cross-check each other."""
+    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
     spp = _sqrt_pi_product(p, s1, s2)
     s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
     defect = _root_defect(p, s1, s2)
@@ -224,7 +232,39 @@ def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
     # the stable defect instead of a fully cancelled subtraction.
     sq = s11 + 2.0 * s12 + s22
     lambda0 = -(sq / p) * ((1.0 + rz) - rz * defect) - s12 * sq / (p * spp)
-    return GapCubicCoeffs(lambda0=lambda0, lambda1=lambda1, lambda2=lambda2)
+    return lambda0, lambda1, lambda2
+
+
+def cubic_coeffs(params: ChannelParams) -> CubicCoeffs:
+    """Coefficients (a, b, c) of the fixed-point cubic in rho."""
+    a, b, c = _cubic_coeffs(params.noise, np.array([params.power]))
+    return CubicCoeffs(a=float(a[0]), b=float(b[0]), c=float(c[0]))
+
+
+def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
+    """Coefficients of the gap form of the fixed-point cubic."""
+    l0, l1, l2 = _gap_cubic_coeffs(params.noise, np.array([params.power]))
+    return GapCubicCoeffs(lambda0=float(l0[0]), lambda1=float(l1[0]), lambda2=float(l2[0]))
+
+
+def _rho_recursion(rho: np.ndarray, p, noise: NoiseSpec) -> np.ndarray:
+    """``rho_recursion`` at powers ``p`` broadcast against ``rho``."""
+    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
+    ar = np.abs(rho)
+    sg = np.where(rho >= 0.0, 1.0, -1.0)
+    s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
+    pi1, pi2 = p + s11, p + s22
+    spp = np.sqrt(pi1) * np.sqrt(pi2)
+    b_noise = s11 + s22 + 2.0 * s12 * ar
+    # (1 - ar)(1 + ar): exact to one rounding even for ar near 1, where the
+    # naive 1 - ar*ar cancels.
+    omr2 = (1.0 - ar) * (1.0 + ar)
+    q = p * omr2 + b_noise
+    # P S / (pi1 pi2) = 1 - tau with tau = s1 s2 (s1 s2 + P rho_z) / (pi1 pi2)
+    tau = s12 * (s12 + p * rz) / (pi1 * pi2)
+    w0 = (s1 + s2 * ar) * (s2 + s1 * ar)
+    core = sg * (w0 * tau - s12 * omr2)
+    return spp / (q * s12) * core
 
 
 def rho_recursion(rho, params: ChannelParams):
@@ -239,24 +279,7 @@ def rho_recursion(rho, params: ChannelParams):
     only small, same-scale summands near |rho| = 1; the literal difference of
     the two O(s^2)-sized products would lose ~6 digits of the result there.
     """
-    p = params.power
-    s1, s2, rz = params.noise.sigma1, params.noise.sigma2, params.noise.rho_z
-    rho = np.asarray(rho, dtype=float)
-    ar = np.abs(rho)
-    sg = np.where(rho >= 0.0, 1.0, -1.0)
-    s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
-    pi1, pi2 = p + s11, p + s22
-    spp = math.sqrt(pi1) * math.sqrt(pi2)
-    b_noise = s11 + s22 + 2.0 * s12 * ar
-    # (1 - ar)(1 + ar): exact to one rounding even for ar near 1, where the
-    # naive 1 - ar*ar cancels.
-    omr2 = (1.0 - ar) * (1.0 + ar)
-    q = p * omr2 + b_noise
-    # P S / (pi1 pi2) = 1 - tau with tau = s1 s2 (s1 s2 + P rho_z) / (pi1 pi2)
-    tau = s12 * (s12 + p * rz) / (pi1 * pi2)
-    w0 = (s1 + s2 * ar) * (s2 + s1 * ar)
-    core = sg * (w0 * tau - s12 * omr2)
-    out = spp / (q * s12) * core
+    out = _rho_recursion(np.asarray(rho, dtype=float), params.power, params.noise)
     if out.ndim == 0:
         return float(out)
     return out
@@ -297,37 +320,6 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_to_float_limit(f, lo: float, hi: float) -> float:
-    """Bracketed bisection until the interval collapses to adjacent floats,
-    with no step limit: a root g in [0, 2^-10] takes log2(2^-10 / g) + 53
-    halvings, up to about 1,075 for the smallest floats."""
-    flo = f(lo)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
-
-
-def _scan_unit_interval_brackets(f) -> list[tuple[float, float]]:
-    """Brackets (lo, hi) of the roots of f in [0, 1] from a sign-change scan
-    over 1024 subintervals; an exact zero at a grid point x is (x, x)."""
-    xs = np.linspace(0.0, 1.0, _SCAN_SUBINTERVALS + 1)
-    ys = f(xs)
-    zero = ys == 0.0
-    neg = ys < 0.0
-    change = (neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:]
-    los = np.concatenate([xs[zero], xs[:-1][change]])
-    his = np.concatenate([xs[zero], xs[1:][change]])
-    return list(zip(los.tolist(), his.tolist()))
-
-
 def _validate_tol(tol: float) -> None:
     if not (0.0 < tol <= 1e-6):
         raise ParameterError(f"tol must lie in (0, 1e-6], got {tol}")
@@ -335,8 +327,141 @@ def _validate_tol(tol: float) -> None:
         raise ParameterError("tol below 1e-14 is not certifiable in double precision")
 
 
-def _recursion_residual(rho: float, params: ChannelParams) -> float:
-    return abs(abs(rho_recursion(rho, params)) - rho)
+def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
+    """Reject powers whose cubic coefficients leave float range.
+
+    The coefficients divide by P sqrt((P+s1^2)(P+s2^2)) and multiply by
+    s1^2 s2^2.  The product grows with P, so the smallest power decides
+    whether it underflows to 0 and the largest whether it overflows.
+    Checked in Python floats, which do either without a warning."""
+    s1, s2 = float(noise.sigma1), float(noise.sigma2)
+    for p in (float(min(powers)), float(max(powers))):
+        product = p * math.sqrt(p + s1 * s1) * math.sqrt(p + s2 * s2)
+        if not (0.0 < product < math.inf and math.isfinite((s1 * s1) * (s2 * s2))):
+            raise ParameterError(
+                f"power P = {p} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's "
+                "float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be positive and finite "
+                "and sigma1^2*sigma2^2 finite"
+            )
+
+
+def _scan_brackets(lambda0, lambda1, lambda2):
+    """Brackets of the gap-form cubic's roots in [0, 1], for every power.
+
+    A sign-change scan over 1024 subintervals, run on blocks of powers so
+    that the 2-D sample array stays small.  Returns (row, g_lo, g_hi) with
+    the brackets of each row together, in the scalar scan's order: exact
+    zeros at a grid point x as (x, x) first, then the sign changes, each
+    ascending."""
+    xs = np.linspace(0.0, 1.0, _SCAN_SUBINTERVALS + 1)
+    n = _SCAN_SUBINTERVALS
+    rows, los, his = [], [], []
+    for start in range(0, len(lambda0), _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        # ((-x + lambda2) x + lambda1) x + lambda0, in place; lambda2 - x is
+        # the same IEEE sum as -x + lambda2.
+        ys = lambda2[block, None] - xs
+        ys *= xs
+        ys += lambda1[block, None]
+        ys *= xs
+        ys += lambda0[block, None]
+        zero = ys == 0.0
+        neg = ys < 0.0
+        change = (neg[:, :-1] != neg[:, 1:]) & ~zero[:, :-1] & ~zero[:, 1:]
+        zr, zc = np.divmod(np.flatnonzero(zero), n + 1)
+        cr, cc = np.divmod(np.flatnonzero(change), n)
+        r = np.concatenate([zr, cr]) + start
+        order = np.argsort(r, kind="stable")
+        rows.append(r[order])
+        los.append(np.concatenate([xs[zc], xs[cc]])[order])
+        his.append(np.concatenate([xs[zc], xs[cc + 1]])[order])
+    return np.concatenate(rows), np.concatenate(los), np.concatenate(his)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _bisect_brackets(lo, hi, s, c2, c1, c0):
+    """Bisect every bracket of f(x) = ((s x + c2) x + c1) x + c0 at once,
+    each with its own coefficients, until it collapses to adjacent floats.
+
+    No step limit: a root g in [0, 2^-10] takes log2(2^-10 / g) + 53 halvings,
+    up to about 1,075 for the smallest floats.  Each bracket is held as its
+    end u, where f is not negative (NaN counts as not negative), and its end
+    v, where f is negative; a step moves u to mid where f(mid) is not
+    negative, v where it is negative, and both where f(mid) = 0 exactly,
+    which ends the bracket at mid.  A collapsed bracket (its midpoint equals an end) is a
+    fixed point of the step, and a step that leaves a midpoint in place has
+    collapsed its bracket, so the loop runs until no midpoint moves."""
+    neg_lo = ((s * lo + c2) * lo + c1) * lo + c0 < 0.0
+    u = np.where(neg_lo, hi, lo)
+    v = np.where(neg_lo, lo, hi)
+    mid = 0.5 * (lo + hi)
+    while True:
+        fm = s * mid
+        fm += c2
+        fm *= mid
+        fm += c1
+        fm *= mid
+        fm += c0
+        np.copyto(u, mid, where=~(fm < 0.0))
+        np.copyto(v, mid, where=fm <= 0.0)
+        prev, mid = mid, 0.5 * (u + v)
+        if not np.count_nonzero(mid != prev):
+            return mid
+
+
+def _solve_powers(noise: NoiseSpec, powers: list[float], tol: float) -> list[FixedPoint]:
+    """``solve_fixed_point`` at every power of ``powers``, solved together."""
+    _validate_tol(tol)
+    _check_float_range(noise, powers)
+    p = np.array(powers, dtype=float)
+    a, b, c = _cubic_coeffs(noise, p)
+    lambda0, lambda1, lambda2 = _gap_cubic_coeffs(noise, p)
+    row, g_lo, g_hi = _scan_brackets(lambda0, lambda1, lambda2)
+    in_rho = g_lo >= 0.5
+    x = _bisect_brackets(
+        np.where(in_rho, 1.0 - g_hi, g_lo),
+        np.where(in_rho, 1.0 - g_lo, g_hi),
+        np.where(in_rho, 1.0, -1.0),
+        np.where(in_rho, a[row], lambda2[row]),
+        np.where(in_rho, b[row], lambda1[row]),
+        np.where(in_rho, c[row], lambda0[row]),
+    )
+    gap = np.where(in_rho, 1.0 - x, x)
+    rho = np.where(in_rho, x, 1.0 - x)
+    rec_res = np.abs(np.abs(_rho_recursion(rho, p[row], noise)) - rho)
+    # Per power, the genuine candidate with the smallest (gap, rho, residual):
+    # the first of its row once sorted.  A power with none keeps -1, which
+    # picks the NaN appended below.
+    genuine = np.flatnonzero(rec_res <= RECURSION_RESIDUAL_ACCEPT)
+    genuine = genuine[np.lexsort((rec_res[genuine], rho[genuine], gap[genuine], row[genuine]))]
+    found, first = np.unique(row[genuine], return_index=True)
+    best = np.full(len(p), -1)
+    best[found] = genuine[first]
+    rho_star, gap_star, rec_star = (np.append(v, np.nan)[best] for v in (rho, gap, rec_res))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(((rho_star + a) * rho_star + b) * rho_star + c)
+        bound = tol * (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
+    failed = np.flatnonzero((best < 0) | (residual > bound))
+    if failed.size:
+        i = failed[0]
+        if best[i] < 0:
+            candidates = list(
+                zip(gap[row == i].tolist(), rho[row == i].tolist(), rec_res[row == i].tolist())
+            )
+            raise NoFixedPointError(
+                "no root of the fixed-point cubic in [0, 1] is consistent with the "
+                f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
+            )
+        raise NoFixedPointError(
+            f"cubic residual {float(residual[i])} exceeds tolerance {float(bound[i])} "
+            f"at rho = {float(rho_star[i])}"
+        )
+    return [
+        FixedPoint(rho_star=r, gap=g, residual=e, recursion_residual=q)
+        for r, g, e, q in zip(
+            rho_star.tolist(), gap_star.tolist(), residual.tolist(), rec_star.tolist()
+        )
+    ]
 
 
 def solve_fixed_point(params: ChannelParams, tol: float = 1e-10) -> FixedPoint:
@@ -352,36 +477,11 @@ def solve_fixed_point(params: ChannelParams, tol: float = 1e-10) -> FixedPoint:
     alternates in sign with constant magnitude, so candidates whose
     recursion residual exceeds RECURSION_RESIDUAL_ACCEPT are dropped; the
     genuine root with the smallest gap (it maximizes both rates) is returned
-    once the rho-form cubic certifies it within ``tol``.
+    once the rho-form cubic certifies it within ``tol``.  Grids of powers
+    are solved together by the same code (``sweep_rates``,
+    ``verify_asymptotics``), with the same result at each power.
     """
-    _validate_tol(tol)
-    coeffs = cubic_coeffs(params)
-    gap_coeffs = gap_cubic_coeffs(params)
-    candidates = []
-    for g_lo, g_hi in _scan_unit_interval_brackets(gap_coeffs.evaluate):
-        if g_lo >= 0.5:
-            rho = _bisect_to_float_limit(coeffs.evaluate, 1.0 - g_hi, 1.0 - g_lo)
-            g = 1.0 - rho
-        else:
-            g = _bisect_to_float_limit(gap_coeffs.evaluate, g_lo, g_hi)
-            rho = 1.0 - g
-        candidates.append((g, rho, _recursion_residual(rho, params)))
-    genuine = [c for c in candidates if c[2] <= RECURSION_RESIDUAL_ACCEPT]
-    if not genuine:
-        raise NoFixedPointError(
-            "no root of the fixed-point cubic in [0, 1] is consistent with the "
-            f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
-        )
-    gap, rho_star, rec_res = min(genuine)
-    residual = abs(coeffs.evaluate(rho_star))
-    scale = 1.0 + abs(coeffs.a) + abs(coeffs.b) + abs(coeffs.c)
-    if residual > tol * scale:
-        raise NoFixedPointError(
-            f"cubic residual {residual} exceeds tolerance {tol * scale} at rho = {rho_star}"
-        )
-    return FixedPoint(
-        rho_star=rho_star, gap=gap, residual=residual, recursion_residual=rec_res
-    )
+    return _solve_powers(params.noise, [params.power], tol)[0]
 
 
 def solve_gap(params: ChannelParams, tol: float = 1e-10) -> float:
@@ -460,11 +560,10 @@ def sweep_rates(
         raise ParameterError("sweep range must span at least two decades")
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
+    grid = power_grid(p_start, p_stop, points_per_decade)
     rows = []
-    for p in power_grid(p_start, p_stop, points_per_decade):
-        params = ChannelParams(power=p, noise=noise)
-        fp = solve_fixed_point(params, tol)
-        rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
+    for p, fp in zip(grid, _solve_powers(noise, grid, tol)):
+        rp = achievable_rates(ChannelParams(power=p, noise=noise), fp.rho_star, gap=fp.gap)
         rows.append(
             SweepRow(
                 power=p,
@@ -506,28 +605,29 @@ def verify_asymptotics(
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if not (0.0 < eps < delta):
         raise ParameterError(f"eps must lie in (0, delta), got {eps}")
+    if not all(0.0 < p < math.inf for p in p_grid):
+        raise ParameterError("p_grid powers must be positive finite reals")
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
-    rows = []
-    for p in p_grid:
-        params = ChannelParams(power=p, noise=noise)
-        lam = gap_cubic_coeffs(params)
-        defect_term = p * _root_defect(p, s1, s2)
-        g = solve_gap(params)
-        rows.append(
-            AsymptoticsRow(
-                power=p,
-                lambda2=lam.lambda2,
-                lambda2_err=abs(lam.lambda2 - 2.0),
-                lambda1_scaled=p ** (1.0 - 0.5 * eps) * lam.lambda1,
-                root_defect=defect_term,
-                root_defect_err=abs(defect_term - half_noise_sum),
-                lambda0_scaled=(p ** (2.0 - delta - eps) * lam.lambda0) if anti else math.nan,
-                gap=g,
-                gap_scaled=p ** (1.0 - delta) * g,
-            )
+    fps = _solve_powers(noise, p_grid, 1e-10)
+    powers = np.array(p_grid, dtype=float)
+    lambda0, lambda1, lambda2 = (v.tolist() for v in _gap_cubic_coeffs(noise, powers))
+    defect_terms = (powers * _root_defect(powers, s1, s2)).tolist()
+    rows = [
+        AsymptoticsRow(
+            power=p,
+            lambda2=l2,
+            lambda2_err=abs(l2 - 2.0),
+            lambda1_scaled=p ** (1.0 - 0.5 * eps) * l1,
+            root_defect=d,
+            root_defect_err=abs(d - half_noise_sum),
+            lambda0_scaled=(p ** (2.0 - delta - eps) * l0) if anti else math.nan,
+            gap=fp.gap,
+            gap_scaled=p ** (1.0 - delta) * fp.gap,
         )
+        for p, l0, l1, l2, d, fp in zip(p_grid, lambda0, lambda1, lambda2, defect_terms, fps)
+    ]
     tail = [r for r in rows if r.power >= p_grid[-1] / 1e3]
     monotone: dict[str, bool | None] = {
         "lambda2_err": _strictly_decreasing([r.lambda2_err for r in tail]),

@@ -32,10 +32,13 @@ class NoiseSpec:
         for name, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
             if not (sigma > 0.0 and np.isfinite(sigma)):
                 raise ParameterError(f"{name} must be a positive finite real, got {sigma}")
-            # Squared as a Python float, which overflows to inf without the
-            # RuntimeWarning a numpy scalar raises.
-            if not math.isfinite(float(sigma) * float(sigma)):
+            # Squared as a Python float, which overflows to inf (or underflows
+            # to 0) without the RuntimeWarning a numpy scalar raises.
+            square = float(sigma) * float(sigma)
+            if not math.isfinite(square):
                 raise ParameterError(f"{name} = {sigma} is too large: its square overflows")
+            if square == 0.0:
+                raise ParameterError(f"{name} = {sigma} is too small: its square underflows")
         if not (-1.0 <= self.rho_z <= 1.0):
             raise ParameterError(f"rho_z must lie in [-1, 1], got {self.rho_z}")
         # These bounds make the covariance PSD: its trace is positive and its

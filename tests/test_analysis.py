@@ -242,6 +242,20 @@ def test_gap_just_below_float_range_anticorrelated():
     assert solve_gap(params_of(p)) * p == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-14)
 
 
+def test_solver_rejects_power_beyond_float_range():
+    with pytest.raises(ParameterError, match=r"P = 1e\+300 with sigma1 = 1.0, sigma2 = 1.0"):
+        solve_fixed_point(params_of(1e300))
+    with pytest.raises(ParameterError, match=r"P = 1e\+155 .*float range"):
+        sweep_rates(HEADLINE, 1e140, 1e155)
+    with pytest.raises(ParameterError, match=r"sigma1 = 1e\+100, sigma2 = 1e\+100"):
+        solve_fixed_point(params_of(1.0, 1e100, 1e100))
+    with pytest.raises(ParameterError, match=r"P = 1e-320 .*float range"):
+        solve_fixed_point(params_of(1e-320, 1e-3, 1e-3))
+    # P sqrt((P+1)(P+1)) = 1e308 is still in range at P = 1e154; its gap is
+    # the defect pinned just above.
+    solve_fixed_point(params_of(1e154))
+
+
 def test_fixed_point_contrast_uncorrelated_moderate_power():
     fp = solve_fixed_point(params_of(1e6, rz=0.0))
     assert 1.0 - fp.rho_star > 1e-3

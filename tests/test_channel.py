@@ -36,6 +36,16 @@ def test_noise_spec_rejects_sigma_whose_square_overflows(name, big):
     NoiseSpec(1e150, np.float64(1e150), -1.0)
 
 
+@pytest.mark.parametrize("tiny", [1e-200, np.float64(1e-200)], ids=["float", "float64"])
+@pytest.mark.parametrize("name", ["sigma1", "sigma2"])
+def test_noise_spec_rejects_sigma_whose_square_underflows(name, tiny):
+    sigmas = {"sigma1": 1.0, "sigma2": 1.0, name: tiny}
+    with pytest.raises(ParameterError, match=rf"{name} = 1e-200 .*square underflows"):
+        NoiseSpec(sigmas["sigma1"], sigmas["sigma2"], -1.0)
+    # A subnormal square is still nonzero.
+    NoiseSpec(1e-160, np.float64(1e-160), -1.0)
+
+
 def test_covariance_matrix():
     spec = NoiseSpec(1.0, 2.0, 0.25)
     cov = spec.covariance()

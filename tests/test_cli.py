@@ -68,6 +68,35 @@ def test_sigma_whose_square_overflows_exits_2(capsys, command, flag):
     assert f"{flag[2:]} = 1e+160" in err and "overflows" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate"])
+@pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])
+def test_sigma_whose_square_underflows_exits_2(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag, "1e-200")
+    assert code == 2 and out == ""
+    assert f"{flag[2:]} = 1e-200" in err and "underflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--power", "1e300"),
+        ("analyze", "--power", "2e154"),
+        ("analyze", "--sigma1", "1e100", "--sigma2", "1e100"),
+        ("analyze", "--power", "1e-320", "--sigma1", "1e-3", "--sigma2", "1e-3"),
+        ("simulate", "--power", "1e300"),
+        ("sweep", "--p-stop", "1e200"),
+        ("verify", "--p-stop", "1e200"),
+    ],
+)
+def test_power_beyond_solver_float_range_exits_2(capsys, argv):
+    # Rejected before any array arithmetic: no overflow RuntimeWarning (the
+    # suite turns those into errors), no exit 4 from the solver and, for a
+    # product that underflows to 0, no division by zero.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "beyond the solver's float range" in err and "P = " in err and "sigma1 = " in err
+
+
 def test_sweep_table_schema_and_monotonicity(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--p-start", "1e2", "--p-stop", "1e6")
     assert code == 0
