@@ -19,11 +19,13 @@ A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats;
 a campaign (``run_broadcast_campaign``) runs it on arrays of independent
 blocks and reduces each step to per-step sums as the step arrives.
-A campaign holds at most 65,536 blocks at once: chunk c of its blocks runs on
-the stream ``RngSpec(master_seed, c)``, the chunks' sums are added in
-chunk-index order, and every moment is formed once from the totals, so memory
-does not grow with the trial count and the result does not depend on the
-order chunks run in or on how many there are.
+A campaign splits its blocks into chunks of at most 65,536: chunk c runs on
+the stream ``RngSpec(master_seed, c)``, the chunks run concurrently, one per
+available CPU (a single chunk runs in the calling thread), their sums are
+added in chunk-index order, and every moment is formed once from the totals.
+Memory therefore grows with the number of CPUs, not with the trial count, and
+the bytes of the result do not depend on which thread ran which chunk, in
+what order, or on how many threads there were.
 
 Numerical note: the error process is independent of the transmitted messages,
 so trials propagate the errors directly and decode through the integer
@@ -36,6 +38,8 @@ represent.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -302,38 +306,47 @@ def _coding_loop(
     encoder knows both errors, so the mode runs the broadcast scheme."""
     noise, p = params.noise, params.power
     var1, var2 = schedule.var_theta1, schedule.var_theta2
-    theta1 = 0.5 - (m1 - 1) / config.levels1
-    theta2 = 0.5 - (m2 - 1) / config.levels2
-    x1 = math.sqrt(p / var1) * theta1
-    x2 = math.sqrt(p / var2) * theta2
 
     # t = 1 and t = 2 plant the message points (transmitter v sends point v
-    # in interference mode).  Receiver 1 keeps only t = 1 and receiver 2 only
-    # t = 2, so the initial errors are uncorrelated.
-    z1_t1, z2_t1 = sample_noise_pair(noise, gen, size)
-    yield x1, x1, 0.0, None, None
-    z1_t2, z2_t2 = sample_noise_pair(noise, gen, size)
-    eps1 = math.sqrt(var1 / p) * z1_t1
-    eps2 = math.sqrt(var2 / p) * z2_t2
-
-    yield x2, 0.0, x2, eps1, eps2
+    # in interference mode).  Receiver 1 keeps only the noise of t = 1 and
+    # receiver 2 only that of t = 2, so the initial errors are uncorrelated.
+    # No array stays bound once no later step needs it, and the caller owns
+    # each step's arrays after the yield: a campaign chunk's working set is
+    # the two errors plus the arrays of the step in flight.
+    eps1 = math.sqrt(var1 / p) * sample_noise_pair(noise, gen, size)[0]
+    x = math.sqrt(p / var1) * (0.5 - (m1 - 1) / config.levels1)
+    del m1
+    yield x, x, 0.0, None, None
+    del x
+    eps2 = math.sqrt(var2 / p) * sample_noise_pair(noise, gen, size)[1]
+    x = math.sqrt(p / var2) * (0.5 - (m2 - 1) / config.levels2)
+    del m2
+    yield x, 0.0, x, eps1, eps2
+    del x
 
     g = gamma(noise)
     per_step = (
         schedule.psi, schedule.alpha1, schedule.alpha2, schedule.rho, schedule.c1, schedule.c2
     )
     for psi, a1, a2, rho, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
+        z1, z2 = sample_noise_pair(noise, gen, size)
         sgn = 1.0 if rho >= 0.0 else -1.0
         t1 = psi / math.sqrt(a1) * eps1
         t2 = (psi * g * sgn / math.sqrt(a2)) * eps2
         x = t1 + t2
-        z1, z2 = sample_noise_pair(noise, gen, size)
         # The unit-gain interference channel adds t1 and t2 into this same x.
-        y1, y2 = x + z1, x + z2
-        # Each receiver subtracts its LMMSE estimate of its error from y_v.
-        eps1 = eps1 - c1 * y1
-        eps2 = eps2 - c2 * y2
+        # Receiver v sees y_v = x + z_v and subtracts c_v * y_v, its LMMSE
+        # estimate of its error; both are formed in place of the noise.
+        z1 += x
+        z1 *= c1
+        eps1 = eps1 - z1
+        del z1
+        z2 += x
+        z2 *= c2
+        eps2 = eps2 - z2
+        del z2
         yield x, t1, t2, eps1, eps2
+        del x, t1, t2
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +502,9 @@ def _wilson_interval(errors: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _decoded_correctly(eps: np.ndarray, m: np.ndarray, levels: int) -> np.ndarray:
-    """Per block, whether ``_decode_from_error`` returns the sent index m.
+def _decoded_correctly(eps: np.ndarray, first: np.ndarray, last: np.ndarray, levels: int):
+    """Per block, whether ``_decode_from_error`` returns the sent index m,
+    given the flags ``first`` (m == 1) and ``last`` (m == levels).
 
     Decided on the offset k = floor(eps * levels + 1/2) rather than on
     m - k, which float arithmetic rounds back to m beyond 2**53 points: the
@@ -499,7 +513,7 @@ def _decoded_correctly(eps: np.ndarray, m: np.ndarray, levels: int) -> np.ndarra
     and m == levels.
     """
     k = np.floor(eps * float(levels) + 0.5)
-    return (k == 0) | ((k > 0) & (m == 1)) | (~(k >= 0) & (m == levels))
+    return (k == 0) | ((k > 0) & first) | (~(k >= 0) & last)
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -528,18 +542,71 @@ def _chunk_sums(
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
-    sums = np.zeros((8, config.n))
     steps = _coding_loop(config, params, schedule, gen, m1, m2, size)
-    for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
+    # Decoding needs only whether each message is an end of its grid.
+    edges1 = m1 == 1, m1 == config.levels1
+    edges2 = m2 == 1, m2 == config.levels2
+    del m1, m2
+    sums = np.zeros((8, config.n))
+    # Not enumerate(steps), whose cached tuple would keep the previous
+    # step's arrays alive while the next one runs.
+    t = 0
+    for x, t1, t2, eps1, eps2 in steps:
         sums[0, t] = np.sum(x * x)
         if mode == "interference":
             sums[1:3, t] = np.sum(t1 * t1), np.sum(t2 * t2)
+        del x, t1, t2
         if t:
             sums[3:, t] = [np.sum(v) for v in (eps1, eps2, eps1 * eps1, eps2 * eps2, eps1 * eps2)]
+        t += 1
 
-    ok1 = _decoded_correctly(eps1, m1, config.levels1)
-    ok2 = _decoded_correctly(eps2, m2, config.levels2)
+    ok1 = _decoded_correctly(eps1, *edges1, config.levels1)
+    ok2 = _decoded_correctly(eps2, *edges2, config.levels2)
     return sums, int(size - np.count_nonzero(ok1 & ok2))
+
+
+def _available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(run, sizes: list[int]) -> list:
+    """``[run(c, size) for c, size in enumerate(sizes)]``, computed by this
+    thread alongside min(len(sizes), CPUs) - 1 helper threads.
+
+    Every thread takes the next chunk from one shared iterator and stores
+    its result at the chunk's index, so the list does not depend on which
+    thread ran which chunk.  numpy releases the GIL in the Philox fills and
+    in the ufuncs, so chunks do run side by side.  A single chunk runs here
+    and starts no thread.  Once a chunk raises, no thread starts another
+    one, and the first exception is raised here after every helper stopped.
+    """
+    results = [None] * len(sizes)
+    todo = enumerate(sizes)  # next() on a builtin iterator holds the GIL throughout
+    failures = []
+
+    def work():
+        try:
+            for c, size in todo:
+                if failures:
+                    return
+                results[c] = run(c, size)
+        except BaseException as exc:  # raised again in the calling thread
+            failures.append(exc)
+
+    workers = min(len(sizes), _available_cpus())
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def run_broadcast_campaign(
@@ -559,11 +626,14 @@ def run_broadcast_campaign(
     The sums are added in chunk-index order and the moments formed once from
     the totals: mean = S / N, SS = S_2 - N mean^2, variance SS / (N - 1) and
     correlation co-moment / (sqrt(SS_1) sqrt(SS_2)), the same for one chunk
-    or many.  Memory is therefore bounded by the chunk size, not by
-    ``trials``, and identical invocations produce bitwise-identical
-    summaries.  A campaign of at most 65,536 trials is a single chunk on
-    ``RngSpec(master_seed, 0)``.  The block error rate comes with a 95%
-    Wilson interval.
+    or many.  The chunks run concurrently on the calling thread and
+    min(chunks, available CPUs) - 1 helper threads; a campaign of at most
+    65,536 trials is a single chunk on ``RngSpec(master_seed, 0)`` and runs
+    in the calling thread alone.  Memory is therefore bounded by one chunk
+    per thread, not by ``trials``, and identical invocations produce
+    bitwise-identical summaries, whatever the number of CPUs.  An exception
+    raised in any chunk is raised here.  The block error rate comes with a
+    95% Wilson interval.
     """
     if not (isinstance(trials, (int, np.integer)) and trials >= 100):
         raise ParameterError(f"trials must be an integer >= 100, got {trials!r}")
@@ -571,10 +641,10 @@ def run_broadcast_campaign(
         config, params, mode, fed_back_receiver, fixpoint_init=fixpoint_init
     )
     n = config.n
-    chunks = [
-        _chunk_sums(config, params, schedule, mode, RngSpec(master_seed, c), size)
-        for c, size in enumerate(_chunk_sizes(trials))
-    ]
+    chunks = _map_chunks(
+        lambda c, size: _chunk_sums(config, params, schedule, mode, RngSpec(master_seed, c), size),
+        _chunk_sizes(trials),
+    )
     # Summed in chunk-index order, whatever order the chunks ran in.
     power, tx1, tx2, s1, s2, sq1, sq2, s12 = sum(sums for sums, _ in chunks)
     errors = sum(e for _, e in chunks)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +30,7 @@ from gbflab import (
     solve_fixed_point,
     step_error_state,
 )
+from gbflab import simulate
 from gbflab.simulate import (
     _chunk_sizes,
     _coding_loop,
@@ -249,8 +253,9 @@ def test_campaign_success_mask_matches_exact_decode_beyond_2_53_points():
     m = np.array([c[0] for c in cases], dtype=np.int64)
     eps = np.array([c[1] for c in cases]) / levels
     expected = [_decode_from_error(e, int(mi), levels) == mi for e, mi in zip(eps, m)]
-    assert _decoded_correctly(eps, m, levels).tolist() == expected
-    assert not _decoded_correctly(np.array([3.0 / levels]), np.array([2**60]), levels)[0]
+    assert _decoded_correctly(eps, m == 1, m == levels, levels).tolist() == expected
+    m = np.array([2**60])
+    assert not _decoded_correctly(np.array([3.0 / levels]), m == 1, m == levels, levels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +505,8 @@ def test_multi_chunk_campaign_pools_its_chunk_streams():
             m2 = _draw_messages(gen, config.levels2, size)
             steps = list(_coding_loop(config, params, schedule, gen, m1, m2, size))
             eps1, eps2 = steps[-1][3], steps[-1][4]
-            ok1 = _decoded_correctly(eps1, m1, config.levels1)
-            ok2 = _decoded_correctly(eps2, m2, config.levels2)
+            ok1 = _decoded_correctly(eps1, m1 == 1, m1 == config.levels1, config.levels1)
+            ok2 = _decoded_correctly(eps2, m2 == 1, m2 == config.levels2, config.levels2)
             errors += size - int(np.count_nonzero(ok1 & ok2))
             chunks.append(
                 [[np.broadcast_to(v, (size,)) for v in step if v is not None] for step in steps]
@@ -558,6 +563,113 @@ def test_campaign_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_campaign_chunk_working_set_stays_small():
+    # One chunk of 65,536 blocks keeps only the two errors, the message edge
+    # flags and the arrays of the step in flight, 0.52 MB each: about 4.5 MB
+    # at the peak.  A thread per CPU holds one such chunk.
+    params = ChannelParams(100.0, NoiseSpec(1.0, 2.0, 0.3))
+    config = headline_config(n=20, params=params)
+    tracemalloc.start()
+    try:
+        run_broadcast_campaign(config, params, 65_536, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
+
+
+def _chunks_side_by_side(monkeypatch, cpus, chunks, fail_at=None):
+    """Run campaigns as on ``cpus`` CPUs.  The first min(chunks, cpus)
+    chunks meet at a barrier before they compute, so each of them must run
+    on its own thread; chunk ``fail_at`` then raises."""
+    workers = min(chunks, cpus)
+    barrier = threading.Barrier(workers, timeout=30)
+    original = simulate._chunk_sums
+
+    def chunk_sums(config, params, schedule, mode, rng, size):
+        if rng.stream_id < workers:
+            barrier.wait()
+        if rng.stream_id == fail_at:
+            raise UnsupportedConfigurationError(f"chunk {fail_at} failed")
+        return original(config, params, schedule, mode, rng, size)
+
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "_chunk_sums", chunk_sums)
+
+
+def _summary_bytes(summary):
+    return {
+        f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+        for f in dataclasses.fields(summary)
+        for v in [getattr(summary, f.name)]
+    }
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "interference", "limited"])
+def test_campaign_bytes_do_not_depend_on_the_worker_count(monkeypatch, mode):
+    # Three chunks on one, two and three threads (four CPUs offered).
+    config = headline_config(n=6)
+    trials = 150_000
+    assert len(_chunk_sizes(trials)) == 3
+    summaries = []
+    for cpus in (1, 2, 4):
+        with monkeypatch.context() as m:
+            _chunks_side_by_side(m, cpus, chunks=3)
+            summary = run_broadcast_campaign(config, HEADLINE, trials, 8, mode)
+            summaries.append(_summary_bytes(summary))
+    assert summaries[0] == summaries[1] == summaries[2]
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 2])
+def test_campaign_raises_the_error_of_a_chunk_on_any_thread(monkeypatch, fail_at):
+    # The three chunks run on three threads, so two of these cases fail in
+    # a helper thread.  The error reaches the caller with its own type, and
+    # every helper has stopped by then.
+    _chunks_side_by_side(monkeypatch, 4, chunks=3, fail_at=fail_at)
+    before = threading.active_count()
+    with pytest.raises(UnsupportedConfigurationError, match=f"chunk {fail_at} failed"):
+        run_broadcast_campaign(headline_config(n=6), HEADLINE, 150_000, 8)
+    assert threading.active_count() == before
+
+
+def test_chunk_map_runs_every_chunk_once_under_thread_stress(monkeypatch):
+    # Eight threads on a shortened switch interval take 2,000 chunks from
+    # the shared iterator: a chunk taken twice or lost would change the
+    # calls or leave a result missing.
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 8)
+    calls = []
+
+    def run(c, size):
+        calls.append(c)
+        return c * size
+
+    sizes = list(range(1, 2001))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = simulate._map_chunks(run, sizes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(2000))
+    assert results == [c * size for c, size in enumerate(sizes)]
+
+
+def test_single_chunk_campaign_starts_no_thread(monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(simulate.threading, "Thread", CountedThread)
+    run_broadcast_campaign(headline_config(n=6), HEADLINE, 65_536, 8)
+    assert started == []
+    run_broadcast_campaign(headline_config(n=6), HEADLINE, 65_537, 8)
+    assert len(started) == 1
 
 
 def test_campaign_moments_match_recursion_asymmetric():
