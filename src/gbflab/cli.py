@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -117,11 +118,11 @@ def _cmd_sweep(opts: dict) -> tuple[list[str], int]:
 
 def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
     params = ChannelParams(power=opts["power"], noise=_noise_from(opts))
+    fraction = opts["rate_fraction"]
+    if not (0.0 < fraction < 1.0):
+        raise ParameterError(f"rate_fraction must lie in (0, 1), got {fraction}")
     rate1, rate2 = opts["rate1"], opts["rate2"]
     if rate1 is None or rate2 is None:
-        fraction = opts["rate_fraction"]
-        if not (0.0 < fraction < 1.0):
-            raise ParameterError(f"rate_fraction must lie in (0, 1), got {fraction}")
         fp = solve_fixed_point(params, opts["tol"])
         rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
         if rate1 is None:
@@ -135,8 +136,6 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
         opts["trials"],
         opts["seed"],
         mode=opts["mode"],
-        fed_back_receiver=opts["fed_back_receiver"],
-        fixpoint_init=opts["fixpoint_init"],
     )
     lines = _option_header("simulate", opts)
     summary_fields = [
@@ -220,11 +219,16 @@ def _cmd_verify(opts: dict) -> tuple[list[str], int]:
 def _cmd_classify(opts: dict) -> tuple[list[str], int]:
     path = opts["matrix"]
     try:
-        matrix = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt's only warning: "input contained no data"
+            warnings.simplefilter("error", UserWarning)
+            matrix = np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise ParameterError(f"cannot read matrix file {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"malformed matrix file {path!r}: {exc}") from exc
+    except UserWarning as exc:
+        raise ParameterError(f"matrix file {path!r} holds no rows") from exc
     result = prelog_classify(matrix)
     lines = _option_header("classify", opts)
     lines.append(f"class={result.value.value}")
@@ -237,7 +241,7 @@ def _cmd_classify(opts: dict) -> tuple[list[str], int]:
 # ---------------------------------------------------------------------------
 
 
-# name -> (type, default, help, choices); a type of bool is a store_true flag
+# name -> (type, default, help, choices)
 _OPTIONS = {
     "power": (float, 100.0, "average block power P", None),
     "sigma1": (float, 1.0, "noise std. dev. at receiver 1", None),
@@ -260,13 +264,6 @@ _OPTIONS = {
         None,
     ),
     "mode": (str, "broadcast", None, _MODES),
-    "fed_back_receiver": (int, 1, "receiver whose outputs are fed back in limited mode", [1, 2]),
-    "fixpoint_init": (
-        bool,
-        False,
-        "derive the coefficient schedule from a correlation pinned at the fixed point",
-        None,
-    ),
     "seed": (int, 20240901, "master seed", None),
     "matrix": (str, None, "text file, one matrix row per line, whitespace separated", None),
     "out": (str, None, "output file (default: stdout)", None),
@@ -283,7 +280,7 @@ _COMMANDS = {
               (*_GRID, *_NOISE, "tol", "delta", "out")),
     "simulate": ("Monte Carlo campaign", _cmd_simulate,
                  ("power", *_NOISE, "tol", "trials", "block_length", "rate1", "rate2",
-                  "rate_fraction", "mode", "fed_back_receiver", "fixpoint_init", "seed", "out")),
+                  "rate_fraction", "mode", "seed", "out")),
     "verify": ("high-power limit diagnostics", _cmd_verify,
                (*_GRID, *_NOISE, "delta", "eps", "out")),
     "classify": ("K-receiver pre-log class from a correlation matrix", _cmd_classify,
@@ -302,10 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             kind, _, help_text, choices = _OPTIONS[name]
             flag = name if name == "matrix" else "--" + name.replace("_", "-")  # one positional
-            if kind is bool:
-                p.add_argument(flag, action="store_true", default=None, help=help_text)
-            else:
-                p.add_argument(flag, type=kind, choices=choices, help=help_text)
+            p.add_argument(flag, type=kind, choices=choices, help=help_text)
         p.add_argument("--config", help="JSON file of option defaults; flags override it")
     return parser
 

@@ -45,6 +45,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+# solve_fixed_point is unused here but kept: perfbench/tracing.py patches simulate.solve_fixed_point
 from .analysis import ErrorState, gamma, solve_fixed_point, step_error_state
 from .channel import (
     ChannelParams,
@@ -181,7 +182,6 @@ def lmmse_coefficient_schedule(
     n: int,
     var_theta1: float,
     var_theta2: float,
-    init_rho: float = 0.0,
 ) -> CoefficientSchedule:
     """Closed-form scalar LMMSE coefficient for every receiver and step.
 
@@ -189,9 +189,8 @@ def lmmse_coefficient_schedule(
     moments taken from the analytic schedule; the moments induced by that
     projection reproduce the closed-form variance and correlation recursions
     exactly, which is the defining cross-check of the scheme implementation.
-    The natural initial state after the two dedicated channel uses has
-    uncorrelated errors; ``init_rho`` can pin it elsewhere (e.g. at the fixed
-    point) for studying the pinned regime.
+    The schedule starts, after the two dedicated channel uses, from the
+    uncorrelated errors (rho = 0) that the coding loop produces there.
     """
     if n < 3:
         raise ParameterError(f"block length must be >= 3, got {n}")
@@ -204,7 +203,7 @@ def lmmse_coefficient_schedule(
     state = ErrorState(
         alpha1=var_theta1 * s1 * s1 / p,
         alpha2=var_theta2 * s2 * s2 / p,
-        rho=init_rho,
+        rho=0.0,
         step_index=2,
     )
     alpha1 = [state.alpha1]
@@ -246,7 +245,6 @@ def _checked_schedule(
     mode: str,
     fed_back_receiver: int,
     schedule: CoefficientSchedule | None = None,
-    fixpoint_init: bool = False,
 ) -> CoefficientSchedule:
     """Reject inputs the coding loop cannot run, then return ``schedule`` or,
     when it is None, the schedule of ``config``."""
@@ -275,8 +273,7 @@ def _checked_schedule(
                 f"({schedule.var_theta1}, {schedule.var_theta2}), not ({var1}, {var2})"
             )
         return schedule
-    init_rho = solve_fixed_point(params).rho_star if fixpoint_init else 0.0
-    return lmmse_coefficient_schedule(params, config.n, var1, var2, init_rho=init_rho)
+    return lmmse_coefficient_schedule(params, config.n, var1, var2)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +613,6 @@ def run_broadcast_campaign(
     master_seed: int,
     mode: str = "broadcast",
     fed_back_receiver: int = 1,
-    fixpoint_init: bool = False,
 ) -> McSummary:
     """Aggregate ``trials`` independent blocks, vectorized across trials.
 
@@ -637,9 +633,7 @@ def run_broadcast_campaign(
     """
     if not (isinstance(trials, (int, np.integer)) and trials >= 100):
         raise ParameterError(f"trials must be an integer >= 100, got {trials!r}")
-    schedule = _checked_schedule(
-        config, params, mode, fed_back_receiver, fixpoint_init=fixpoint_init
-    )
+    schedule = _checked_schedule(config, params, mode, fed_back_receiver)
     n = config.n
     chunks = _map_chunks(
         lambda c, size: _chunk_sums(config, params, schedule, mode, RngSpec(master_seed, c), size),

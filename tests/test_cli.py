@@ -227,6 +227,14 @@ def test_classify_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(missing))
     assert code == 2
 
+    # no rows: one error line, no numpy warning and no shape complaint
+    for name, text in [("empty.txt", ""), ("blank.txt", "  \n\t\n\n")]:
+        blank = tmp_path / name
+        blank.write_text(text)
+        code, out, err = run_cli(capsys, "classify", str(blank))
+        assert code == 2 and out == ""
+        assert err == f"gbflab classify: error: matrix file {str(blank)!r} holds no rows\n"
+
 
 def test_simulate_underflow_exits_4(capsys):
     # a block too long for this power underflows the error variance schedule
@@ -275,7 +283,7 @@ def test_config_file_precedence(tmp_path, capsys):
     [
         ("analyze", "power", "100"),
         ("simulate", "trials", 100.5),
-        ("simulate", "fixpoint_init", "yes"),
+        ("simulate", "mode", 1),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, value):
@@ -284,6 +292,32 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, valu
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 2 and out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("key, value", [("fixpoint_init", True), ("fed_back_receiver", 1)])
+def test_config_naming_a_deleted_simulate_option_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "config keys not recognized" in err and key in err
+
+
+@pytest.mark.parametrize("flags", [["--fixpoint-init"], ["--fed-back-receiver", "1"]])
+def test_deleted_simulate_flag_exits_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--trials", "100", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_rate_fraction_is_checked_when_both_rates_are_given(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--rate1", "0.5", "--rate2", "0.5", "--rate-fraction", "5",
+        "--trials", "100",
+    )
+    assert code == 2 and out == ""
+    assert "rate_fraction must lie in (0, 1), got 5.0" in err
 
 
 def test_config_integer_for_float_flag_parses_as_float(tmp_path, capsys):
@@ -311,7 +345,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("analyze",): "f5d33c0e95d8fc6352e77cf3e926bb3c6caec13230b15684d067a881e0ef1a24",
     ("sweep",): "67cbfb111b65879e5919ea214a3aef1941138858dc52171046c96a56c3244bf9",
     ("verify",): "98e8ffceb534b87a0c2f9ca859480429accd1d6f51c5e8c9d2378389adc372cd",
-    ("simulate", "--trials", "2000"): "ce7b9769f4a356c71020ee8b954522675778833e08ce414ccd1ee9520131242a",
+    ("simulate", "--trials", "2000"): "44e07b0d19f25873887b79263ae61f935c94ccaf58aeadf46298aee62744529f",
 }
 
 
@@ -348,8 +382,8 @@ OPTION_DEFAULTS = {
     "power": 100.0, "sigma1": 1.0, "sigma2": 1.0, "rhoz": -1.0, "tol": 1e-10,
     "p_start": 1e2, "p_stop": 1e10, "points_per_decade": 4, "delta": 0.2, "eps": 0.1,
     "trials": 10_000, "block_length": 20, "rate1": None, "rate2": None,
-    "rate_fraction": 0.7, "mode": "broadcast", "fed_back_receiver": 1,
-    "fixpoint_init": False, "seed": 20240901, "matrix": None, "out": None,
+    "rate_fraction": 0.7, "mode": "broadcast", "seed": 20240901, "matrix": None,
+    "out": None,
 }
 
 

@@ -736,14 +736,6 @@ def test_campaign_rejects_trials_that_are_not_an_integer_of_at_least_100(trials)
         run_broadcast_campaign(headline_config(n=10), HEADLINE, trials, 0)
 
 
-def test_campaign_fixpoint_init_pins_schedule_correlation():
-    config = headline_config(n=10)
-    summary = run_broadcast_campaign(config, HEADLINE, 200, 1, fixpoint_init=True)
-    fp = solve_fixed_point(HEADLINE)
-    assert summary.rho[0] == pytest.approx(fp.rho_star, abs=1e-12)
-    assert abs(summary.rho[1]) == pytest.approx(fp.rho_star, abs=1e-9)
-
-
 def test_message_config_validation():
     with pytest.raises(ParameterError):
         MessageConfig(n=2, rate1=0.5, rate2=0.5)
