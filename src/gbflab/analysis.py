@@ -11,7 +11,7 @@ verification, and the K-receiver pre-log classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,9 @@ from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 # Roots are accepted as genuine fixed points only if one application of the
 # correlation recursion returns to them (in magnitude) within this residual.
 RECURSION_RESIDUAL_ACCEPT = 1e-6
+# The returned root must satisfy the rho-form cubic to within this multiple
+# of 1 + |a| + |b| + |c|; bisection to adjacent floats leaves ~2e-16.
+CUBIC_RESIDUAL_ACCEPT = 1e-10
 # Sign-change scan resolution over [0, 1] before bisection.
 _SCAN_SUBINTERVALS = 1024
 # Powers per block of the 2-D scan, which bounds its sample array's size.
@@ -42,7 +45,6 @@ class ErrorState:
     alpha1: float
     alpha2: float
     rho: float
-    step_index: int = 2
 
     def __post_init__(self) -> None:
         if not (self.alpha1 >= 0.0 and self.alpha2 >= 0.0):
@@ -51,8 +53,6 @@ class ErrorState:
             raise NumericalIntegrityError(
                 f"|rho| = {abs(self.rho)} exceeds 1 beyond tolerance"
             )
-        if self.step_index < 2:
-            raise ParameterError("step_index starts at 2")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class RatePoint:
     """Achievable rate pair at a given power, plus the finite-power quotient
     of the sum rate by the single-channel log capacity growth."""
 
-    power: float
     r1: float
     r2: float
     sum: float
@@ -136,13 +135,10 @@ class AsymptoticsRow:
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    noise: NoiseSpec
-    delta: float
-    eps: float
     rows: tuple[AsymptoticsRow, ...]
     # name -> strictly-decreasing verdict over the last three decades
     # (None when the quantity does not apply to this noise correlation)
-    monotone: dict[str, bool | None] = field(default_factory=dict)
+    monotone: dict[str, bool | None]
 
 
 @dataclass(frozen=True)
@@ -311,20 +307,12 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
         alpha1=state.alpha1 * ratio1,
         alpha2=state.alpha2 * ratio2,
         rho=rho_next,
-        step_index=state.step_index + 1,
     )
 
 
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
-
-
-def _validate_tol(tol: float) -> None:
-    if not (0.0 < tol <= 1e-6):
-        raise ParameterError(f"tol must lie in (0, 1e-6], got {tol}")
-    if tol < 1e-14:
-        raise ParameterError("tol below 1e-14 is not certifiable in double precision")
 
 
 def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
@@ -409,9 +397,8 @@ def _bisect_brackets(lo, hi, s, c2, c1, c0):
             return mid
 
 
-def _solve_powers(noise: NoiseSpec, powers: list[float], tol: float) -> list[FixedPoint]:
+def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
     """``solve_fixed_point`` at every power of ``powers``, solved together."""
-    _validate_tol(tol)
     _check_float_range(noise, powers)
     p = np.array(powers, dtype=float)
     a, b, c = _cubic_coeffs(noise, p)
@@ -440,7 +427,7 @@ def _solve_powers(noise: NoiseSpec, powers: list[float], tol: float) -> list[Fix
     rho_star, gap_star, rec_star = (np.append(v, np.nan)[best] for v in (rho, gap, rec_res))
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(((rho_star + a) * rho_star + b) * rho_star + c)
-        bound = tol * (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
+        bound = CUBIC_RESIDUAL_ACCEPT * (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
     failed = np.flatnonzero((best < 0) | (residual > bound))
     if failed.size:
         i = failed[0]
@@ -464,7 +451,7 @@ def _solve_powers(noise: NoiseSpec, powers: list[float], tol: float) -> list[Fix
     ]
 
 
-def solve_fixed_point(params: ChannelParams, tol: float = 1e-10) -> FixedPoint:
+def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     """Find the operating correlation magnitude rho* in [0, 1] and its gap
     g = 1 - rho*.
 
@@ -477,17 +464,18 @@ def solve_fixed_point(params: ChannelParams, tol: float = 1e-10) -> FixedPoint:
     alternates in sign with constant magnitude, so candidates whose
     recursion residual exceeds RECURSION_RESIDUAL_ACCEPT are dropped; the
     genuine root with the smallest gap (it maximizes both rates) is returned
-    once the rho-form cubic certifies it within ``tol``.  Grids of powers
+    once the rho-form cubic certifies it: its residual must not exceed
+    CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).  Grids of powers
     are solved together by the same code (``sweep_rates``,
     ``verify_asymptotics``), with the same result at each power.
     """
-    return _solve_powers(params.noise, [params.power], tol)[0]
+    return _solve_powers(params.noise, [params.power])[0]
 
 
-def solve_gap(params: ChannelParams, tol: float = 1e-10) -> float:
+def solve_gap(params: ChannelParams) -> float:
     """The gap g = 1 - rho* of ``solve_fixed_point``, solved in its own
     variable wherever g < 1/2 so that it keeps full relative precision."""
-    return solve_fixed_point(params, tol).gap
+    return solve_fixed_point(params).gap
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +500,6 @@ def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint
     r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / math.log(2.0)
     total = r1 + r2
     return RatePoint(
-        power=p,
         r1=r1,
         r2=r2,
         sum=total,
@@ -529,7 +516,9 @@ def single_user_bound(params: ChannelParams, receiver: int) -> float:
         s = params.noise.sigma2
     else:
         raise ParameterError(f"receiver must be 1 or 2, got {receiver}")
-    return 0.5 * math.log2(1.0 + params.power / (s * s))
+    # log1p, as in achievable_rates: log2(1 + P/s^2) is 0.0 once P/s^2 is
+    # below rounding of 1.
+    return 0.5 * math.log1p(params.power / (s * s)) / math.log(2.0)
 
 
 def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[float]:
@@ -549,7 +538,6 @@ def sweep_rates(
     p_stop: float,
     points_per_decade: int = 4,
     delta: float = 0.2,
-    tol: float = 1e-10,
 ) -> list[SweepRow]:
     """Fixed point, gap, rates and pre-log ratio over a power grid.
 
@@ -562,7 +550,7 @@ def sweep_rates(
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
     rows = []
-    for p, fp in zip(grid, _solve_powers(noise, grid, tol)):
+    for p, fp in zip(grid, _solve_powers(noise, grid)):
         rp = achievable_rates(ChannelParams(power=p, noise=noise), fp.rho_star, gap=fp.gap)
         rows.append(
             SweepRow(
@@ -610,7 +598,7 @@ def verify_asymptotics(
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
-    fps = _solve_powers(noise, p_grid, 1e-10)
+    fps = _solve_powers(noise, p_grid)
     powers = np.array(p_grid, dtype=float)
     lambda0, lambda1, lambda2 = (v.tolist() for v in _gap_cubic_coeffs(noise, powers))
     defect_terms = (powers * _root_defect(powers, s1, s2)).tolist()
@@ -638,9 +626,7 @@ def verify_asymptotics(
         ),
         "gap_scaled": _strictly_decreasing([r.gap_scaled for r in tail]) if anti else None,
     }
-    return AsymptoticsReport(
-        noise=noise, delta=delta, eps=eps, rows=tuple(rows), monotone=monotone
-    )
+    return AsymptoticsReport(rows=tuple(rows), monotone=monotone)
 
 
 # ---------------------------------------------------------------------------

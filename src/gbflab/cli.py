@@ -80,7 +80,7 @@ def _noise_from(opts: dict) -> NoiseSpec:
 
 def _cmd_analyze(opts: dict) -> tuple[list[str], int]:
     params = ChannelParams(power=opts["power"], noise=_noise_from(opts))
-    fp = solve_fixed_point(params, opts["tol"])
+    fp = solve_fixed_point(params)
     rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
     lines = _option_header("analyze", opts)
     for key, value in [
@@ -108,7 +108,6 @@ def _cmd_sweep(opts: dict) -> tuple[list[str], int]:
         opts["p_stop"],
         opts["points_per_decade"],
         delta=opts["delta"],
-        tol=opts["tol"],
     )
     lines = _option_header("sweep", opts)
     lines.append("P,rho_star,g,R1,R2,sum,prelog_ratio,scaled_gap")
@@ -123,7 +122,7 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
         raise ParameterError(f"rate_fraction must lie in (0, 1), got {fraction}")
     rate1, rate2 = opts["rate1"], opts["rate2"]
     if rate1 is None or rate2 is None:
-        fp = solve_fixed_point(params, opts["tol"])
+        fp = solve_fixed_point(params)
         rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
         if rate1 is None:
             rate1 = fraction * rp.r1
@@ -250,7 +249,6 @@ _OPTIONS = {
     "p_start": (float, 1e2, "first grid power", None),
     "p_stop": (float, 1e10, "last grid power", None),
     "points_per_decade": (int, 4, "grid density", None),
-    "tol": (float, 1e-10, "cubic residual tolerance", None),
     "delta": (float, 0.2, "exponent in scaled_gap = P^(1-delta) * g", None),
     "eps": (float, 0.1, "slack exponent, 0 < eps < delta", None),
     "trials": (int, 10_000, "number of independent blocks", None),
@@ -275,11 +273,11 @@ _GRID = ("p_start", "p_stop", "points_per_decade")
 # subcommand -> (help, handler, its options in --help order); each also takes --config
 _COMMANDS = {
     "analyze": ("fixed point and rates at one power", _cmd_analyze,
-                ("power", *_NOISE, "tol", "out")),
+                ("power", *_NOISE, "out")),
     "sweep": ("rates and gap over a power grid", _cmd_sweep,
-              (*_GRID, *_NOISE, "tol", "delta", "out")),
+              (*_GRID, *_NOISE, "delta", "out")),
     "simulate": ("Monte Carlo campaign", _cmd_simulate,
-                 ("power", *_NOISE, "tol", "trials", "block_length", "rate1", "rate2",
+                 ("power", *_NOISE, "trials", "block_length", "rate1", "rate2",
                   "rate_fraction", "mode", "seed", "out")),
     "verify": ("high-power limit diagnostics", _cmd_verify,
                (*_GRID, *_NOISE, "delta", "eps", "out")),

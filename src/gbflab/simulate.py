@@ -204,16 +204,15 @@ def lmmse_coefficient_schedule(
         alpha1=var_theta1 * s1 * s1 / p,
         alpha2=var_theta2 * s2 * s2 / p,
         rho=0.0,
-        step_index=2,
     )
     alpha1 = [state.alpha1]
     alpha2 = [state.alpha2]
     rho = [state.rho]
     psi, c1, c2 = [], [], []
-    for _ in range(3, n + 1):
+    for k in range(3, n + 1):
         if not (state.alpha1 > 0.0 and state.alpha2 > 0.0):
             raise NumericalIntegrityError(
-                f"error variance underflowed at step {state.step_index}; "
+                f"error variance underflowed at step {k - 1}; "
                 "the block length is too large for this power"
             )
         ar = abs(state.rho)

@@ -311,6 +311,23 @@ def test_deleted_simulate_flag_exits_2(capsys, flags):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate"])
+def test_config_naming_tol_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-10}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "config keys not recognized" in err and "'tol'" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate"])
+def test_tol_flag_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_rate_fraction_is_checked_when_both_rates_are_given(capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--rate1", "0.5", "--rate2", "0.5", "--rate-fraction", "5",
@@ -342,10 +359,10 @@ def test_analyze_matches_sweep_row(capsys):
 # stdout of the subcommands at their defaults, pinned byte for byte: a change
 # to the solver or the campaign that moves any printed digit shows here.
 GOLDEN_STDOUT_SHA256 = {
-    ("analyze",): "f5d33c0e95d8fc6352e77cf3e926bb3c6caec13230b15684d067a881e0ef1a24",
-    ("sweep",): "67cbfb111b65879e5919ea214a3aef1941138858dc52171046c96a56c3244bf9",
+    ("analyze",): "d9d48c3c9447c232ed889e3b978b5ffc8a03c35bf623c53df44ae81a510451bb",
+    ("sweep",): "9ff2348a612cdf9444bdff3d8f2705c8325b89647468aec09e08d6e12004d62c",
     ("verify",): "98e8ffceb534b87a0c2f9ca859480429accd1d6f51c5e8c9d2378389adc372cd",
-    ("simulate", "--trials", "2000"): "44e07b0d19f25873887b79263ae61f935c94ccaf58aeadf46298aee62744529f",
+    ("simulate", "--trials", "2000"): "7b83b91a6448b2143788b64ca07404ef56e18abc5523e51027f04e87b20bd3a6",
 }
 
 
@@ -379,7 +396,7 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
 
 # every option of every subcommand at its documented default
 OPTION_DEFAULTS = {
-    "power": 100.0, "sigma1": 1.0, "sigma2": 1.0, "rhoz": -1.0, "tol": 1e-10,
+    "power": 100.0, "sigma1": 1.0, "sigma2": 1.0, "rhoz": -1.0,
     "p_start": 1e2, "p_stop": 1e10, "points_per_decade": 4, "delta": 0.2, "eps": 0.1,
     "trials": 10_000, "block_length": 20, "rate1": None, "rate2": None,
     "rate_fraction": 0.7, "mode": "broadcast", "seed": 20240901, "matrix": None,

@@ -317,7 +317,6 @@ def test_schedule_matches_step_error_state_trajectory():
         alpha1=(1.0 / 12.0) * 1.0 / 42.0,
         alpha2=(1.0 / 16.0) * 4.0 / 42.0,
         rho=0.0,
-        step_index=2,
     )
     for k in range(2, 9):
         i = k - 2

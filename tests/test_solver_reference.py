@@ -152,9 +152,9 @@ def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
         expected.append(_outcome(lambda: reference_solve(p, noise)))
         if not isinstance(expected[-1], FixedPoint):
             # The grid solve raises for its first failing power.
-            assert _outcome(lambda: _solve_powers(noise, powers, 1e-10)) == expected[-1]
+            assert _outcome(lambda: _solve_powers(noise, powers)) == expected[-1]
             return
-    got = _solve_powers(noise, powers, 1e-10)
+    got = _solve_powers(noise, powers)
     for fp, ref in zip(got, expected):
         assert tuple(map(float.hex, vars(fp).values())) == tuple(map(float.hex, vars(ref).values()))
 
