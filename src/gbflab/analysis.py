@@ -243,11 +243,11 @@ def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
     return GapCubicCoeffs(lambda0=float(l0[0]), lambda1=float(l1[0]), lambda2=float(l2[0]))
 
 
-def _rho_recursion(rho: np.ndarray, p, noise: NoiseSpec) -> np.ndarray:
-    """``rho_recursion`` at powers ``p`` broadcast against ``rho``."""
+def _rho_recursion(rho, p, noise: NoiseSpec):
+    """``rho_recursion`` at powers ``p`` broadcast against ``rho`` (or a float)."""
     s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
-    ar = np.abs(rho)
-    sg = np.where(rho >= 0.0, 1.0, -1.0)
+    ar = abs(rho)
+    sg = (rho >= 0.0) * 2.0 - 1.0
     s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
     pi1, pi2 = p + s11, p + s22
     spp = np.sqrt(pi1) * np.sqrt(pi2)
@@ -266,16 +266,19 @@ def _rho_recursion(rho: np.ndarray, p, noise: NoiseSpec) -> np.ndarray:
 def rho_recursion(rho, params: ChannelParams):
     """One application of the error-correlation recursion.
 
-    Accepts scalars or numpy arrays; sign(0) is taken as +1.  The map is odd
-    in rho away from 0, and a fixed point rho* in [0, 1] satisfies
-    rho_recursion(rho*) = -rho*.
+    Accepts scalars or numpy arrays; sign(0) is taken as +1, for -0.0 too.  A
+    float skips the 0-d array but runs the same body, so it gives the array's
+    bits.  The map is odd in rho away from 0, and a fixed point rho* in [0, 1]
+    satisfies rho_recursion(rho*) = -rho*.
 
     The bracketed term is evaluated through the identity
     |rho| B - (s1 + s2|rho|)(s2 + s1|rho|) = -s1 s2 (1 - rho^2), which leaves
     only small, same-scale summands near |rho| = 1; the literal difference of
     the two O(s^2)-sized products would lose ~6 digits of the result there.
     """
-    out = _rho_recursion(np.asarray(rho, dtype=float), params.power, params.noise)
+    if not isinstance(rho, float):
+        rho = np.asarray(rho, dtype=float)
+    out = _rho_recursion(rho, params.power, params.noise)
     if out.ndim == 0:
         return float(out)
     return out

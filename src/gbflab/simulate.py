@@ -164,6 +164,9 @@ class CoefficientSchedule:
     Index convention: ``alpha1[k-2]`` etc. are the moments after output k for
     k = 2..n; ``psi[k-3]``, ``c1[k-3]``, ``c2[k-3]`` drive feedback step k for
     k = 3..n, and are derived from the moments at k-1 (same array index).
+    ``gain1[k-3]`` = psi / sqrt(alpha1) and ``gain2[k-3]`` = psi gamma sign(rho)
+    / sqrt(alpha2) are the encoder's weights of the two errors at step k, so
+    the coding loop does no arithmetic on the moments.
     """
 
     n: int
@@ -175,6 +178,8 @@ class CoefficientSchedule:
     psi: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
+    gain1: np.ndarray
+    gain2: np.ndarray
 
 
 def lmmse_coefficient_schedule(
@@ -208,7 +213,7 @@ def lmmse_coefficient_schedule(
     alpha1 = [state.alpha1]
     alpha2 = [state.alpha2]
     rho = [state.rho]
-    psi, c1, c2 = [], [], []
+    psi, c1, c2, gain1, gain2 = [], [], [], [], []
     for k in range(3, n + 1):
         if not (state.alpha1 > 0.0 and state.alpha2 > 0.0):
             raise NumericalIntegrityError(
@@ -221,6 +226,8 @@ def lmmse_coefficient_schedule(
         psi.append(scale)
         c1.append(scale * math.sqrt(state.alpha1) * (1.0 + g * ar) / pi1)
         c2.append(scale * math.sqrt(state.alpha2) * sgn * (g + ar) / pi2)
+        gain1.append(scale / math.sqrt(state.alpha1))
+        gain2.append(scale * g * sgn / math.sqrt(state.alpha2))
         state = step_error_state(state, params)
         alpha1.append(state.alpha1)
         alpha2.append(state.alpha2)
@@ -235,6 +242,8 @@ def lmmse_coefficient_schedule(
         psi=np.array(psi),
         c1=np.array(c1),
         c2=np.array(c2),
+        gain1=np.array(gain1),
+        gain2=np.array(gain2),
     )
 
 
@@ -320,15 +329,11 @@ def _coding_loop(
     yield x, 0.0, x, eps1, eps2
     del x
 
-    g = gamma(noise)
-    per_step = (
-        schedule.psi, schedule.alpha1, schedule.alpha2, schedule.rho, schedule.c1, schedule.c2
-    )
-    for psi, a1, a2, rho, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
+    per_step = schedule.gain1, schedule.gain2, schedule.c1, schedule.c2
+    for gain1, gain2, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
         z1, z2 = sample_noise_pair(noise, gen, size)
-        sgn = 1.0 if rho >= 0.0 else -1.0
-        t1 = psi / math.sqrt(a1) * eps1
-        t2 = (psi * g * sgn / math.sqrt(a2)) * eps2
+        t1 = gain1 * eps1
+        t2 = gain2 * eps2
         x = t1 + t2
         # The unit-gain interference channel adds t1 and t2 into this same x.
         # Receiver v sees y_v = x + z_v and subtracts c_v * y_v, its LMMSE
@@ -533,8 +538,10 @@ def _chunk_sums(
     decoded wrongly and, per channel use t = 1..n, eight sums over the
     blocks: x^2, t1^2 and t2^2 (interference mode only, else 0), then eps1,
     eps2, eps1^2, eps2^2 and eps1*eps2 (0 at t = 1, before the errors exist).
-    Each is numpy's pairwise ``np.sum``; a BLAS dot product would make the
-    bytes depend on the BLAS build and its thread count."""
+    Each is numpy's pairwise sum, ``np.add.reduce`` (what ``np.sum`` runs,
+    without its wrapper), over one product at a time; a BLAS dot product
+    would make the bytes depend on the BLAS build and its thread count."""
+    total = np.add.reduce
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
@@ -548,12 +555,15 @@ def _chunk_sums(
     # step's arrays alive while the next one runs.
     t = 0
     for x, t1, t2, eps1, eps2 in steps:
-        sums[0, t] = np.sum(x * x)
-        if mode == "interference":
-            sums[1:3, t] = np.sum(t1 * t1), np.sum(t2 * t2)
+        sums[0, t] = total(x * x)
+        if mode == "interference":  # axis=None: t1 or t2 is 0.0 at t = 1, 2
+            sums[1, t], sums[2, t] = total(t1 * t1, None), total(t2 * t2, None)
         del x, t1, t2
         if t:
-            sums[3:, t] = [np.sum(v) for v in (eps1, eps2, eps1 * eps1, eps2 * eps2, eps1 * eps2)]
+            sums[3, t], sums[4, t] = total(eps1), total(eps2)
+            sums[5, t] = total(eps1 * eps1)
+            sums[6, t] = total(eps2 * eps2)
+            sums[7, t] = total(eps1 * eps2)
         t += 1
 
     ok1 = _decoded_correctly(eps1, *edges1, config.levels1)

@@ -155,6 +155,32 @@ def test_rho_recursion_is_odd():
         assert rho_recursion(-rho, params) == pytest.approx(-rho_recursion(rho, params), rel=1e-14)
 
 
+def test_rho_recursion_on_a_float_equals_the_array_path_bit_for_bit():
+    # A float runs through the same body as an array (the solver's path),
+    # without a 0-d array; every bit must agree, the sign of a zero too.
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]
+    rng = np.random.default_rng(2024)
+    for i in range(2000):
+        p = 10 ** float(rng.uniform(-3, 14))
+        s1, s2 = (10 ** rng.uniform(-1, 1, size=2)).tolist()
+        rz = (-1.0, 1.0, float(rng.uniform(-1, 1)))[i % 3]
+        params = params_of(p, s1, s2, rz)
+        rhos = special + rng.uniform(-1, 1, size=6).tolist()
+        on_array = rho_recursion(np.array(rhos), params)
+        for rho, want in zip(rhos, on_array):
+            got = rho_recursion(rho, params)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (p, s1, s2, rz, rho)
+
+
+def test_step_error_state_returns_python_floats():
+    params = params_of(42.0, 1.2, 0.8, -0.4)
+    state = ErrorState(alpha1=0.5, alpha2=0.25, rho=0.0)
+    for _ in range(5):
+        state = step_error_state(state, params)
+        assert [type(v) for v in (state.alpha1, state.alpha2, state.rho)] == [float] * 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     logp=st.floats(-1, 7),

@@ -363,6 +363,10 @@ GOLDEN_STDOUT_SHA256 = {
     ("sweep",): "9ff2348a612cdf9444bdff3d8f2705c8325b89647468aec09e08d6e12004d62c",
     ("verify",): "98e8ffceb534b87a0c2f9ca859480429accd1d6f51c5e8c9d2378389adc372cd",
     ("simulate", "--trials", "2000"): "7b83b91a6448b2143788b64ca07404ef56e18abc5523e51027f04e87b20bd3a6",
+    ("simulate", "--mode", "interference"):
+        "58c9048bb8de2fe6f7b0e89202069f2ab9d6ed3a7d82e1cd3f2982f0350cf74e",
+    ("simulate", "--mode", "limited"):
+        "bed82e2b18fd8095086413fd0d85172c9e990268ea895ecdc84e335ab10b4a82",
 }
 
 

@@ -287,12 +287,15 @@ def test_schedule_projection_reproduces_moment_recursion():
             cov2 = psi * math.sqrt(a2) * sg * (g + ar)
             c1 = cov1 / var_y1
             c2 = cov2 / var_y2
-            assert c1 == pytest.approx(float(sched.c1[i]), rel=1e-12)
-            assert c2 == pytest.approx(float(sched.c2[i]), rel=1e-12)
+            assert c1 == pytest.approx(float(sched.c1[i]), rel=1e-12, abs=0.0)
+            assert c2 == pytest.approx(float(sched.c2[i]), rel=1e-12, abs=0.0)
             a1_next = a1 - cov1 * cov1 / var_y1
             a2_next = a2 - cov2 * cov2 / var_y2
-            assert a1_next == pytest.approx(float(sched.alpha1[i + 1]), rel=1e-12)
-            assert a2_next == pytest.approx(float(sched.alpha2[i + 1]), rel=1e-12)
+            # The reference subtracts terms of size a and cancels about
+            # log10(P / sigma^2) digits, so its error scales with a, not with
+            # the difference.
+            assert a1_next == pytest.approx(float(sched.alpha1[i + 1]), rel=1e-12, abs=1e-12 * a1)
+            assert a2_next == pytest.approx(float(sched.alpha2[i + 1]), rel=1e-12, abs=1e-12 * a2)
             # correlation via the projected cross-moment
             cov12 = (
                 rho * math.sqrt(a1 * a2)
@@ -302,6 +305,19 @@ def test_schedule_projection_reproduces_moment_recursion():
             )
             rho_next = cov12 / math.sqrt(a1_next * a2_next)
             assert rho_next == pytest.approx(float(sched.rho[i + 1]), rel=1e-7, abs=1e-7)
+
+
+def test_schedule_gains_are_the_encoder_weights_of_the_errors():
+    params = ChannelParams(42.0, NoiseSpec(1.0, 2.0, -0.6))
+    sched = lmmse_coefficient_schedule(params, 12, 1.0 / 12.0, 1.0 / 16.0)
+    per_step = sched.psi, sched.alpha1, sched.alpha2, sched.rho, sched.gain1, sched.gain2
+    signs = set()
+    for psi, a1, a2, rho, gain1, gain2 in zip(*(a.tolist() for a in per_step)):
+        sgn = 1.0 if rho >= 0.0 else -1.0
+        signs.add(sgn)
+        assert gain1 == psi / math.sqrt(a1)
+        assert gain2 == psi * 0.5 * sgn / math.sqrt(a2)
+    assert len(sched.gain1) == len(sched.gain2) == 10 and signs == {1.0, -1.0}
 
 
 def test_schedule_symmetric_coefficients_match():
