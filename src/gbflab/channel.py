@@ -3,9 +3,11 @@
 Covers the channel parameters (block power and noise statistics), the keyed
 random streams and exact sampling of the correlated noise pair, including the
 degenerate |rho_z| = 1 cases where one noise is an exact scaling of the
-other.  The outputs themselves, y_v = x + z_v (with x the sum of both inputs
-on the unit-gain interference channel), are formed in the simulation's
-coding loop.
+other.  One call draws one pair per block, or, with ``steps``, the pairs of
+that many successive channel uses, bit for bit what as many calls would draw
+from the same stream.  The outputs themselves, y_v = x + z_v (with x the sum
+of both inputs on the unit-gain interference channel), are formed in the
+simulation's coding loop.
 """
 
 from __future__ import annotations
@@ -94,7 +96,13 @@ def make_generator(spec: RngSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | None = None):
+def sample_noise_pair(
+    spec: NoiseSpec,
+    rng: np.random.Generator,
+    size: int | None = None,
+    *,
+    steps: int | None = None,
+):
     """Draw jointly Gaussian (z1, z2) with the covariance of ``spec``.
 
     For |rho_z| = 1 only one Gaussian is drawn, z1 = sigma1 * u, and z2 is
@@ -102,17 +110,27 @@ def sample_noise_pair(spec: NoiseSpec, rng: np.random.Generator, size: int | Non
     holds sample by sample rather than merely in distribution.  Returns
     scalars for ``size=None``, else arrays of shape ``(size,)``.  A degenerate
     spec consumes one standard normal per sample, a non-degenerate one
-    consumes two.
+    consumes two: u, then v, for each pair of ``size``.
+
+    ``steps=k`` draws k successive pairs in one call and returns arrays with
+    a leading axis of length k, shape ``(k,)`` or ``(k, size)``.  numpy fills
+    an array one normal after another, so these are bit for bit the draws of
+    k separate calls, and leave the stream where those calls would.
     """
+    tail = () if size is None else (size,)
     if spec.is_degenerate:
-        z1 = spec.sigma1 * rng.standard_normal(size)
+        z1 = spec.sigma1 * rng.standard_normal(size if steps is None else (steps, *tail))
         z2 = spec.rho_z * (spec.sigma2 / spec.sigma1) * z1
     else:
-        draws = rng.standard_normal((2,) if size is None else (2, size))
-        u, v = draws[0], draws[1]
+        if steps is None:
+            draws = rng.standard_normal((2, *tail))
+            u, v = draws[0], draws[1]
+        else:
+            draws = rng.standard_normal((steps, 2, *tail))
+            u, v = draws[:, 0], draws[:, 1]
         z1 = spec.sigma1 * u
         z2 = spec.sigma2 * (spec.rho_z * u + np.sqrt((1.0 - spec.rho_z) * (1.0 + spec.rho_z)) * v)
-    if size is None:
+    if size is None and steps is None:
         return float(z1), float(z2)
     return z1, z2
 

@@ -16,9 +16,12 @@ single receiver's outputs and rebuilds the other's noise from the observed
 noise (possible only for perfectly correlated or anti-correlated noises).
 The message mapping, the encoder and the channel outputs live only there.
 A single trial (``run_broadcast_trial``, ``run_interference_trial``,
-``run_limited_feedback_trial``) runs the loop on one block of Python floats;
-a campaign (``run_broadcast_campaign``) runs it on arrays of independent
-blocks and reduces each step to per-step sums as the step arrives.
+``run_limited_feedback_trial``) runs the loop on one block of Python floats
+and takes the noise of all n channel uses from its stream in one call; a
+campaign (``run_broadcast_campaign``) runs it on arrays of independent
+blocks, draws each step's noise as that step runs, and reduces each step to
+per-step sums as the step arrives.  Both draw the same noise from the same
+stream as one call per channel use would.
 A campaign splits its blocks into chunks of at most 65,536: chunk c runs on
 the stream ``RngSpec(master_seed, c)``, the chunks run concurrently, one per
 available CPU (a single chunk runs in the calling thread), their sums are
@@ -41,7 +44,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from statistics import NormalDist
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +66,7 @@ from .errors import (
 _VECTOR_LEVEL_LIMIT = 1 << 62  # beyond this, message indices live in floats
 _CHUNK_TRIALS = 1 << 16  # most campaign blocks held in memory at once
 _CONFIDENCE = 0.95  # level of a campaign's Wilson interval for the block error rate
+_WILSON_Z = 1.9599639845400536  # NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
 _MODES = ("broadcast", "interference", "limited")
 
 
@@ -88,11 +92,11 @@ class MessageConfig:
             if self.n * rate > 512.0:
                 raise ParameterError(f"{name} gives an alphabet beyond 2**512; not supported")
 
-    @property
+    @cached_property
     def levels1(self) -> int:
         return level_count(self.n, self.rate1)
 
-    @property
+    @cached_property
     def levels2(self) -> int:
         return level_count(self.n, self.rate2)
 
@@ -311,6 +315,12 @@ def _coding_loop(
     encoder knows both errors, so the mode runs the broadcast scheme."""
     noise, p = params.noise, params.power
     var1, var2 = schedule.var_theta1, schedule.var_theta2
+    if size is None:
+        # A trial takes the noise of its whole block from one call.
+        noises = zip(*(z.tolist() for z in sample_noise_pair(noise, gen, steps=config.n)))
+    else:
+        # A campaign draws each step's noise as that step runs.
+        noises = (sample_noise_pair(noise, gen, size) for _ in range(config.n))
 
     # t = 1 and t = 2 plant the message points (transmitter v sends point v
     # in interference mode).  Receiver 1 keeps only the noise of t = 1 and
@@ -318,12 +328,12 @@ def _coding_loop(
     # No array stays bound once no later step needs it, and the caller owns
     # each step's arrays after the yield: a campaign chunk's working set is
     # the two errors plus the arrays of the step in flight.
-    eps1 = math.sqrt(var1 / p) * sample_noise_pair(noise, gen, size)[0]
+    eps1 = math.sqrt(var1 / p) * next(noises)[0]
     x = math.sqrt(p / var1) * (0.5 - (m1 - 1) / config.levels1)
     del m1
     yield x, x, 0.0, None, None
     del x
-    eps2 = math.sqrt(var2 / p) * sample_noise_pair(noise, gen, size)[1]
+    eps2 = math.sqrt(var2 / p) * next(noises)[1]
     x = math.sqrt(p / var2) * (0.5 - (m2 - 1) / config.levels2)
     del m2
     yield x, 0.0, x, eps1, eps2
@@ -331,7 +341,7 @@ def _coding_loop(
 
     per_step = schedule.gain1, schedule.gain2, schedule.c1, schedule.c2
     for gain1, gain2, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
-        z1, z2 = sample_noise_pair(noise, gen, size)
+        z1, z2 = next(noises)
         t1 = gain1 * eps1
         t2 = gain2 * eps2
         x = t1 + t2
@@ -495,7 +505,7 @@ class McSummary:
 
 
 def _wilson_interval(errors: int, trials: int):
-    z = NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
+    z = _WILSON_Z
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom

@@ -108,6 +108,25 @@ def test_sampling_reproducible_and_streams_independent():
     assert not np.array_equal(a1[0], b[0])
 
 
+@pytest.mark.parametrize(
+    "spec", [NoiseSpec(1.0, 2.0, 0.3), NoiseSpec(1.3, 0.7, 0.0), NoiseSpec(1.3, 0.7, -1.0),
+             NoiseSpec(0.5, 3.0, 1.0)], ids=str)
+@pytest.mark.parametrize("size", [None, 1, 7])
+@pytest.mark.parametrize("steps", [1, 5])
+def test_steps_draw_equals_successive_draws_on_a_twin_stream(spec, size, steps):
+    # k steps in one call are the k successive calls, bit for bit, and leave
+    # the stream where they would: the next draw matches too.
+    gen = make_generator(RngSpec(31, 4))
+    twin = make_generator(RngSpec(31, 4))
+    z1, z2 = sample_noise_pair(spec, gen, size, steps=steps)
+    assert z1.shape == z2.shape == ((steps,) if size is None else (steps, size))
+    pairs = [sample_noise_pair(spec, twin, size) for _ in range(steps)]
+    assert np.array_equal(z1, np.array([p[0] for p in pairs]))
+    assert np.array_equal(z2, np.array([p[1] for p in pairs]))
+    after, twin_after = sample_noise_pair(spec, gen, size), sample_noise_pair(spec, twin, size)
+    assert np.array_equal(after, twin_after)
+
+
 def test_scalar_sampling_matches_contract():
     z1, z2 = sample_noise_pair(NoiseSpec(1.0, 1.0, -1.0), make_generator(RngSpec(0, 0)))
     assert isinstance(z1, float) and z2 == -z1

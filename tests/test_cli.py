@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gbflab
 from gbflab.cli import build_parser, main
 
 
@@ -438,3 +442,14 @@ def test_echoed_options_are_the_parser_options(tmp_path, capsys, command):
     dests = set(vars(build_parser().parse_args(argv))) - {"command", "config"}
     code, out, _ = run_cli(capsys, *argv)
     assert echoed_options(out) == dests
+
+
+def test_import_loads_neither_statistics_nor_fractions():
+    # statistics pulls in fractions and decimal, about 1.5 ms of every CLI
+    # process; nothing in gbflab needs them.
+    src = os.path.dirname(os.path.dirname(gbflab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gbflab, gbflab.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

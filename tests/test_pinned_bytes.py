@@ -95,15 +95,40 @@ TRIALS = {
 }
 
 
+def _trials_digest(mode, config, params):
+    h = hashlib.sha256()
+    for stream in range(8):
+        record = TRIAL_ENTRIES[mode](config, params, RngSpec(21, stream))
+        h.update(_digest(record).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("case", list(TRIALS), ids=str)
 def test_trial_record_bytes_are_pinned(case):
     mode, n, fraction = case
-    config = _config(n, fraction)
-    h = hashlib.sha256()
-    for stream in range(8):
-        record = TRIAL_ENTRIES[mode](config, PARAMS, RngSpec(21, stream))
-        h.update(_digest(record).encode())
-    assert h.hexdigest() == TRIALS[case]
+    assert _trials_digest(mode, _config(n, fraction), PARAMS) == TRIALS[case]
+
+
+# (mode, sigma1, sigma2, rho_z, n, rate fraction) at P = 100: noises with
+# |rho_z| < 1 draw two normals per channel use, so these pin the pair layout
+# of the draw as well as its order.
+NON_DEGENERATE_TRIALS = {
+    ("broadcast", 1.0, 2.0, 0.3, 20, 0.7):
+        "5738ae80a4c7ae92ac5a31846ad62146a5d5bdbebd076b35374e25f9cc336cb6",
+    ("interference", 1.0, 2.0, 0.3, 20, 0.7):
+        "b009ec2e4c0ea6d2200a65d087dc70841db7dbfa1fe71733cf5d7a910d997347",
+    ("broadcast", 1.3, 0.7, 0.0, 40, 0.95):
+        "f981f7910d226e191d7588ea009273a9b3b46c7f66e470abe4d79325f26abe2c",
+    ("interference", 1.3, 0.7, 0.0, 40, 0.95):
+        "ba282d8dc6342c5bc82a4feb8e77461ad3936b11765ab6a61b77eb98e9383e25",
+}
+
+
+@pytest.mark.parametrize("case", list(NON_DEGENERATE_TRIALS), ids=str)
+def test_non_degenerate_trial_record_bytes_are_pinned(case):
+    mode, s1, s2, rz, n, fraction = case
+    params = ChannelParams(100.0, NoiseSpec(s1, s2, rz))
+    assert _trials_digest(mode, _config(n, fraction, params), params) == NON_DEGENERATE_TRIALS[case]
 
 
 # (power, sigma1, sigma2, rho_z, n, levels1, levels2)

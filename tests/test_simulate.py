@@ -365,6 +365,31 @@ def test_trial_deterministic_and_streams_differ():
     assert not np.array_equal(a.inputs, c.inputs)
 
 
+@pytest.mark.parametrize("noise", [NoiseSpec(1.0, 1.0, -1.0), NoiseSpec(1.0, 2.0, 0.3)], ids=str)
+def test_trial_draws_its_noise_in_one_call_and_a_campaign_once_per_step(monkeypatch, noise):
+    # The coding loop reaches the sampler through the name simulate imported,
+    # so a wrapper set there sees every call: one n-step draw per trial, and
+    # one draw per channel use in a single-chunk campaign.
+    steps = []
+    original = simulate.sample_noise_pair
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs.get("steps"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample_noise_pair", counted)
+    params = ChannelParams(100.0, noise)
+    config = headline_config(n=20, params=params)
+    modes = ["broadcast", "interference"] + (["limited"] if noise.is_degenerate else [])
+    for mode in modes:
+        steps.clear()
+        _run_trial(config, params, RngSpec(3, 0), mode, 1)
+        assert steps == [20], mode
+        steps.clear()
+        run_broadcast_campaign(config, params, 100, 3, mode=mode)
+        assert steps == [None] * 20, mode
+
+
 def test_trial_record_shapes_and_powers():
     config = headline_config(n=9)
     rec = run_broadcast_trial(config, HEADLINE, RngSpec(5, 5))
@@ -735,6 +760,12 @@ def test_campaign_error_rate_agrees_with_exact_trial_decodes_beyond_2_53_points(
     pooled = (campaign.errors + errors) / 2500
     se = math.sqrt(pooled * (1.0 - pooled) * (1 / 2000 + 1 / 500))
     assert abs(campaign.error_rate - errors / 500) <= 5.0 * se
+
+
+def test_wilson_z_is_the_normal_quantile_of_the_confidence():
+    from statistics import NormalDist
+
+    assert simulate._WILSON_Z == NormalDist().inv_cdf(0.5 + 0.5 * simulate._CONFIDENCE)
 
 
 def test_campaign_validation():
