@@ -25,10 +25,9 @@ RECURSION_RESIDUAL_ACCEPT = 1e-6
 # The returned root must satisfy the rho-form cubic to within this multiple
 # of 1 + |a| + |b| + |c|; bisection to adjacent floats leaves ~2e-16.
 CUBIC_RESIDUAL_ACCEPT = 1e-10
-# Sign-change scan resolution over [0, 1] before bisection.
-_SCAN_SUBINTERVALS = 1024
-# Powers per block of the 2-D scan, which bounds its sample array's size.
-_SCAN_BLOCK = 16
+# Halvings of [0, 1] in the gap form before each bracket moves to its small
+# variable: they leave brackets 2^-10 wide, ends on the grid k / 1024.
+_GAP_HALVINGS = 10
 _RHO_INTEGRITY_TOL = 1e-12
 
 
@@ -176,7 +175,7 @@ def _sqrt_pi_product(power, s1: float, s2: float):
 # At the ends of the accepted range (P near 1e154, or tiny P or sigmas)
 # intermediate values overflow to inf.  The coefficient formulas, the
 # bisection and the certification let them do so silently, as the same
-# arithmetic on Python floats does; the scan and the recursion warn.
+# arithmetic on Python floats does; the recursion warns.
 @np.errstate(over="ignore", invalid="ignore")
 def _root_defect(power, s1: float, s2: float):
     """1 - P / sqrt((P+s1^2)(P+s2^2)), computed without cancellation.
@@ -321,52 +320,22 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
 def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
     """Reject powers whose cubic coefficients leave float range.
 
-    The coefficients divide by P sqrt((P+s1^2)(P+s2^2)) and multiply by
-    s1^2 s2^2.  The product grows with P, so the smallest power decides
-    whether it underflows to 0 and the largest whether it overflows.
-    Checked in Python floats, which do either without a warning."""
+    The coefficients divide by P sqrt((P+s1^2)(P+s2^2)), which grows with P,
+    so the smallest power decides whether it underflows to 0 and the largest
+    whether it overflows.  They and the recursion also multiply and divide
+    by (s1 + s2)^2 s1 s2, the recursion's q s12 at rho = 1, which must be
+    neither 0 nor inf.  Checked in Python floats, which do either without a
+    warning."""
     s1, s2 = float(noise.sigma1), float(noise.sigma2)
+    sigma_product = (s1 * s1 + s2 * s2 + 2.0 * s1 * s2) * (s1 * s2)
     for p in (float(min(powers)), float(max(powers))):
         product = p * math.sqrt(p + s1 * s1) * math.sqrt(p + s2 * s2)
-        if not (0.0 < product < math.inf and math.isfinite((s1 * s1) * (s2 * s2))):
+        if not (0.0 < product < math.inf and 0.0 < sigma_product < math.inf):
             raise ParameterError(
                 f"power P = {p} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's "
-                "float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be positive and finite "
-                "and sigma1^2*sigma2^2 finite"
+                "float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) and "
+                "(sigma1+sigma2)^2*sigma1*sigma2 must be positive and finite"
             )
-
-
-def _scan_brackets(lambda0, lambda1, lambda2):
-    """Brackets of the gap-form cubic's roots in [0, 1], for every power.
-
-    A sign-change scan over 1024 subintervals, run on blocks of powers so
-    that the 2-D sample array stays small.  Returns (row, g_lo, g_hi) with
-    the brackets of each row together, in the scalar scan's order: exact
-    zeros at a grid point x as (x, x) first, then the sign changes, each
-    ascending."""
-    xs = np.linspace(0.0, 1.0, _SCAN_SUBINTERVALS + 1)
-    n = _SCAN_SUBINTERVALS
-    rows, los, his = [], [], []
-    for start in range(0, len(lambda0), _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
-        # ((-x + lambda2) x + lambda1) x + lambda0, in place; lambda2 - x is
-        # the same IEEE sum as -x + lambda2.
-        ys = lambda2[block, None] - xs
-        ys *= xs
-        ys += lambda1[block, None]
-        ys *= xs
-        ys += lambda0[block, None]
-        zero = ys == 0.0
-        neg = ys < 0.0
-        change = (neg[:, :-1] != neg[:, 1:]) & ~zero[:, :-1] & ~zero[:, 1:]
-        zr, zc = np.divmod(np.flatnonzero(zero), n + 1)
-        cr, cc = np.divmod(np.flatnonzero(change), n)
-        r = np.concatenate([zr, cr]) + start
-        order = np.argsort(r, kind="stable")
-        rows.append(r[order])
-        los.append(np.concatenate([xs[zc], xs[cc]])[order])
-        his.append(np.concatenate([xs[zc], xs[cc + 1]])[order])
-    return np.concatenate(rows), np.concatenate(los), np.concatenate(his)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -401,56 +370,62 @@ def _bisect_brackets(lo, hi, s, c2, c1, c0):
 
 
 def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
-    """``solve_fixed_point`` at every power of ``powers``, solved together."""
+    """``solve_fixed_point`` at every power of ``powers``, solved together.
+
+    The rho-form cubic f(r) = r^3 + a r^2 + b r + c has exactly one root in
+    [0, 1] at every accepted (P, sigma1, sigma2, rho_z), so [0, 1] brackets it:
+      f(0) = c > 0;
+      f(1) = -(s1 + s2)^2 (spp + rho_z P + s1 s2) / (P spp) < 0, as
+        spp = sqrt((P + s1^2)(P + s2^2)) >= P + s1 s2;
+      f' is a convex quadratic with f'(0) = b < 0, so f falls until its
+        minimum and then rises, staying below f(1) < 0: one sign change.
+    The gap form is f(1 - g), negative at g = 0 and positive at g = 1.
+    """
     _check_float_range(noise, powers)
     p = np.array(powers, dtype=float)
     a, b, c = _cubic_coeffs(noise, p)
     lambda0, lambda1, lambda2 = _gap_cubic_coeffs(noise, p)
-    row, g_lo, g_hi = _scan_brackets(lambda0, lambda1, lambda2)
+    # The gap form is negative at g_lo and not negative at g_hi; a lambda0
+    # that underflows to 0 is its own root, a bracket already closed.
+    g_hi = np.where(lambda0 == 0.0, 0.0, 1.0)
+    g_lo = np.zeros_like(g_hi)
+    for _ in range(_GAP_HALVINGS):
+        mid = 0.5 * (g_lo + g_hi)
+        fm = ((lambda2 - mid) * mid + lambda1) * mid + lambda0
+        np.copyto(g_hi, mid, where=~(fm < 0.0))
+        np.copyto(g_lo, mid, where=fm <= 0.0)
     in_rho = g_lo >= 0.5
     x = _bisect_brackets(
         np.where(in_rho, 1.0 - g_hi, g_lo),
         np.where(in_rho, 1.0 - g_lo, g_hi),
         np.where(in_rho, 1.0, -1.0),
-        np.where(in_rho, a[row], lambda2[row]),
-        np.where(in_rho, b[row], lambda1[row]),
-        np.where(in_rho, c[row], lambda0[row]),
+        np.where(in_rho, a, lambda2),
+        np.where(in_rho, b, lambda1),
+        np.where(in_rho, c, lambda0),
     )
     gap = np.where(in_rho, 1.0 - x, x)
     rho = np.where(in_rho, x, 1.0 - x)
-    rec_res = np.abs(np.abs(_rho_recursion(rho, p[row], noise)) - rho)
-    # Per power, the genuine candidate with the smallest (gap, rho, residual):
-    # the first of its row once sorted.  A power with none keeps -1, which
-    # picks the NaN appended below.
-    genuine = np.flatnonzero(rec_res <= RECURSION_RESIDUAL_ACCEPT)
-    genuine = genuine[np.lexsort((rec_res[genuine], rho[genuine], gap[genuine], row[genuine]))]
-    found, first = np.unique(row[genuine], return_index=True)
-    best = np.full(len(p), -1)
-    best[found] = genuine[first]
-    rho_star, gap_star, rec_star = (np.append(v, np.nan)[best] for v in (rho, gap, rec_res))
+    rec_res = np.abs(np.abs(_rho_recursion(rho, p, noise)) - rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(((rho_star + a) * rho_star + b) * rho_star + c)
+        residual = np.abs(((rho + a) * rho + b) * rho + c)
         bound = CUBIC_RESIDUAL_ACCEPT * (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
-    failed = np.flatnonzero((best < 0) | (residual > bound))
+    genuine = rec_res <= RECURSION_RESIDUAL_ACCEPT
+    failed = np.flatnonzero(~genuine | (residual > bound))
     if failed.size:
         i = failed[0]
-        if best[i] < 0:
-            candidates = list(
-                zip(gap[row == i].tolist(), rho[row == i].tolist(), rec_res[row == i].tolist())
-            )
+        if not genuine[i]:
+            candidates = [(float(gap[i]), float(rho[i]), float(rec_res[i]))]
             raise NoFixedPointError(
                 "no root of the fixed-point cubic in [0, 1] is consistent with the "
                 f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
             )
         raise NoFixedPointError(
             f"cubic residual {float(residual[i])} exceeds tolerance {float(bound[i])} "
-            f"at rho = {float(rho_star[i])}"
+            f"at rho = {float(rho[i])}"
         )
     return [
         FixedPoint(rho_star=r, gap=g, residual=e, recursion_residual=q)
-        for r, g, e, q in zip(
-            rho_star.tolist(), gap_star.tolist(), residual.tolist(), rec_star.tolist()
-        )
+        for r, g, e, q in zip(rho.tolist(), gap.tolist(), residual.tolist(), rec_res.tolist())
     ]
 
 
@@ -458,18 +433,18 @@ def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     """Find the operating correlation magnitude rho* in [0, 1] and its gap
     g = 1 - rho*.
 
-    One sign-change scan of the gap-form cubic brackets the roots.  Each
-    bracket is bisected in the smaller variable and the other is taken as
-    its complement, so both keep full relative precision: the gap form for
-    g < 1/2 (near rho = 1 the rho form is a ~1e-16 difference of order-one
-    terms, the gap form a sum of small same-scale ones), the rho form on the
-    exact bracket [1 - g_hi, 1 - g_lo] otherwise.  A genuine fixed point
-    alternates in sign with constant magnitude, so candidates whose
-    recursion residual exceeds RECURSION_RESIDUAL_ACCEPT are dropped; the
-    genuine root with the smallest gap (it maximizes both rates) is returned
-    once the rho-form cubic certifies it: its residual must not exceed
-    CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).  Grids of powers
-    are solved together by the same code (``sweep_rates``,
+    The cubic has one root in [0, 1] (see ``_solve_powers``).  Ten halvings
+    of g in [0, 1] in the gap form leave a bracket 2^-10 wide, which is then
+    bisected in the smaller variable, the other taken as its complement, so
+    both keep full relative precision: the gap form for g < 1/2 (near
+    rho = 1 the rho form is a ~1e-16 difference of order-one terms, the gap
+    form a sum of small same-scale ones), the rho form on the exact bracket
+    [1 - g_hi, 1 - g_lo] otherwise (near rho = 0 the gap form cancels the
+    same way).  A genuine fixed point alternates in sign with constant
+    magnitude, so the root is rejected if its recursion residual exceeds
+    RECURSION_RESIDUAL_ACCEPT, and the rho-form cubic must certify it: its
+    residual must not exceed CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).
+    Grids of powers are solved together by the same code (``sweep_rates``,
     ``verify_asymptotics``), with the same result at each power.
     """
     return _solve_powers(params.noise, [params.power])[0]

@@ -218,6 +218,32 @@ def test_symmetric_contraction(logp, s, rho):
 # ---------------------------------------------------------------------------
 
 
+def test_cubic_has_one_root_in_unit_interval():
+    # The certificate behind the solver's one bracket [0, 1], in 700 digits
+    # over the accepted domain: f(0) = c > 0; f(1) = 1 + a + b + c equals
+    # -(s1 + s2)^2 (spp + rho_z P + s1 s2) / (P spp), negative because
+    # spp >= P + s1 s2; f'(0) = b < 0, so the convex f' has one positive
+    # root, f falls until it and then rises, and crosses zero once in [0, 1].
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(16)
+    with mp.workdps(700):
+        for i in range(500):
+            p = mp.mpf(10.0 ** rng.uniform(-300, 153))
+            s1, s2 = (mp.mpf(s) for s in 10.0 ** rng.uniform(-3, 3, size=2))
+            rz = mp.mpf((1.0, -1.0, rng.uniform(-1, 1), -1.0 + 1e-15, 1.0 - 1e-15)[i % 5])
+            s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
+            spp = mp.sqrt((p + s11) * (p + s22))
+            a = -2 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2 * s11 * s22 / (p * spp)
+            b = -1 - (s11 + s22) / p - rz * (s11 + s22) / spp - s12 * (s11 + s22) / (p * spp)
+            c = (p + s11 + s22 - rz * s12) / spp
+            f1 = -((s1 + s2) ** 2) * (spp + rz * p + s12) / (p * spp)
+            draw = (p, s1, s2, rz)
+            assert c > 0 and b < 0, draw
+            assert spp >= p + s12, draw
+            assert f1 < 0, draw
+            assert abs(1 + a + b + c - f1) <= mp.mpf(10) ** -300 * abs(f1), draw
+
+
 def test_fixed_point_headline_against_recursion_scan_oracle():
     params = params_of(10.0)
     fp = solve_fixed_point(params)
@@ -276,6 +302,10 @@ def test_solver_rejects_power_beyond_float_range():
         solve_fixed_point(params_of(1.0, 1e100, 1e100))
     with pytest.raises(ParameterError, match=r"P = 1e-320 .*float range"):
         solve_fixed_point(params_of(1e-320, 1e-3, 1e-3))
+    # Neither sigma^2 underflows, but (s1 + s2)^2 s1 s2, the recursion's
+    # q s12 at rho = 1, does.
+    with pytest.raises(ParameterError, match=r"P = 1e\+100 with sigma1 = 1e-100, sigma2 = 1e-100"):
+        solve_fixed_point(params_of(1e100, 1e-100, 1e-100))
     # P sqrt((P+1)(P+1)) = 1e308 is still in range at P = 1e154; its gap is
     # the defect pinned just above.
     solve_fixed_point(params_of(1e154))
@@ -339,13 +369,21 @@ def cubic_scale(params):
     return 1.0 + abs(coeffs.a) + abs(coeffs.b) + abs(coeffs.c)
 
 
+def oracle_digits(p, s1, s2):
+    """60 digits, plus one per decade that P lies below max(1, s1^2, s2^2):
+    at low SNR the rate ratios lie within P / sigma^2 of 1."""
+    return 60 + max(0, math.ceil(math.log10(max(1.0, s1 * s1, s2 * s2) / p)))
+
+
 def mpmath_fixed_point(p, s1, s2, rz):
-    """60-digit oracle: the largest root in [0, 1] of the rho-form cubic,
-    transcribed in mpmath, that the correlation recursion maps to its
+    """High-precision oracle: the root in [0, 1] of the rho-form cubic,
+    transcribed in mpmath and found by a bracketing secant method (the
+    cubic has exactly one root there, test_cubic_has_one_root_in_unit_interval),
+    checked to be a fixed point that the correlation recursion maps to its
     negative; returns (rho*, 1 - rho*) as mpf."""
     import mpmath as mp
 
-    with mp.workdps(60):
+    with mp.workdps(oracle_digits(p, s1, s2)):
         p, s1, s2, rz = mp.mpf(p), mp.mpf(s1), mp.mpf(s2), mp.mpf(rz)
         s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
         spp = mp.sqrt((p + s11) * (p + s22))
@@ -358,22 +396,22 @@ def mpmath_fixed_point(p, s1, s2, rz):
             q = p * (1 - r * r) + s11 + s22 + 2 * s12 * r
             return spp / (q * s12) * ((s1 + s2 * r) * (s2 + s1 * r) * tau - s12 * (1 - r * r))
 
-        genuine = [
-            mp.re(r)
-            for r in mp.polyroots([1, a, b, c], maxsteps=200, extraprec=200)
-            if abs(mp.im(r)) <= mp.mpf(10) ** -40
-            and 0 <= mp.re(r) <= 1
-            and abs(recursion(mp.re(r)) + mp.re(r)) <= mp.mpf(10) ** -30
-        ]
-        rho = max(genuine)
+        def cubic(r):
+            return ((r + a) * r + b) * r + c
+
+        rho = mp.findroot(cubic, (mp.mpf(0), mp.mpf(1)), solver="anderson", verify=False, maxsteps=200)
+        assert 0 < rho < 1
+        assert abs(cubic(rho)) <= mp.mpf(10) ** -40 * (1 + abs(a) + abs(b) + abs(c))
+        assert abs(recursion(rho) + rho) <= mp.mpf(10) ** -30 * rho
         return rho, 1 - rho
 
 
 def mpmath_rates(p, s1, s2, gap):
-    """60-digit R1, R2, their sum and the pre-log ratio at the float gap."""
+    """R1, R2, their sum and the pre-log ratio at the float gap, to
+    ``oracle_digits``."""
     import mpmath as mp
 
-    with mp.workdps(60):
+    with mp.workdps(oracle_digits(p, s1, s2)):
         p, s1, s2, gap = mp.mpf(p), mp.mpf(s1), mp.mpf(s2), mp.mpf(gap)
         r1 = mp.log((p + s1 * s1) / (p * gap / 2 + s1 * s1), 2) / 2
         r2 = mp.log((p + s2 * s2) / (p * gap / 2 + s2 * s2), 2) / 2
@@ -391,6 +429,13 @@ def test_fixed_point_matches_mpmath_oracle_over_domain():
         s1, s2 = 10 ** rng.uniform(-3, 3, size=2)
         rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
         draws.append((p, s1, s2, rz))
+    # Low power, P / min sigma^2 in [1e-290, 1e-12]: rho* is about P / sigma^2,
+    # within rounding of g = 1.
+    for i in range(40):
+        s1, s2 = 10 ** rng.uniform(-3, 3, size=2)
+        p = min(s1, s2) ** 2 * 10 ** rng.uniform(-290, -12)
+        rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
+        draws.append((p, s1, s2, rz))
     for p, s1, s2, rz in draws:
         params = params_of(p, s1, s2, rz)
         fp = solve_fixed_point(params)
@@ -400,7 +445,7 @@ def test_fixed_point_matches_mpmath_oracle_over_domain():
         assert fp.rho_star + fp.gap == 1.0
         assert fp.residual <= 1e-14 * cubic_scale(params), (p, s1, s2, rz)
         # The rates at the solver's own gap, against the same formula in
-        # 60 digits; at low SNR the log arguments lie within 1e-9 of 1.
+        # mpmath; at low SNR the log arguments lie within P / sigma^2 of 1.
         rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
         oracle = mpmath_rates(p, s1, s2, fp.gap)
         for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), oracle):

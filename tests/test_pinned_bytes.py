@@ -1,5 +1,5 @@
-"""Campaign summaries, trial records and coefficient schedules pinned byte for
-byte.
+"""Campaign summaries, trial records, coefficient schedules and sweep/verify
+rows pinned byte for byte.
 
 Each case hashes every field of the result (array dtype, shape and bytes;
 ``repr`` of any other value) into one sha256 and compares it with a fixed
@@ -24,8 +24,11 @@ from gbflab import (
     run_interference_trial,
     run_limited_feedback_trial,
     solve_fixed_point,
+    sweep_rates,
+    verify_asymptotics,
 )
 from gbflab import simulate
+from gbflab.analysis import _bisect_brackets, power_grid
 
 # Asymmetric, anti-correlated noise: gamma != 1, both signs of rho, and
 # limited mode can run.
@@ -158,3 +161,37 @@ def test_schedule_bytes_are_pinned(case):
         message_point_variance(levels2),
     )
     assert _digest(schedule, SCHEDULE_FIELDS) == SCHEDULES[case]
+
+
+# (sigma1, sigma2, rho_z): every SweepRow and AsymptoticsRow over P in
+# [1e-3, 1e14] at 8 points per decade, the grid of the dense sweep benchmark.
+SWEEPS = {
+    (1.0, 1.0, -1.0):
+        "533f5d9f154429c72234baa5dbfd091bdd59c810bd48bdbf2be7778c7257b6e0",
+    (1.0, 1.0, 0.0):
+        "7ca261016222a6d2915a3a2f91f10cc4726ac08139ee2ce2e312cc57c4612619",
+    (1.0, 2.0, 0.3):
+        "319c201304edbec09e3beb5941cf9c9a31125b345f3353e9b4fb92ee624de76c",
+    (1.0, 1.0, 0.9):
+        "f34c90b4353bb1713769b47e854cbb1e4a2f74141f6df4da2c4c89242bd08fd8",
+}
+
+
+@pytest.mark.parametrize("cfg", list(SWEEPS), ids=str)
+def test_sweep_and_verify_row_bytes_are_pinned(cfg):
+    noise = NoiseSpec(*cfg)
+    h = hashlib.sha256()
+    for row in sweep_rates(noise, 1e-3, 1e14, 8):
+        h.update(_digest(row).encode())
+    for row in verify_asymptotics(noise, power_grid(1e-3, 1e14, 8)).rows:
+        h.update(_digest(row).encode())
+    assert h.hexdigest() == SWEEPS[cfg]
+
+
+def test_bisection_collapses_onto_an_exact_dyadic_zero():
+    # -g^3 + (11/8) g^2 + (13/8) g - 3/4 is exactly 0 at g = 3/8, the third
+    # midpoint from [0, 1]: the step that evaluates it closes the bracket
+    # there, as a bracket already closed at it stays.
+    lo, hi = np.array([0.0, 0.25, 0.375]), np.array([1.0, 0.5, 0.375])
+    coeffs = (np.full(3, value) for value in (-1.0, 11 / 8, 13 / 8, -3 / 4))
+    assert _bisect_brackets(lo, hi, *coeffs).tolist() == [0.375] * 3
