@@ -25,9 +25,6 @@ RECURSION_RESIDUAL_ACCEPT = 1e-6
 # The returned root must satisfy the rho-form cubic to within this multiple
 # of 1 + |a| + |b| + |c|; bisection to adjacent floats leaves ~2e-16.
 CUBIC_RESIDUAL_ACCEPT = 1e-10
-# Halvings of [0, 1] in the gap form before each bracket moves to its small
-# variable: they leave brackets 2^-10 wide, ends on the grid k / 1024.
-_GAP_HALVINGS = 10
 _RHO_INTEGRITY_TOL = 1e-12
 
 
@@ -62,9 +59,6 @@ class CubicCoeffs:
     a: float
     b: float
     c: float
-
-    def evaluate(self, rho):
-        return ((rho + self.a) * rho + self.b) * rho + self.c
 
 
 @dataclass(frozen=True)
@@ -165,35 +159,23 @@ def gamma(noise: NoiseSpec) -> float:
     return noise.sigma1 / noise.sigma2
 
 
-def _sqrt_pi_product(power, s1: float, s2: float):
-    # Factored square roots never overflow for power up to ~1e308 and carry
-    # full relative precision, which the plain product under one root loses
-    # first.  np.sqrt is correctly rounded, as math.sqrt is.
-    return np.sqrt(power + s1 * s1) * np.sqrt(power + s2 * s2)
-
-
 # At the ends of the accepted range (P near 1e154, or tiny P or sigmas)
 # intermediate values overflow to inf.  The coefficient formulas, the
 # bisection and the certification let them do so silently, as the same
 # arithmetic on Python floats does; the recursion warns.
 @np.errstate(over="ignore", invalid="ignore")
-def _root_defect(power, s1: float, s2: float):
-    """1 - P / sqrt((P+s1^2)(P+s2^2)), computed without cancellation.
-
-    Equal to (P(s1^2+s2^2) + s1^2 s2^2) / (spp (spp + P)); the direct form
-    subtracts two quantities that agree to ~s^2/P relative and therefore
-    loses all significance at large P.
-    """
-    spp = _sqrt_pi_product(power, s1, s2)
-    return (power * (s1 * s1 + s2 * s2) + (s1 * s1) * (s2 * s2)) / (spp * (spp + power))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _cubic_coeffs(noise: NoiseSpec, p):
-    """Rho-form coefficients (a, b, c) at each power of the array ``p``."""
+def _coeffs(noise: NoiseSpec, p):
+    """Rho-form (a, b, c) and gap-form (lambda0, lambda1, lambda2)
+    coefficients at each power of the array ``p``, and the root defect
+    1 - P / spp with spp = sqrt((P+s1^2)(P+s2^2)).  The gap form is
+    transcribed term by term (not derived from (a, b, c)) so the two forms
+    cross-check each other."""
     s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
-    spp = _sqrt_pi_product(p, s1, s2)
     s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
+    # Factored square roots never overflow for P up to ~1e308 and carry full
+    # relative precision, which the plain product under one root loses
+    # first.  np.sqrt is correctly rounded, as math.sqrt is.
+    spp = np.sqrt(p + s11) * np.sqrt(p + s22)
     a = -2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / (p * spp)
     b = (
         -1.0
@@ -202,18 +184,10 @@ def _cubic_coeffs(noise: NoiseSpec, p):
         - s12 * (s11 + s22) / (p * spp)
     )
     c = (p + s11 + s22 - rz * s12) / spp
-    return a, b, c
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _gap_cubic_coeffs(noise: NoiseSpec, p):
-    """Gap-form coefficients (lambda0, lambda1, lambda2) at each power of the
-    array ``p``, transcribed term by term (not derived from (a, b, c)) so the
-    two forms cross-check each other."""
-    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
-    spp = _sqrt_pi_product(p, s1, s2)
-    s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
-    defect = _root_defect(p, s1, s2)
+    # The defect without cancellation: the direct 1 - P / spp subtracts two
+    # quantities that agree to ~s^2/P relative and so loses all significance
+    # at large P.
+    defect = (p * (s11 + s22) + s11 * s22) / (spp * (spp + p))
     lambda2 = (
         3.0 - 2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / (p * spp)
     )
@@ -227,18 +201,18 @@ def _gap_cubic_coeffs(noise: NoiseSpec, p):
     # the stable defect instead of a fully cancelled subtraction.
     sq = s11 + 2.0 * s12 + s22
     lambda0 = -(sq / p) * ((1.0 + rz) - rz * defect) - s12 * sq / (p * spp)
-    return lambda0, lambda1, lambda2
+    return (a, b, c), (lambda0, lambda1, lambda2), defect
 
 
 def cubic_coeffs(params: ChannelParams) -> CubicCoeffs:
     """Coefficients (a, b, c) of the fixed-point cubic in rho."""
-    a, b, c = _cubic_coeffs(params.noise, np.array([params.power]))
+    (a, b, c), _, _ = _coeffs(params.noise, np.array([params.power]))
     return CubicCoeffs(a=float(a[0]), b=float(b[0]), c=float(c[0]))
 
 
 def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
     """Coefficients of the gap form of the fixed-point cubic."""
-    l0, l1, l2 = _gap_cubic_coeffs(params.noise, np.array([params.power]))
+    _, (l0, l1, l2), _ = _coeffs(params.noise, np.array([params.power]))
     return GapCubicCoeffs(lambda0=float(l0[0]), lambda1=float(l1[0]), lambda2=float(l2[0]))
 
 
@@ -343,14 +317,15 @@ def _bisect_brackets(lo, hi, s, c2, c1, c0):
     """Bisect every bracket of f(x) = ((s x + c2) x + c1) x + c0 at once,
     each with its own coefficients, until it collapses to adjacent floats.
 
-    No step limit: a root g in [0, 2^-10] takes log2(2^-10 / g) + 53 halvings,
-    up to about 1,075 for the smallest floats.  Each bracket is held as its
-    end u, where f is not negative (NaN counts as not negative), and its end
-    v, where f is negative; a step moves u to mid where f(mid) is not
-    negative, v where it is negative, and both where f(mid) = 0 exactly,
-    which ends the bracket at mid.  A collapsed bracket (its midpoint equals an end) is a
-    fixed point of the step, and a step that leaves a midpoint in place has
-    collapsed its bracket, so the loop runs until no midpoint moves."""
+    No step limit: a root x of a bracket [0, 1/2] takes about
+    log2(1 / x) + 52 halvings, up to about 1,075 for the smallest floats.
+    Each bracket is held as its end u, where f is not negative (NaN counts as
+    not negative), and its end v, where f is negative; a step moves u to mid
+    where f(mid) is not negative, v where it is negative, and both where
+    f(mid) = 0 exactly, which ends the bracket at mid.  A collapsed bracket
+    (its midpoint equals an end) is a fixed point of the step, and a step
+    that leaves a midpoint in place has collapsed its bracket, so the loop
+    runs until no midpoint moves."""
     neg_lo = ((s * lo + c2) * lo + c1) * lo + c0 < 0.0
     u = np.where(neg_lo, hi, lo)
     v = np.where(neg_lo, lo, hi)
@@ -380,24 +355,29 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
       f' is a convex quadratic with f'(0) = b < 0, so f falls until its
         minimum and then rises, staying below f(1) < 0: one sign change.
     The gap form is f(1 - g), negative at g = 0 and positive at g = 1.
+
+    Each root is bisected in its smaller variable, the other taken as its
+    complement, so both keep full relative precision: near rho = 1 the rho
+    form is a ~1e-16 difference of order-one terms and the gap form a sum of
+    small same-scale ones, and near rho = 0 it is the other way round.  One
+    gap-form evaluation at g = 1/2 picks the variable: where it is not
+    positive, g >= 1/2 and the rho form bisects rho in [0, 1/2]; elsewhere
+    the gap form bisects g in [0, 1/2].  A lambda0 that underflows to 0 is
+    its own root g = 0, a bracket [0, 0] already closed in the gap form.
+
+    A genuine fixed point alternates in sign with constant magnitude, so a
+    root is rejected if its recursion residual exceeds
+    RECURSION_RESIDUAL_ACCEPT, and the rho-form cubic must certify it: its
+    residual must not exceed CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).
     """
     _check_float_range(noise, powers)
     p = np.array(powers, dtype=float)
-    a, b, c = _cubic_coeffs(noise, p)
-    lambda0, lambda1, lambda2 = _gap_cubic_coeffs(noise, p)
-    # The gap form is negative at g_lo and not negative at g_hi; a lambda0
-    # that underflows to 0 is its own root, a bracket already closed.
-    g_hi = np.where(lambda0 == 0.0, 0.0, 1.0)
-    g_lo = np.zeros_like(g_hi)
-    for _ in range(_GAP_HALVINGS):
-        mid = 0.5 * (g_lo + g_hi)
-        fm = ((lambda2 - mid) * mid + lambda1) * mid + lambda0
-        np.copyto(g_hi, mid, where=~(fm < 0.0))
-        np.copyto(g_lo, mid, where=fm <= 0.0)
-    in_rho = g_lo >= 0.5
+    (a, b, c), (lambda0, lambda1, lambda2), _ = _coeffs(noise, p)
+    closed = lambda0 == 0.0
+    in_rho = (((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0) & ~closed
     x = _bisect_brackets(
-        np.where(in_rho, 1.0 - g_hi, g_lo),
-        np.where(in_rho, 1.0 - g_lo, g_hi),
+        np.zeros_like(p),
+        np.where(closed, 0.0, 0.5),
         np.where(in_rho, 1.0, -1.0),
         np.where(in_rho, a, lambda2),
         np.where(in_rho, b, lambda1),
@@ -431,22 +411,9 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
 
 def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     """Find the operating correlation magnitude rho* in [0, 1] and its gap
-    g = 1 - rho*.
-
-    The cubic has one root in [0, 1] (see ``_solve_powers``).  Ten halvings
-    of g in [0, 1] in the gap form leave a bracket 2^-10 wide, which is then
-    bisected in the smaller variable, the other taken as its complement, so
-    both keep full relative precision: the gap form for g < 1/2 (near
-    rho = 1 the rho form is a ~1e-16 difference of order-one terms, the gap
-    form a sum of small same-scale ones), the rho form on the exact bracket
-    [1 - g_hi, 1 - g_lo] otherwise (near rho = 0 the gap form cancels the
-    same way).  A genuine fixed point alternates in sign with constant
-    magnitude, so the root is rejected if its recursion residual exceeds
-    RECURSION_RESIDUAL_ACCEPT, and the rho-form cubic must certify it: its
-    residual must not exceed CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).
-    Grids of powers are solved together by the same code (``sweep_rates``,
-    ``verify_asymptotics``), with the same result at each power.
-    """
+    g = 1 - rho*: ``_solve_powers`` at one power, which also solves the
+    grids of ``sweep_rates`` and ``verify_asymptotics``, with the same result
+    at each power."""
     return _solve_powers(params.noise, [params.power])[0]
 
 
@@ -578,8 +545,9 @@ def verify_asymptotics(
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
     fps = _solve_powers(noise, p_grid)
     powers = np.array(p_grid, dtype=float)
-    lambda0, lambda1, lambda2 = (v.tolist() for v in _gap_cubic_coeffs(noise, powers))
-    defect_terms = (powers * _root_defect(powers, s1, s2)).tolist()
+    _, gap_coeffs, defect = _coeffs(noise, powers)
+    lambda0, lambda1, lambda2 = (v.tolist() for v in gap_coeffs)
+    defect_terms = (powers * defect).tolist()
     rows = [
         AsymptoticsRow(
             power=p,

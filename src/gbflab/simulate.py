@@ -170,9 +170,11 @@ class CoefficientSchedule:
     k = 3..n, and are derived from the moments at k-1 (same array index).
     ``gain1[k-3]`` = psi / sqrt(alpha1) and ``gain2[k-3]`` = psi gamma sign(rho)
     / sqrt(alpha2) are the encoder's weights of the two errors at step k, so
-    the coding loop does no arithmetic on the moments.
+    the coding loop does no arithmetic on the moments.  ``params`` is the
+    channel the schedule was built for.
     """
 
+    params: ChannelParams
     n: int
     var_theta1: float
     var_theta2: float
@@ -237,6 +239,7 @@ def lmmse_coefficient_schedule(
         alpha2.append(state.alpha2)
         rho.append(state.rho)
     return CoefficientSchedule(
+        params=params,
         n=n,
         var_theta1=var_theta1,
         var_theta2=var_theta2,
@@ -277,6 +280,8 @@ def _checked_schedule(
         )
     var1, var2 = message_point_variance(levels1), message_point_variance(levels2)
     if schedule is not None:
+        if schedule.params != params:
+            raise ParameterError(f"schedule is built for {schedule.params}, not {params}")
         if schedule.n < config.n:
             raise ParameterError(f"schedule covers n = {schedule.n}, not n = {config.n}")
         if (schedule.var_theta1, schedule.var_theta2) != (var1, var2):

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from gbflab import (
     ChannelParams,
+    DegenerateMessageError,
     ErrorState,
+    MessageConfig,
     NoiseSpec,
+    NumericalIntegrityError,
     ParameterError,
     PrelogValue,
     achievable_rates,
     cubic_coeffs,
     gamma,
     gap_cubic_coeffs,
+    lmmse_coefficient_schedule,
+    message_point_variance,
     prelog_classify,
     rho_recursion,
     single_user_bound,
@@ -664,3 +669,48 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
     result = prelog_classify(m)
     assert result.value in (PrelogValue.ONE, PrelogValue.TWO, PrelogValue.UNDEFINED)
     assert result.reason
+
+
+# ---------------------------------------------------------------------------
+# input validation across the library
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ErrorState(-1.0, 1.0, 0.0), ParameterError,
+         "error variances must be nonnegative"),
+        (lambda: ErrorState(1.0, 1.0, -1.0 - 1e-11), NumericalIntegrityError,
+         "|rho| = 1.00000000001 exceeds 1 beyond tolerance"),
+        (lambda: single_user_bound(params_of(10.0), 3), ParameterError,
+         "receiver must be 1 or 2, got 3"),
+        (lambda: sweep_rates(HEADLINE, 1e2, 1e6, delta=0.0), ParameterError,
+         "delta must lie in (0, 1], got 0.0"),
+        (lambda: verify_asymptotics(HEADLINE, [1e2, 1e7], delta=1.0), ParameterError,
+         "delta must lie in (0, 1), got 1.0"),
+        (lambda: verify_asymptotics(HEADLINE, [0.0, 1e2, 1e7]), ParameterError,
+         "p_grid powers must be positive finite reals"),
+        (lambda: MessageConfig(n=10, rate1=51.3, rate2=1.0), ParameterError,
+         "rate1 gives an alphabet beyond 2**512; not supported"),
+        (lambda: message_point_variance(0), ParameterError,
+         "level count must be >= 1, got 0"),
+        (lambda: lmmse_coefficient_schedule(params_of(10.0), 2, 0.08, 0.08), ParameterError,
+         "block length must be >= 3, got 2"),
+        (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, 0.08, 0.0),
+         DegenerateMessageError, "message-point variances must be positive"),
+        (lambda: prelog_classify(np.array([[1.0, math.nan], [math.nan, 1.0]])), ParameterError,
+         "correlation matrix contains non-finite entries"),
+        (lambda: prelog_classify(np.array([[1.0, 1.5], [1.5, 1.0]])), ParameterError,
+         "correlation entries must lie in [-1, 1]"),
+    ],
+    ids=[
+        "error-state-variance", "error-state-rho", "single-user-receiver", "sweep-delta",
+        "verify-delta", "verify-zero-power", "message-alphabet", "variance-levels",
+        "schedule-length", "schedule-variance", "classify-nan", "classify-entry",
+    ],
+)
+def test_library_rejects_invalid_input(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -298,6 +298,27 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, valu
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file {path!r}: [Errno 2] No such file or directory"),
+        ("{power: 1}", "config file {path!r} is not valid JSON: Expecting property name"),
+        ("[1, 2]", "config file must contain a JSON object"),
+        ('{"mode": "bogus"}',
+         "config key 'mode' must be one of ('broadcast', 'interference', 'limited'), "
+         "got 'bogus'"),
+    ],
+    ids=["missing", "invalid-json", "array", "bad-choice"],
+)
+def test_config_file_that_cannot_be_used_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("gbflab simulate: error: " + message.format(path=str(cfg)))
+
+
 @pytest.mark.parametrize("key, value", [("fixpoint_init", True), ("fed_back_receiver", 1)])
 def test_config_naming_a_deleted_simulate_option_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"

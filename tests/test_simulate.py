@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -424,6 +425,10 @@ def test_trial_runs_config_length_on_a_longer_schedule_and_rejects_a_shorter_one
     other = lmmse_coefficient_schedule(HEADLINE, 12, 1.0 / 12.0, 1.0 / 12.0)
     with pytest.raises(ParameterError, match="variances"):
         run_broadcast_trial(two_level, HEADLINE, RngSpec(3, 3), schedule=other)
+    # A schedule holds the coefficients of one channel only.
+    elsewhere = ChannelParams(1e4, NoiseSpec(1.0, 2.0, 0.3))
+    with pytest.raises(ParameterError, match="schedule is built for ChannelParams"):
+        run_broadcast_trial(config, elsewhere, RngSpec(3, 3), schedule=longer)
 
 
 def test_interference_trial_equals_broadcast_bitwise():
@@ -694,6 +699,25 @@ def test_chunk_map_runs_every_chunk_once_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
     assert sorted(calls) == list(range(2000))
     assert results == [c * size for c, size in enumerate(sizes)]
+
+
+def test_chunk_map_stops_every_thread_once_a_chunk_fails(monkeypatch):
+    # Chunk 0 fails at once while every other chunk takes 10 ms, so the
+    # thread still running sees the failure after its current chunk and
+    # takes no further one: of 100 chunks, at most one per thread and the
+    # failed one run.
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+    ran = []
+
+    def run(c, size):
+        ran.append(c)
+        if c == 0:
+            raise UnsupportedConfigurationError("chunk 0 failed")
+        time.sleep(0.01)
+
+    with pytest.raises(UnsupportedConfigurationError, match="chunk 0 failed"):
+        simulate._map_chunks(run, [1] * 100)
+    assert 0 in ran and len(ran) <= 3
 
 
 def test_single_chunk_campaign_starts_no_thread(monkeypatch):
