@@ -317,8 +317,10 @@ def _bisect_brackets(lo, hi, s, c2, c1, c0):
     """Bisect every bracket of f(x) = ((s x + c2) x + c1) x + c0 at once,
     each with its own coefficients, until it collapses to adjacent floats.
 
-    No step limit: a root x of a bracket [0, 1/2] takes about
-    log2(1 / x) + 52 halvings, up to about 1,075 for the smallest floats.
+    No step limit: a bracket of width w around a root x takes about
+    log2(w / ulp(x)) halvings, from [0, 1/2] up to about 1,075 for the
+    smallest floats, which is why ``_solve_powers`` starts each one from a
+    verified bracket near its root.
     Each bracket is held as its end u, where f is not negative (NaN counts as
     not negative), and its end v, where f is negative; a step moves u to mid
     where f(mid) is not negative, v where it is negative, and both where
@@ -344,6 +346,113 @@ def _bisect_brackets(lo, hi, s, c2, c1, c0):
             return mid
 
 
+# Newton steps from the quadratic part's root to each estimate of the root.
+_NEWTON_STEPS = 4
+# The path is checked down to this many bits short of a 53-bit midpoint; the
+# last few levels lie within rounding of the root, where they seldom verify.
+_PATH_SPARE_BITS = 2
+# Path midpoints evaluated at once, which bounds the working set.
+_PATH_BLOCK = 1 << 15
+# Estimates are kept in [2^-1022, 1/2): a normal x keeps every midpoint of
+# its path exact, and below 1/2 the bracket [floor(x 2^d) 2^-d, + 2^-d] of
+# each depth d stays inside [0, 1/2].
+_ESTIMATE_MIN = 2.0**-1022
+_ESTIMATE_MAX = 0.5 - 2.0**-54
+# 2^k for the levels k = 0 .. 52 - _PATH_SPARE_BITS below an estimate's
+# leading bit, as a column.
+_LEVEL_SCALES = np.ldexp(1.0, np.arange(53 - _PATH_SPARE_BITS))[:, None]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _root_estimates(c2, c1, c0):
+    """Estimates of the root in [0, 1/2] of each monic cubic
+    h(x) = ((x + c2) x + c1) x + c0 with h(0) > 0 >= h(1/2): Newton steps
+    from the stable root of the quadratic part c2 x^2 + c1 x + c0 (the one
+    near -c0 / c1 when c1 < 0), clamped after each step, where fmin and fmax
+    also replace a NaN by a bound.  An estimate decides only how many
+    bisection steps are skipped, never a bit."""
+    # sqrt(c1^2 - 4 c2 c0) through |c1|, so that c1^2 cannot overflow
+    root = np.abs(c1) * np.sqrt(np.fmax(1.0 - 4.0 * (c2 / c1) * (c0 / c1), 0.0))
+    x = np.where(c1 < 0.0, 2.0 * c0 / (root - c1), (c1 + root) / (-2.0 * c2))
+    for _ in range(_NEWTON_STEPS):
+        x = np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
+        x = x - (((x + c2) * x + c1) * x + c0) / ((3.0 * x + 2.0 * c2) * x + c1)
+    return np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
+
+
+def _monic_at(m, c2, c1, c0):
+    """((m + c2) m + c1) m + c0, in the order of operations of
+    ``_bisect_brackets``."""
+    h = m + c2
+    h *= m
+    h += c1
+    h *= m
+    h += c0
+    return h
+
+
+def _first_bad(bad):
+    """Index of each column's first True, or the column length where there is
+    none."""
+    first = np.full(bad.shape[1], bad.shape[0])
+    broken = np.flatnonzero(bad.any(axis=0))
+    first[broken] = bad[:, broken].argmax(axis=0)
+    return first
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _verified_depths(x, c2, c1, c0):
+    """How many levels of the bisection of [0, 1/2] towards each estimate x
+    the signs of the monic cubic h confirm.
+
+    Level j of that path evaluates the midpoint m_j = (2 floor(x 2^j) + 1)
+    2^-(j+1) of its bracket, the value the bisection's 0.5 (u + v) forms
+    exactly while m_j fits in 53 bits, and goes right where m_j <= x: it
+    expects h(m_j) > 0 there and h(m_j) < 0 elsewhere.  A level confirms when
+    its sign is the expected one; a zero, NaN or wrong sign ends the prefix.
+    With x = f 2^e (1/2 <= f < 1), the levels j < -e all have m_j = 2^-(j+1)
+    > x; the next 53 - _PATH_SPARE_BITS levels m_j = (floor(f 2^k) + 1/2)
+    2^-k 2^e, k = j + e, each have at most k + 1 bits.  Each part is
+    evaluated in blocks of about _PATH_BLOCK midpoints, a level per row and a
+    power per column, the first part only for the powers whose prefix is
+    still unbroken."""
+    f, e = np.frexp(x)
+    zeros = -1 - e
+    depth = np.zeros(x.shape, dtype=np.int64)
+    cols = np.flatnonzero(zeros > 0)
+    top = 0
+    while cols.size:
+        width = min(max(1, _PATH_BLOCK // cols.size), int(zeros[cols].max()) - top)
+        mids = np.ldexp(1.0, -np.arange(top + 2, top + width + 2))[:, None]
+        h = _monic_at(mids, c2[cols], c1[cols], c0[cols])
+        depth[cols] = np.minimum(top + _first_bad(~(h < 0.0)), zeros[cols])
+        top += width
+        cols = cols[(depth[cols] == top) & (zeros[cols] > top)]
+    cols = np.flatnonzero(depth == zeros)
+    step = max(1, _PATH_BLOCK // _LEVEL_SCALES.size)
+    for start in range(0, cols.size, step):
+        c = cols[start:start + step]
+        fc = f[c]
+        scaled = fc * _LEVEL_SCALES
+        np.floor(scaled, out=scaled)
+        scaled += 0.5
+        scaled /= _LEVEL_SCALES
+        h = _monic_at(scaled * np.ldexp(1.0, e[c]), c2[c], c1[c], c0[c])
+        depth[c] += _first_bad(~np.where(scaled <= fc, h > 0.0, h < 0.0))
+    return depth
+
+
+def _start_brackets(c2, c1, c0, closed):
+    """The deepest bracket on each monic cubic's own bisection path from
+    [0, 1/2] whose every sign has been checked (see ``_solve_powers``), and
+    [0, 0] where ``closed``."""
+    x = _root_estimates(c2, c1, c0)
+    depth = _verified_depths(x, c2, c1, c0)
+    lo = np.ldexp(np.floor(np.ldexp(x, depth + 1)), -depth - 1)
+    hi = lo + np.ldexp(1.0, -depth - 1)
+    return np.where(closed, 0.0, lo), np.where(closed, 0.0, hi)
+
+
 def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
     """``solve_fixed_point`` at every power of ``powers``, solved together.
 
@@ -355,6 +464,7 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
       f' is a convex quadratic with f'(0) = b < 0, so f falls until its
         minimum and then rises, staying below f(1) < 0: one sign change.
     The gap form is f(1 - g), negative at g = 0 and positive at g = 1.
+    A power whose coefficients or root defect are not all finite is rejected.
 
     Each root is bisected in its smaller variable, the other taken as its
     complement, so both keep full relative precision: near rho = 1 the rho
@@ -365,6 +475,16 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
     the gap form bisects g in [0, 1/2].  A lambda0 that underflows to 0 is
     its own root g = 0, a bracket [0, 0] already closed in the gap form.
 
+    The bisection of [0, 1/2] does not start there.  In the monic form
+    h = s f (s = -1 in the gap form, whose evaluation is then exactly -f
+    bit for bit) a Newton estimate of the root names the dyadic path the
+    bisection would take towards it; h is evaluated at that path's midpoints
+    a block of levels at a time (``_verified_depths``), and the bisection
+    starts after the longest prefix of levels whose signs all agree with the
+    path.  Every sign the bisection would test on that prefix has been
+    evaluated with the same operations, so it ends on the same bits as from
+    [0, 1/2]; a poor estimate only shortens the prefix.
+
     A genuine fixed point alternates in sign with constant magnitude, so a
     root is rejected if its recursion residual exceeds
     RECURSION_RESIDUAL_ACCEPT, and the rho-form cubic must certify it: its
@@ -372,17 +492,22 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
     """
     _check_float_range(noise, powers)
     p = np.array(powers, dtype=float)
-    (a, b, c), (lambda0, lambda1, lambda2), _ = _coeffs(noise, p)
+    (a, b, c), (lambda0, lambda1, lambda2), defect = _coeffs(noise, p)
+    finite = np.isfinite([a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
+    if not finite.all():
+        raise ParameterError(
+            f"power P = {float(p[np.argmin(finite)])} with sigma1 = {float(noise.sigma1)}, "
+            f"sigma2 = {float(noise.sigma2)} is beyond the solver's float range: "
+            "the fixed-point cubic's coefficients must be finite"
+        )
     closed = lambda0 == 0.0
     in_rho = (((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0) & ~closed
-    x = _bisect_brackets(
-        np.zeros_like(p),
-        np.where(closed, 0.0, 0.5),
-        np.where(in_rho, 1.0, -1.0),
-        np.where(in_rho, a, lambda2),
-        np.where(in_rho, b, lambda1),
-        np.where(in_rho, c, lambda0),
-    )
+    s = np.where(in_rho, 1.0, -1.0)
+    c2 = np.where(in_rho, a, lambda2)
+    c1 = np.where(in_rho, b, lambda1)
+    c0 = np.where(in_rho, c, lambda0)
+    lo, hi = _start_brackets(s * c2, s * c1, s * c0, closed)
+    x = _bisect_brackets(lo, hi, s, c2, c1, c0)
     gap = np.where(in_rho, 1.0 - x, x)
     rho = np.where(in_rho, x, 1.0 - x)
     rec_res = np.abs(np.abs(_rho_recursion(rho, p, noise)) - rho)
@@ -428,28 +553,27 @@ def solve_gap(params: ChannelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
-    """Rate pair achievable at operating correlation rho and its gap
-    g = 1 - rho (``FixedPoint.gap``), whose denominators P * gap / 2 + sigma^2
-    never form 1 - rho."""
-    if not (0.0 <= rho <= 1.0):
-        raise ParameterError(f"rho must lie in [0, 1], got {rho}")
-    if not (0.0 <= gap <= 1.0):
-        raise ParameterError(f"gap must lie in [0, 1], got {gap}")
-    p = params.power
-    s1, s2 = params.noise.sigma1, params.noise.sigma2
+def _rates(p: float, s1: float, s2: float, gap: float) -> tuple[float, float, float, float]:
+    """(R1, R2, R1 + R2, pre-log ratio) at power p, noise levels s1, s2 and
+    gap g = 1 - rho, whose denominators P * gap / 2 + sigma^2 never form
+    1 - rho."""
     half_gap_power = 0.5 * p * gap
     # log1p keeps full relative precision at low SNR, where the ratios
     # (P + s^2) / (P g/2 + s^2) and 1 + P lie within rounding of 1.
     r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / math.log(2.0)
     r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / math.log(2.0)
     total = r1 + r2
-    return RatePoint(
-        r1=r1,
-        r2=r2,
-        sum=total,
-        prelog_ratio=total / (0.5 * math.log1p(p) / math.log(2.0)),
-    )
+    return r1, r2, total, total / (0.5 * math.log1p(p) / math.log(2.0))
+
+
+def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
+    """Rate pair achievable at operating correlation rho and its gap
+    g = 1 - rho (``FixedPoint.gap``)."""
+    if not (0.0 <= rho <= 1.0):
+        raise ParameterError(f"rho must lie in [0, 1], got {rho}")
+    if not (0.0 <= gap <= 1.0):
+        raise ParameterError(f"gap must lie in [0, 1], got {gap}")
+    return RatePoint(*_rates(params.power, params.noise.sigma1, params.noise.sigma2, gap))
 
 
 def single_user_bound(params: ChannelParams, receiver: int) -> float:
@@ -494,18 +618,19 @@ def sweep_rates(
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
+    s1, s2 = noise.sigma1, noise.sigma2
     rows = []
     for p, fp in zip(grid, _solve_powers(noise, grid)):
-        rp = achievable_rates(ChannelParams(power=p, noise=noise), fp.rho_star, gap=fp.gap)
+        r1, r2, total, ratio = _rates(p, s1, s2, fp.gap)
         rows.append(
             SweepRow(
                 power=p,
                 rho_star=fp.rho_star,
                 gap=fp.gap,
-                r1=rp.r1,
-                r2=rp.r2,
-                sum=rp.sum,
-                prelog_ratio=rp.prelog_ratio,
+                r1=r1,
+                r2=r2,
+                sum=total,
+                prelog_ratio=ratio,
                 scaled_gap=p ** (1.0 - delta) * fp.gap,
             )
         )

@@ -87,15 +87,18 @@ def test_sigma_whose_square_underflows_exits_2(capsys, command, flag):
         ("analyze", "--power", "2e154"),
         ("analyze", "--sigma1", "1e100", "--sigma2", "1e100"),
         ("analyze", "--power", "1e-320", "--sigma1", "1e-3", "--sigma2", "1e-3"),
+        # P spp is in range, but the cubic's coefficients overflow
+        ("analyze", "--power", "1e-309"),
+        ("analyze", "--power", "1e-300", "--sigma1", "1e5", "--sigma2", "1e5"),
         ("simulate", "--power", "1e300"),
         ("sweep", "--p-stop", "1e200"),
         ("verify", "--p-stop", "1e200"),
     ],
 )
 def test_power_beyond_solver_float_range_exits_2(capsys, argv):
-    # Rejected before any array arithmetic: no overflow RuntimeWarning (the
-    # suite turns those into errors), no exit 4 from the solver and, for a
-    # product that underflows to 0, no division by zero.
+    # Rejected before the solver runs: no overflow RuntimeWarning (the suite
+    # turns those into errors), no exit 4 from the solver and, for a product
+    # that underflows to 0, no division by zero.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "beyond the solver's float range" in err and "P = " in err and "sigma1 = " in err
@@ -400,6 +403,25 @@ def test_default_stdout_bytes_are_unchanged(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+# stdout of invocations whose solves start far from [0, 1/2]: a grid down to
+# P = 1e-3 that also reaches g ~ 1e-14, and one power 1,014 halvings deep.
+SOLVER_STDOUT_SHA256 = {
+    ("sweep", "--p-start", "1e-3", "--p-stop", "1e14", "--points-per-decade", "8"):
+        "2c2687af33cf1b01a44c24b96102cfa43945f651f3bb7f034d85104d23719845",
+    ("verify", "--p-start", "1e-3", "--p-stop", "1e14", "--points-per-decade", "8"):
+        "aaf11a66ad833a9f05ce50567b4a8ebc72d55b7abf92aa82ab5cffc978a3bbe4",
+    ("analyze", "--power", "1e-290"):
+        "7231695ae8768c7cb58f438cef7784ce231e1f981da54441e7c0d6933e1a9263",
+}
+
+
+@pytest.mark.parametrize("argv", list(SOLVER_STDOUT_SHA256), ids=" ".join)
+def test_solver_stdout_bytes_are_unchanged(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVER_STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
