@@ -453,8 +453,9 @@ def _start_brackets(c2, c1, c0, closed):
     return np.where(closed, 0.0, lo), np.where(closed, 0.0, hi)
 
 
-def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
-    """``solve_fixed_point`` at every power of ``powers``, solved together.
+def _solve_powers(noise: NoiseSpec, powers: list[float]):
+    """Arrays of ``solve_fixed_point``'s fields at each power of ``powers``,
+    solved together, then the gap-form coefficients and the root defect.
 
     The rho-form cubic f(r) = r^3 + a r^2 + b r + c has exactly one root in
     [0, 1] at every accepted (P, sigma1, sigma2, rho_z), so [0, 1] brackets it:
@@ -528,10 +529,7 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]) -> list[FixedPoint]:
             f"cubic residual {float(residual[i])} exceeds tolerance {float(bound[i])} "
             f"at rho = {float(rho[i])}"
         )
-    return [
-        FixedPoint(rho_star=r, gap=g, residual=e, recursion_residual=q)
-        for r, g, e, q in zip(rho.tolist(), gap.tolist(), residual.tolist(), rec_res.tolist())
-    ]
+    return (rho, gap, residual, rec_res), (lambda0, lambda1, lambda2), defect
 
 
 def solve_fixed_point(params: ChannelParams) -> FixedPoint:
@@ -539,7 +537,8 @@ def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     g = 1 - rho*: ``_solve_powers`` at one power, which also solves the
     grids of ``sweep_rates`` and ``verify_asymptotics``, with the same result
     at each power."""
-    return _solve_powers(params.noise, [params.power])[0]
+    solved, _, _ = _solve_powers(params.noise, [params.power])
+    return FixedPoint(*(v.item() for v in solved))
 
 
 def solve_gap(params: ChannelParams) -> float:
@@ -619,19 +618,20 @@ def sweep_rates(
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
     s1, s2 = noise.sigma1, noise.sigma2
+    (rho, gap, _, _), _, _ = _solve_powers(noise, grid)
     rows = []
-    for p, fp in zip(grid, _solve_powers(noise, grid)):
-        r1, r2, total, ratio = _rates(p, s1, s2, fp.gap)
+    for p, r, g in zip(grid, rho.tolist(), gap.tolist()):
+        r1, r2, total, ratio = _rates(p, s1, s2, g)
         rows.append(
             SweepRow(
                 power=p,
-                rho_star=fp.rho_star,
-                gap=fp.gap,
+                rho_star=r,
+                gap=g,
                 r1=r1,
                 r2=r2,
                 sum=total,
                 prelog_ratio=ratio,
-                scaled_gap=p ** (1.0 - delta) * fp.gap,
+                scaled_gap=p ** (1.0 - delta) * g,
             )
         )
     return rows
@@ -668,11 +668,9 @@ def verify_asymptotics(
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
-    fps = _solve_powers(noise, p_grid)
-    powers = np.array(p_grid, dtype=float)
-    _, gap_coeffs, defect = _coeffs(noise, powers)
+    (_, gap, _, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
     lambda0, lambda1, lambda2 = (v.tolist() for v in gap_coeffs)
-    defect_terms = (powers * defect).tolist()
+    p_defect = [float(p) * d for p, d in zip(p_grid, defect.tolist())]
     rows = [
         AsymptoticsRow(
             power=p,
@@ -682,10 +680,10 @@ def verify_asymptotics(
             root_defect=d,
             root_defect_err=abs(d - half_noise_sum),
             lambda0_scaled=(p ** (2.0 - delta - eps) * l0) if anti else math.nan,
-            gap=fp.gap,
-            gap_scaled=p ** (1.0 - delta) * fp.gap,
+            gap=g,
+            gap_scaled=p ** (1.0 - delta) * g,
         )
-        for p, l0, l1, l2, d, fp in zip(p_grid, lambda0, lambda1, lambda2, defect_terms, fps)
+        for p, l0, l1, l2, d, g in zip(p_grid, lambda0, lambda1, lambda2, p_defect, gap.tolist())
     ]
     tail = [r for r in rows if r.power >= p_grid[-1] / 1e3]
     monotone: dict[str, bool | None] = {

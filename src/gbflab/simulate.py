@@ -84,8 +84,9 @@ class MessageConfig:
     rate2: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 3):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
             raise ParameterError(f"block length must be an integer >= 3, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         for name, rate in (("rate1", self.rate1), ("rate2", self.rate2)):
             if not (rate >= 0.0 and np.isfinite(rate)):
                 raise ParameterError(f"{name} must be a nonnegative finite real, got {rate}")

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gbflab import (
     sweep_rates,
     verify_asymptotics,
 )
+from gbflab import analysis
 from gbflab.analysis import power_grid
 
 HEADLINE = NoiseSpec(1.0, 1.0, -1.0)
@@ -598,6 +600,21 @@ def test_asymptotics_grid_validation():
         verify_asymptotics(HEADLINE, [1e2, 1e2, 1e7], 0.2, 0.1)  # not increasing
     with pytest.raises(ParameterError):
         verify_asymptotics(HEADLINE, [1e2, 1e7], 0.2, 0.5)  # eps >= delta
+
+
+def test_each_grid_call_forms_the_coefficients_once():
+    # sweep_rates and verify_asymptotics read every coefficient they need
+    # from their one grid solve, and solve_fixed_point returns Python floats.
+    grid = power_grid(1e-3, 1e14, 8)
+    with mock.patch.object(analysis, "_coeffs", wraps=analysis._coeffs) as coeffs:
+        rows = sweep_rates(HEADLINE, 1e-3, 1e14, 8)
+        assert coeffs.call_count == 1
+        report = verify_asymptotics(HEADLINE, grid)
+        assert coeffs.call_count == 2
+    assert coeffs.call_args.args[1].tolist() == grid
+    assert {type(v) for row in rows + list(report.rows) for v in vars(row).values()} == {float}
+    fp = solve_fixed_point(params_of(100.0))
+    assert [type(v) for v in vars(fp).values()] == [float] * 4
 
 
 def test_gap_cubic_matches_rho_cubic_transform():

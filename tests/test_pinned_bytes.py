@@ -81,6 +81,12 @@ def test_campaign_summary_bytes_are_pinned(monkeypatch, case):
     assert _digest(summary) == CAMPAIGNS[case]
 
 
+def test_numpy_block_length_gives_the_campaign_of_its_int():
+    # MessageConfig stores an np.int64 block length as a Python int.
+    summary = run_broadcast_campaign(_config(np.int64(20), 0.9), PARAMS, 100, 11)
+    assert _digest(summary) == CAMPAIGNS[("broadcast", 100, 20, 0.9, 11)]
+
+
 TRIAL_ENTRIES = {
     "broadcast": run_broadcast_trial,
     "interference": run_interference_trial,

@@ -809,6 +809,11 @@ def test_campaign_rejects_trials_that_are_not_an_integer_of_at_least_100(trials)
 def test_message_config_validation():
     with pytest.raises(ParameterError):
         MessageConfig(n=2, rate1=0.5, rate2=0.5)
+    with pytest.raises(ParameterError, match="got 2$"):
+        MessageConfig(n=np.int64(2), rate1=0.5, rate2=0.5)
+    with pytest.raises(ParameterError, match="got 20.0$"):
+        MessageConfig(n=20.0, rate1=0.5, rate2=0.5)
+    assert type(MessageConfig(n=np.int64(20), rate1=0.5, rate2=0.5).n) is int
     with pytest.raises(ParameterError):
         MessageConfig(n=10, rate1=-0.1, rate2=0.5)
     with pytest.raises(DegenerateMessageError):

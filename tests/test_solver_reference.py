@@ -154,9 +154,11 @@ def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
             # The grid solve raises for its first failing power.
             assert _outcome(lambda: _solve_powers(noise, powers)) == expected[-1]
             return
-    got = _solve_powers(noise, powers)
-    for fp, ref in zip(got, expected):
-        assert tuple(map(float.hex, vars(fp).values())) == tuple(map(float.hex, vars(ref).values()))
+    solved, _, _ = _solve_powers(noise, powers)
+    got = list(zip(*(v.tolist() for v in solved)))
+    assert len(got) == len(expected)
+    for fields, ref in zip(got, expected):
+        assert tuple(map(float.hex, fields)) == tuple(map(float.hex, vars(ref).values()))
 
 
 @pytest.mark.parametrize("cfg", [(1.0, 1.0, -1.0), (1.0, 1.0, 0.0), (1.0, 2.0, 0.3), (1.0, 1.0, 0.9)])
