@@ -597,7 +597,8 @@ def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[fl
         raise ParameterError("points_per_decade must be at least 1")
     lg0 = math.log10(p_start)
     n = max(1, round((math.log10(p_stop) - lg0) * points_per_decade))
-    return [p_start] + [10.0 ** (lg0 + i / points_per_decade) for i in range(1, n)] + [p_stop]
+    inner = [10.0 ** (lg0 + i / points_per_decade) for i in range(1, n)]
+    return [float(p_start)] + inner + [float(p_stop)]
 
 
 def sweep_rates(
@@ -665,12 +666,13 @@ def verify_asymptotics(
         raise ParameterError(f"eps must lie in (0, delta), got {eps}")
     if not all(0.0 < p < math.inf for p in p_grid):
         raise ParameterError("p_grid powers must be positive finite reals")
+    p_grid = [float(p) for p in p_grid]
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
     (_, gap, _, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
     lambda0, lambda1, lambda2 = (v.tolist() for v in gap_coeffs)
-    p_defect = [float(p) * d for p, d in zip(p_grid, defect.tolist())]
+    p_defect = [p * d for p, d in zip(p_grid, defect.tolist())]
     rows = [
         AsymptoticsRow(
             power=p,

@@ -8,10 +8,14 @@ that many successive channel uses, bit for bit what as many calls would draw
 from the same stream.  The outputs themselves, y_v = x + z_v (with x the sum
 of both inputs on the unit-gain interference channel), are formed in the
 simulation's coding loop.
+
+A stream's Philox key is its seed sequence: opening a stream draws no OS
+entropy, and ``numpy.random`` loads with the first stream, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,14 +90,51 @@ class RngSpec:
 
     def __post_init__(self) -> None:
         for name, value in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
-            if not (isinstance(value, (int, np.integer)) and 0 <= value <= _UINT64_MASK):
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and 0 <= value <= _UINT64_MASK):
                 raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 
+class _PhiloxKey:
+    """A stream's key, given to Philox as its seed sequence.
+
+    ``Philox(key=...)`` first draws OS entropy for a ``SeedSequence`` that it
+    then discards.  Given a seed sequence, Philox asks it for its key alone
+    and starts at counter 0, so this one gives the state ``key=`` gives.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError(f"a Philox key is 2 words of uint64, not {n_words} of {dtype}")
+        return self.words
+
+
+@functools.cache
+def _philox():
+    """``numpy.random.Philox``, once it accepts a ``_PhiloxKey`` as its seed.
+
+    Threads that race here register twice, which is harmless.
+    """
+    from numpy.random.bit_generator import ISeedSequence  # loads numpy.random
+
+    ISeedSequence.register(_PhiloxKey)
+    return np.random.Philox
+
+
 def make_generator(spec: RngSpec) -> np.random.Generator:
-    """Instantiate the stream addressed by ``spec``."""
+    """A new generator for the stream addressed by ``spec``.
+
+    Philox keyed by (master_seed, stream_id) at counter 0, with the key as its
+    seed sequence: no OS entropy is drawn, and ``numpy.random`` loads on the
+    first call.
+    """
     key = np.array([spec.master_seed, spec.stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(_philox()(_PhiloxKey(key)))
 
 
 def sample_noise_pair(

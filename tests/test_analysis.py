@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -615,6 +616,20 @@ def test_each_grid_call_forms_the_coefficients_once():
     assert {type(v) for row in rows + list(report.rows) for v in vars(row).values()} == {float}
     fp = solve_fixed_point(params_of(100.0))
     assert [type(v) for v in vars(fp).values()] == [float] * 4
+
+
+def test_float32_grids_give_the_rows_of_their_float_values():
+    # Rows are formed from the grid entries' values as Python floats: with
+    # float32 entries, P^1.7 at P = 1e24 would overflow float32.
+    noise = NoiseSpec(1.0, 2.0, -1.0)
+    grid = [np.float32(10.0**e) for e in range(2, 27, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_rates(noise, grid[0], grid[-1], 2)
+        report = verify_asymptotics(noise, grid)
+    assert rows == sweep_rates(noise, float(grid[0]), float(grid[-1]), 2)
+    assert report == verify_asymptotics(noise, [float(p) for p in grid])
+    assert {type(v) for row in rows + list(report.rows) for v in vars(row).values()} == {float}
 
 
 def test_gap_cubic_matches_rho_cubic_transform():

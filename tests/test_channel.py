@@ -189,8 +189,51 @@ def test_rng_spec_validation():
 
 
 @pytest.mark.parametrize("field", ["master_seed", "stream_id"])
-@pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
 def test_rng_spec_rejects_non_integers(field, value):
-    # A float seed would otherwise be truncated: 1.5 keyed the stream of 1.
+    # A float seed would otherwise be truncated: 1.5 keyed the stream of 1,
+    # and True the stream of 1.
     with pytest.raises(ParameterError, match=field):
         RngSpec(**{"master_seed": 1, "stream_id": 0, field: value})
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def test_keyed_stream_is_philox_of_its_key():
+    random_keys = np.random.default_rng(2011).integers(0, 2**64, (50, 2), dtype=np.uint64)
+    keys = [(0, 0), (2**64 - 1, 2**64 - 1), (np.uint64(2**63 + 1), np.int64(7)),
+            *map(tuple, random_keys.tolist())]
+    for master_seed, stream_id in keys:
+        gen = make_generator(RngSpec(master_seed, stream_id))
+        # A uint64 array: numpy reads a list such as [2**63 + 1, 7] as float64.
+        ref = np.random.Philox(key=np.array([master_seed, stream_id], dtype=np.uint64))
+        assert _same_state(gen.bit_generator.state, ref.state)
+        assert np.array_equal(gen.bit_generator.random_raw(9), ref.random_raw(9))
+        ref_gen = np.random.Generator(ref)
+        assert np.array_equal(gen.standard_normal(7), ref_gen.standard_normal(7))
+        assert np.array_equal(gen.integers(1, 2**62, 5), ref_gen.integers(1, 2**62, 5))
+
+
+def test_make_generator_draws_no_entropy(monkeypatch):
+    import numpy.random.bit_generator as bit_generator
+
+    calls = []
+    randbits = bit_generator.randbits
+    monkeypatch.setattr(bit_generator, "randbits", lambda k: calls.append(k) or randbits(k))
+    for stream_id in range(100):
+        make_generator(RngSpec(20240901, stream_id))
+    assert calls == []
+
+
+def test_generators_of_one_spec_are_independent():
+    spec = RngSpec(3, 4)
+    first, second = make_generator(spec), make_generator(spec)
+    assert first is not second and first.bit_generator is not second.bit_generator
+    fresh = make_generator(spec).bit_generator.state
+    first.standard_normal(10)
+    assert not _same_state(first.bit_generator.state, fresh)
+    assert _same_state(second.bit_generator.state, fresh)

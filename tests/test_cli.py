@@ -487,12 +487,58 @@ def test_echoed_options_are_the_parser_options(tmp_path, capsys, command):
     assert echoed_options(out) == dests
 
 
+def run_python(*args):
+    """Run the interpreter on ``args`` in a fresh process that imports this gbflab."""
+    src = os.path.dirname(os.path.dirname(gbflab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
 def test_import_loads_neither_statistics_nor_fractions():
     # statistics pulls in fractions and decimal, about 1.5 ms of every CLI
     # process; nothing in gbflab needs them.
-    src = os.path.dirname(os.path.dirname(gbflab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, gbflab, gbflab.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+    done = run_python("-c", code)
+    assert (done.returncode, done.stdout) == (0, b"[]\n")
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random takes 11-15 ms to load; only a random stream needs it, and
+    # it loads with the first one.
+    done = run_python("-c", "import sys, gbflab, gbflab.cli; print('numpy.random' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, b"False\n")
+
+
+FIRST_STREAMS_ON_THREADS = """
+import sys, threading
+import numpy as np
+from gbflab import RngSpec, make_generator
+sys.setswitchinterval(1e-6)
+start, draws = threading.Barrier(8), {}
+def first_stream(i):
+    start.wait(timeout=30)
+    draws[i] = make_generator(RngSpec(7, i)).standard_normal(3)
+threads = [threading.Thread(target=first_stream, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+assert not any(t.is_alive() for t in threads) and len(draws) == 8
+for i, got in draws.items():
+    key = np.array([7, i], dtype=np.uint64)
+    assert np.array_equal(got, np.random.Generator(np.random.Philox(key=key)).standard_normal(3))
+print("ok")
+"""
+
+
+def test_first_streams_opened_on_threads_at_once_are_the_keyed_streams():
+    # The first stream of a process loads numpy.random and registers the key
+    # type; threads that get there together must all get their keyed streams.
+    done = run_python("-c", FIRST_STREAMS_ON_THREADS)
+    assert (done.returncode, done.stdout) == (0, b"ok\n"), done.stderr
+
+
+def test_module_entry_point_prints_the_golden_analyze_bytes():
+    done = run_python("-m", "gbflab.cli", "analyze")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_STDOUT_SHA256[("analyze",)]
