@@ -655,7 +655,11 @@ def verify_asymptotics(
 ) -> AsymptoticsReport:
     """Tabulate the high-power behavior of the gap-form coefficients and the
     gap itself, with strict-monotonicity verdicts over the last three decades
-    for each quantity that must vanish."""
+    for each quantity that must vanish.  The grid is checked as the float64
+    powers it is solved at, so entries that round to one float are equal."""
+    if not all(isinstance(p, (int, float, np.integer, np.floating)) for p in p_grid):
+        raise ParameterError("p_grid powers must be positive finite reals")
+    p_grid = [float(p) for p in p_grid]
     if len(p_grid) < 2 or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
         raise ParameterError("p_grid must be strictly increasing")
     if p_grid[-1] < 1e4 * p_grid[0]:
@@ -666,7 +670,6 @@ def verify_asymptotics(
         raise ParameterError(f"eps must lie in (0, delta), got {eps}")
     if not all(0.0 < p < math.inf for p in p_grid):
         raise ParameterError("p_grid powers must be positive finite reals")
-    p_grid = [float(p) for p in p_grid]
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)

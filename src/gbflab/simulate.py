@@ -18,10 +18,12 @@ The message mapping, the encoder and the channel outputs live only there.
 A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats
 and takes the noise of all n channel uses from its stream in one call; a
-campaign (``run_broadcast_campaign``) runs it on arrays of independent
-blocks, draws each step's noise as that step runs, and reduces each step to
-per-step sums as the step arrives.  Both draw the same noise from the same
-stream as one call per channel use would.
+campaign (``run_broadcast_campaign``) runs it on arrays of B independent
+blocks in step blocks of k = min(n, max(1, 8,192 // B)) channel uses (k = 1
+beyond 4,096 blocks): one call draws a step block's noise, and one reduction
+per quantity turns its stacked per-use values into per-use sums.  Both draw the
+same noise from the same stream, and form the same sums, as one call and one
+reduction per channel use would.
 A campaign splits its blocks into chunks of at most 65,536: chunk c runs on
 the stream ``RngSpec(master_seed, c)``, the chunks run concurrently, one per
 available CPU (a single chunk runs in the calling thread), their sums are
@@ -40,6 +42,7 @@ represent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -65,6 +68,11 @@ from .errors import (
 
 _VECTOR_LEVEL_LIMIT = 1 << 62  # beyond this, message indices live in floats
 _CHUNK_TRIALS = 1 << 16  # most campaign blocks held in memory at once
+# Most values of one quantity in a campaign's step block: 64 KB arrays, so a
+# step block's arrays stay in a core's cache.  Larger blocks fall out of it:
+# at 65,536 values, campaigns of 2,000 to 30,000 blocks ran up to 40% slower
+# than one use at a time (2-core Xeon VM, 2 MB of L2 cache per core).
+_STEP_BLOCK_VALUES = 1 << 13
 _CONFIDENCE = 0.95  # level of a campaign's Wilson interval for the block error rate
 _WILSON_Z = 1.9599639845400536  # NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
 _MODES = ("broadcast", "interference", "limited")
@@ -299,6 +307,12 @@ def _checked_schedule(
 # ---------------------------------------------------------------------------
 
 
+def _step_block(n: int, size: int) -> int:
+    """Channel uses per step block of a campaign chunk of ``size`` blocks:
+    as many as keep each quantity within _STEP_BLOCK_VALUES values, at least 1."""
+    return min(n, max(1, _STEP_BLOCK_VALUES // size))
+
+
 def _coding_loop(
     config: MessageConfig,
     params: ChannelParams,
@@ -312,8 +326,10 @@ def _coding_loop(
     blocks carrying messages (m1, m2): the input, its two summands (what each
     interference-mode transmitter emits) and the receivers' errors after
     output t (None after t = 1).  With ``size=None`` the messages are ints and
-    every value is a Python float; otherwise they are arrays of ``size``
-    independent blocks.
+    every value is a Python float, and the noise of all n uses comes from one
+    sampler call.  Otherwise the messages are arrays of ``size`` independent
+    blocks, each value is a fresh array of them, and one call draws the noise
+    of a step block of ``_step_block(n, size)`` uses.
 
     The encoder works on the receivers' own errors in every mode.  With
     limited feedback it sees one receiver's output, hence that receiver's
@@ -321,19 +337,24 @@ def _coding_loop(
     encoder knows both errors, so the mode runs the broadcast scheme."""
     noise, p = params.noise, params.power
     var1, var2 = schedule.var_theta1, schedule.var_theta2
+    n = config.n
     if size is None:
-        # A trial takes the noise of its whole block from one call.
-        noises = zip(*(z.tolist() for z in sample_noise_pair(noise, gen, steps=config.n)))
+        noises = zip(*(z.tolist() for z in sample_noise_pair(noise, gen, steps=n)))
+    elif (k := _step_block(n, size)) == 1:
+        # Each use's own arrays, as one call per use draws them: row views of
+        # one-use draws, which the loop updates in place, more than doubled a
+        # full chunk's page faults in glibc's heap and cost it about 3%.
+        noises = (sample_noise_pair(noise, gen, size) for _ in range(n))
     else:
-        # A campaign draws each step's noise as that step runs.
-        noises = (sample_noise_pair(noise, gen, size) for _ in range(config.n))
+        draws = (sample_noise_pair(noise, gen, size, steps=min(k, n - t)) for t in range(0, n, k))
+        noises = (pair for z1, z2 in draws for pair in zip(z1, z2))
 
     # t = 1 and t = 2 plant the message points (transmitter v sends point v
     # in interference mode).  Receiver 1 keeps only the noise of t = 1 and
     # receiver 2 only that of t = 2, so the initial errors are uncorrelated.
     # No array stays bound once no later step needs it, and the caller owns
     # each step's arrays after the yield: a campaign chunk's working set is
-    # the two errors plus the arrays of the step in flight.
+    # the two errors, the step block's noise and the values the caller keeps.
     eps1 = math.sqrt(var1 / p) * next(noises)[0]
     x = math.sqrt(p / var1) * (0.5 - (m1 - 1) / config.levels1)
     del m1
@@ -542,6 +563,45 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [base + (c < extra) for c in range(chunks)]
 
 
+def _stacked(rows) -> np.ndarray:
+    """Equal-length rows as one C-contiguous (len(rows), size) array: a
+    view of a lone row, else a copy."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _add_block_sums(sums: np.ndarray, start: int, mode: str, steps):
+    """Reduce the yields of one step block, channel uses t = start + 1, ...,
+    into columns of ``sums`` (laid out as in ``_chunk_sums``); return the
+    block's last errors.
+
+    Each sum of a block is one product and one ``np.add.reduce`` along the
+    rows of the block's stacked values.  That is numpy's pairwise sum of
+    each C-contiguous row, the bits of a reduction of that row alone.  The
+    errors exist from t = 2 on, so their rows start there; t1 and t2 are
+    both arrays from t = 3 on, and ``_chunk_sums`` fills in t = 1, 2."""
+    total = np.add.reduce
+    x, t1, t2, eps1, eps2 = zip(*steps)
+    stop = start + len(x)
+    x = _stacked(x)
+    sums[0, start:stop] = total(x * x, axis=1)
+    del x
+    first = max(start, 2)
+    if mode == "interference" and first < stop:
+        for q, rows in ((1, t1), (2, t2)):
+            rows = _stacked(rows[first - start :])
+            sums[q, first:stop] = total(rows * rows, axis=1)
+            del rows
+    del t1, t2
+    first = max(start, 1)
+    if first < stop:
+        e1, e2 = _stacked(eps1[first - start :]), _stacked(eps2[first - start :])
+        sums[3, first:stop], sums[4, first:stop] = total(e1, axis=1), total(e2, axis=1)
+        sums[5, first:stop] = total(e1 * e1, axis=1)
+        sums[6, first:stop] = total(e2 * e2, axis=1)
+        sums[7, first:stop] = total(e1 * e2, axis=1)
+    return eps1[-1], eps2[-1]
+
+
 def _chunk_sums(
     config: MessageConfig,
     params: ChannelParams,
@@ -555,9 +615,16 @@ def _chunk_sums(
     blocks: x^2, t1^2 and t2^2 (interference mode only, else 0), then eps1,
     eps2, eps1^2, eps2^2 and eps1*eps2 (0 at t = 1, before the errors exist).
     Each is numpy's pairwise sum, ``np.add.reduce`` (what ``np.sum`` runs,
-    without its wrapper), over one product at a time; a BLAS dot product
-    would make the bytes depend on the BLAS build and its thread count."""
-    total = np.add.reduce
+    without its wrapper), over the blocks' values of one use; a BLAS dot
+    product would make the bytes depend on the BLAS build and its thread
+    count.
+
+    The uses run in step blocks of k = ``_step_block(n, size)``.  With
+    k > 1 each block is reduced as a whole once it has run
+    (``_add_block_sums``): a chunk of 100 blocks at n = 20 draws its noise in
+    one call and forms each quantity's 20 sums in one reduction.  A chunk of
+    more than 4,096 blocks, k = 1, reduces each use as it arrives, with
+    scalar stores, which costs less Python per use than a one-row block."""
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
@@ -566,21 +633,31 @@ def _chunk_sums(
     edges1 = m1 == 1, m1 == config.levels1
     edges2 = m2 == 1, m2 == config.levels2
     del m1, m2
-    sums = np.zeros((8, config.n))
-    # Not enumerate(steps), whose cached tuple would keep the previous
-    # step's arrays alive while the next one runs.
-    t = 0
-    for x, t1, t2, eps1, eps2 in steps:
-        sums[0, t] = total(x * x)
-        if mode == "interference":  # axis=None: t1 or t2 is 0.0 at t = 1, 2
-            sums[1, t], sums[2, t] = total(t1 * t1, None), total(t2 * t2, None)
-        del x, t1, t2
-        if t:
-            sums[3, t], sums[4, t] = total(eps1), total(eps2)
-            sums[5, t] = total(eps1 * eps1)
-            sums[6, t] = total(eps2 * eps2)
-            sums[7, t] = total(eps1 * eps2)
-        t += 1
+    n = config.n
+    k = _step_block(n, size)
+    sums = np.zeros((8, n))
+    if k == 1:
+        total = np.add.reduce
+        # Not enumerate(steps), whose cached tuple would keep the previous
+        # step's arrays alive while the next one runs.
+        t = 0
+        for x, t1, t2, eps1, eps2 in steps:
+            sums[0, t] = total(x * x)
+            if mode == "interference":  # axis=None: t1 or t2 is 0.0 at t = 1, 2
+                sums[1, t], sums[2, t] = total(t1 * t1, None), total(t2 * t2, None)
+            del x, t1, t2
+            if t:
+                sums[3, t], sums[4, t] = total(eps1), total(eps2)
+                sums[5, t] = total(eps1 * eps1)
+                sums[6, t] = total(eps2 * eps2)
+                sums[7, t] = total(eps1 * eps2)
+            t += 1
+    else:
+        for start in range(0, n, k):
+            eps1, eps2 = _add_block_sums(sums, start, mode, itertools.islice(steps, k))
+        if mode == "interference":
+            # Transmitter v alone sends at t = v, its message point: t_v = x.
+            sums[1, 0], sums[2, 1] = sums[0, 0], sums[0, 1]
 
     ok1 = _decoded_correctly(eps1, *edges1, config.levels1)
     ok2 = _decoded_correctly(eps2, *edges2, config.levels2)

@@ -601,6 +601,21 @@ def test_asymptotics_grid_validation():
         verify_asymptotics(HEADLINE, [1e2, 1e2, 1e7], 0.2, 0.1)  # not increasing
     with pytest.raises(ParameterError):
         verify_asymptotics(HEADLINE, [1e2, 1e7], 0.2, 0.5)  # eps >= delta
+    for grid in (["1e2", "1e7"], [1e2, "1e7"], [1e2, None, 1e7], [1e2, np.array([1e7])]):
+        with pytest.raises(ParameterError, match="^p_grid powers must be positive finite reals$"):
+            verify_asymptotics(HEADLINE, grid)
+    with pytest.raises(ParameterError):  # a one-shot iterator is used up by the checks
+        verify_asymptotics(HEADLINE, (p for p in (1e2, 1e7)))
+
+
+def test_asymptotics_grid_is_validated_as_the_floats_it_is_solved_at():
+    # 2**60 and 2**60 + 1 differ as integers but are one float64 power.
+    grid = [1, 10**4, 2**60, 2**60 + 1]
+    assert float(grid[2]) == float(grid[3])
+    with pytest.raises(ParameterError, match="^p_grid must be strictly increasing$"):
+        verify_asymptotics(HEADLINE, grid)
+    report = verify_asymptotics(HEADLINE, grid[:3])
+    assert [row.power for row in report.rows] == [1.0, 1e4, float(2**60)]
 
 
 def test_each_grid_call_forms_the_coefficients_once():

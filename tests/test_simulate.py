@@ -367,15 +367,17 @@ def test_trial_deterministic_and_streams_differ():
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec(1.0, 1.0, -1.0), NoiseSpec(1.0, 2.0, 0.3)], ids=str)
-def test_trial_draws_its_noise_in_one_call_and_a_campaign_once_per_step(monkeypatch, noise):
+def test_trial_draws_its_noise_in_one_call_and_a_campaign_once_per_step_block(monkeypatch, noise):
     # The coding loop reaches the sampler through the name simulate imported,
-    # so a wrapper set there sees every call: one n-step draw per trial, and
-    # one draw per channel use in a single-chunk campaign.
-    steps = []
+    # so a wrapper set there sees every call: one n-step draw per trial, one
+    # n-step draw for a chunk of 100 blocks, and one draw per channel use
+    # for a full chunk of 65,536 blocks.
+    calls = []
     original = simulate.sample_noise_pair
 
     def counted(*args, **kwargs):
-        steps.append(kwargs.get("steps"))
+        size = args[2] if len(args) > 2 else kwargs.get("size")
+        calls.append((size, kwargs.get("steps")))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "sample_noise_pair", counted)
@@ -383,12 +385,15 @@ def test_trial_draws_its_noise_in_one_call_and_a_campaign_once_per_step(monkeypa
     config = headline_config(n=20, params=params)
     modes = ["broadcast", "interference"] + (["limited"] if noise.is_degenerate else [])
     for mode in modes:
-        steps.clear()
+        calls.clear()
         _run_trial(config, params, RngSpec(3, 0), mode, 1)
-        assert steps == [20], mode
-        steps.clear()
+        assert calls == [(None, 20)], mode
+        calls.clear()
         run_broadcast_campaign(config, params, 100, 3, mode=mode)
-        assert steps == [None] * 20, mode
+        assert calls == [(100, 20)], mode
+        calls.clear()
+        run_broadcast_campaign(config, params, 65_536, 3, mode=mode)
+        assert calls == [(65_536, None)] * 20, mode
 
 
 def test_trial_record_shapes_and_powers():
@@ -596,6 +601,70 @@ def test_campaign_chunks_are_balanced():
         assert np.all(np.isfinite(getattr(summary, field))), field
 
 
+def _per_step_chunk_sums(config, params, schedule, mode, rng, size):
+    """The sums and decode errors of one chunk as they were formed before
+    step blocks: the coding loop draws each use's noise in its own call
+    (step blocks of one use), and each use is reduced as it arrives, one 1-D
+    ``np.add.reduce`` per quantity."""
+    total = np.add.reduce
+    gen = make_generator(rng)
+    m1 = _draw_messages(gen, config.levels1, size)
+    m2 = _draw_messages(gen, config.levels2, size)
+    sums = np.zeros((8, config.n))
+    steps = _coding_loop(config, params, schedule, gen, m1, m2, size)
+    for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
+        sums[0, t] = total(x * x)
+        if mode == "interference":
+            sums[1, t], sums[2, t] = total(t1 * t1, None), total(t2 * t2, None)
+        if t:
+            sums[3, t], sums[4, t] = total(eps1), total(eps2)
+            sums[5, t] = total(eps1 * eps1)
+            sums[6, t] = total(eps2 * eps2)
+            sums[7, t] = total(eps1 * eps2)
+    ok1 = _decoded_correctly(eps1, m1 == 1, m1 == config.levels1, config.levels1)
+    ok2 = _decoded_correctly(eps2, m2 == 1, m2 == config.levels2, config.levels2)
+    return sums, int(size - np.count_nonzero(ok1 & ok2))
+
+
+# (chunk size, n, uses per step block): one block, blocks that do and do not
+# divide n on both sides of the 8,192-value step-block limit, and single-use
+# blocks up to a full chunk.
+STEP_BLOCK_CASES = [
+    (100, 20, 20),
+    (100, 7, 7),
+    (431, 20, 19),
+    (2_730, 20, 3),
+    (3_277, 7, 2),
+    (4_096, 6, 2),
+    (4_097, 5, 1),
+    (21_845, 4, 1),
+    (32_768, 4, 1),
+    (32_769, 3, 1),
+    (65_536, 3, 1),
+]
+
+
+@pytest.mark.parametrize("size, n, k", STEP_BLOCK_CASES, ids=str)
+def test_step_block_sums_equal_the_per_step_reduction_bytes(monkeypatch, size, n, k):
+    assert simulate._step_block(n, size) == k
+    for noise in (NoiseSpec(1.0, 1.0, -1.0), NoiseSpec(1.0, 2.0, 0.3)):
+        params = ChannelParams(100.0, noise)
+        config = headline_config(n=n, fraction=0.95, params=params)
+        modes = ["broadcast", "interference"] + (["limited"] if noise.is_degenerate else [])
+        for mode in modes:
+            schedule = simulate._checked_schedule(config, params, mode, 1)
+            rng = RngSpec(17, 3)
+            sums, errors = simulate._chunk_sums(config, params, schedule, mode, rng, size)
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_step_block", lambda n, size: 1)
+                ref_sums, ref_errors = _per_step_chunk_sums(
+                    config, params, schedule, mode, rng, size
+                )
+            assert sums.tobytes() == ref_sums.tobytes(), (noise, mode)
+            assert errors == ref_errors, (noise, mode)
+            assert np.count_nonzero(sums[1:3]) == (2 * n - 2 if mode == "interference" else 0)
+
+
 def test_campaign_memory_is_bounded_by_the_chunk():
     # Holding every block at once would peak near 60 MB here; a campaign
     # holds one chunk of at most 65,536 blocks.  Limited mode keeps the most
@@ -623,6 +692,25 @@ def test_campaign_chunk_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 7e6
+
+
+def test_campaign_step_block_working_set_stays_small():
+    # A chunk of 2,730 blocks runs in step blocks of 3 uses: it keeps one
+    # step block's noise draws and stacked values, at most 8,192 values
+    # (64 KB) per quantity, about 0.6 MB at the peak.  The first campaign
+    # of a process also loads numpy's random module (0.7 MB), so one runs
+    # before the trace.
+    params = ChannelParams(100.0, NoiseSpec(1.0, 2.0, 0.3))
+    config = headline_config(n=20, params=params)
+    assert simulate._step_block(config.n, 2_730) == 3
+    run_broadcast_campaign(config, params, 100, 1, mode="interference")
+    tracemalloc.start()
+    try:
+        run_broadcast_campaign(config, params, 2_730, 1, mode="interference")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def _chunks_side_by_side(monkeypatch, cpus, chunks, fail_at=None):
