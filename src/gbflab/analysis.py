@@ -26,6 +26,7 @@ RECURSION_RESIDUAL_ACCEPT = 1e-6
 # of 1 + |a| + |b| + |c|; bisection to adjacent floats leaves ~2e-16.
 CUBIC_RESIDUAL_ACCEPT = 1e-10
 _RHO_INTEGRITY_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +112,14 @@ class PrelogClass:
             raise ParameterError("an Undefined classification must carry a reason")
 
 
-@dataclass(frozen=True)
+@dataclass
 class AsymptoticsRow:
-    """High-power limit diagnostics at one grid power."""
+    """High-power limit diagnostics at one grid power.
+
+    Not frozen, so mutable and unhashable: a frozen dataclass stores each
+    field through ``object.__setattr__``, which was most of the cost of
+    building a grid's rows.  The records built once per call stay frozen.
+    """
 
     power: float
     lambda2: float
@@ -134,9 +140,13 @@ class AsymptoticsReport:
     monotone: dict[str, bool | None]
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepRow:
-    """One power grid point of a rate sweep."""
+    """One power grid point of a rate sweep.
+
+    Not frozen, so mutable and unhashable, for the reason ``AsymptoticsRow``
+    gives.
+    """
 
     power: float
     rho_star: float
@@ -300,7 +310,7 @@ def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
     by (s1 + s2)^2 s1 s2, the recursion's q s12 at rho = 1, which must be
     neither 0 nor inf.  Checked in Python floats, which do either without a
     warning."""
-    s1, s2 = float(noise.sigma1), float(noise.sigma2)
+    s1, s2 = noise.sigma1, noise.sigma2
     sigma_product = (s1 * s1 + s2 * s2 + 2.0 * s1 * s2) * (s1 * s2)
     for p in (float(min(powers)), float(max(powers))):
         product = p * math.sqrt(p + s1 * s1) * math.sqrt(p + s2 * s2)
@@ -497,8 +507,8 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     finite = np.isfinite([a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
     if not finite.all():
         raise ParameterError(
-            f"power P = {float(p[np.argmin(finite)])} with sigma1 = {float(noise.sigma1)}, "
-            f"sigma2 = {float(noise.sigma2)} is beyond the solver's float range: "
+            f"power P = {float(p[np.argmin(finite)])} with sigma1 = {noise.sigma1}, "
+            f"sigma2 = {noise.sigma2} is beyond the solver's float range: "
             "the fixed-point cubic's coefficients must be finite"
         )
     closed = lambda0 == 0.0
@@ -559,10 +569,10 @@ def _rates(p: float, s1: float, s2: float, gap: float) -> tuple[float, float, fl
     half_gap_power = 0.5 * p * gap
     # log1p keeps full relative precision at low SNR, where the ratios
     # (P + s^2) / (P g/2 + s^2) and 1 + P lie within rounding of 1.
-    r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / math.log(2.0)
-    r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / math.log(2.0)
+    r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / _LN2
+    r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / _LN2
     total = r1 + r2
-    return r1, r2, total, total / (0.5 * math.log1p(p) / math.log(2.0))
+    return r1, r2, total, total / (0.5 * math.log1p(p) / _LN2)
 
 
 def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
@@ -586,7 +596,7 @@ def single_user_bound(params: ChannelParams, receiver: int) -> float:
         raise ParameterError(f"receiver must be 1 or 2, got {receiver}")
     # log1p, as in achievable_rates: log2(1 + P/s^2) is 0.0 once P/s^2 is
     # below rounding of 1.
-    return 0.5 * math.log1p(params.power / (s * s)) / math.log(2.0)
+    return 0.5 * math.log1p(params.power / (s * s)) / _LN2
 
 
 def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[float]:
@@ -619,23 +629,12 @@ def sweep_rates(
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
     s1, s2 = noise.sigma1, noise.sigma2
+    gap_exponent = 1.0 - delta
     (rho, gap, _, _), _, _ = _solve_powers(noise, grid)
-    rows = []
-    for p, r, g in zip(grid, rho.tolist(), gap.tolist()):
-        r1, r2, total, ratio = _rates(p, s1, s2, g)
-        rows.append(
-            SweepRow(
-                power=p,
-                rho_star=r,
-                gap=g,
-                r1=r1,
-                r2=r2,
-                sum=total,
-                prelog_ratio=ratio,
-                scaled_gap=p ** (1.0 - delta) * g,
-            )
-        )
-    return rows
+    return [
+        SweepRow(p, r, g, *_rates(p, s1, s2, g), p**gap_exponent * g)
+        for p, r, g in zip(grid, rho.tolist(), gap.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -673,20 +672,15 @@ def verify_asymptotics(
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
+    # exponents of P in lambda0_scaled, lambda1_scaled and gap_scaled
+    e0, e1, eg = 2.0 - delta - eps, 1.0 - 0.5 * eps, 1.0 - delta
     (_, gap, _, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
     lambda0, lambda1, lambda2 = (v.tolist() for v in gap_coeffs)
     p_defect = [p * d for p, d in zip(p_grid, defect.tolist())]
     rows = [
         AsymptoticsRow(
-            power=p,
-            lambda2=l2,
-            lambda2_err=abs(l2 - 2.0),
-            lambda1_scaled=p ** (1.0 - 0.5 * eps) * l1,
-            root_defect=d,
-            root_defect_err=abs(d - half_noise_sum),
-            lambda0_scaled=(p ** (2.0 - delta - eps) * l0) if anti else math.nan,
-            gap=g,
-            gap_scaled=p ** (1.0 - delta) * g,
+            p, l2, abs(l2 - 2.0), p**e1 * l1, d, abs(d - half_noise_sum),
+            p**e0 * l0 if anti else math.nan, g, p**eg * g,
         )
         for p, l0, l1, l2, d, g in zip(p_grid, lambda0, lambda1, lambda2, p_defect, gap.tolist())
     ]

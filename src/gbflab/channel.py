@@ -26,21 +26,38 @@ from .errors import ParameterError
 _UINT64_MASK = (1 << 64) - 1
 
 
+def _store_floats(record, *names: str) -> None:
+    """Replace each named field of a frozen ``record`` by its value as a Python
+    float.  Equal records then compute with equal bits: a float32 power would
+    otherwise compare and hash like its float64 value but build float32
+    arrays.  Bools, arrays (0-d ones too) and other non-reals are rejected."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        try:
+            object.__setattr__(record, name, float(value))
+        except OverflowError:
+            raise ParameterError(f"{name} must be a real number within float range") from None
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Standard deviations and correlation coefficient of the two receiver noises."""
+    """Standard deviations and correlation coefficient of the two receiver
+    noises, stored as Python floats."""
 
     sigma1: float
     sigma2: float
     rho_z: float
 
     def __post_init__(self) -> None:
+        _store_floats(self, "sigma1", "sigma2", "rho_z")
         for name, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            if not (sigma > 0.0 and np.isfinite(sigma)):
+            if not (sigma > 0.0 and math.isfinite(sigma)):
                 raise ParameterError(f"{name} must be a positive finite real, got {sigma}")
-            # Squared as a Python float, which overflows to inf (or underflows
-            # to 0) without the RuntimeWarning a numpy scalar raises.
-            square = float(sigma) * float(sigma)
+            # A Python float square overflows to inf (or underflows to 0)
+            # without the RuntimeWarning a numpy scalar raises.
+            square = sigma * sigma
             if not math.isfinite(square):
                 raise ParameterError(f"{name} = {sigma} is too large: its square overflows")
             if square == 0.0:
@@ -63,13 +80,15 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Average block power constraint plus the noise statistics."""
+    """Average block power constraint, stored as a Python float, plus the
+    noise statistics."""
 
     power: float
     noise: NoiseSpec
 
     def __post_init__(self) -> None:
-        if not (self.power > 0.0 and np.isfinite(self.power)):
+        _store_floats(self, "power")
+        if not (self.power > 0.0 and math.isfinite(self.power)):
             raise ParameterError(f"power must be a positive finite real, got {self.power}")
 
 

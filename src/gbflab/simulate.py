@@ -172,7 +172,8 @@ def _draw_messages(gen: np.random.Generator, levels: int, size: int | None = Non
 
 @dataclass(frozen=True)
 class CoefficientSchedule:
-    """Deterministic per-step data shared read-only by all trials.
+    """Deterministic per-step data shared by all trials; its arrays are
+    read-only.
 
     Index convention: ``alpha1[k-2]`` etc. are the moments after output k for
     k = 2..n; ``psi[k-3]``, ``c1[k-3]``, ``c2[k-3]`` drive feedback step k for
@@ -252,15 +253,23 @@ def lmmse_coefficient_schedule(
         n=n,
         var_theta1=var_theta1,
         var_theta2=var_theta2,
-        alpha1=np.array(alpha1),
-        alpha2=np.array(alpha2),
-        rho=np.array(rho),
-        psi=np.array(psi),
-        c1=np.array(c1),
-        c2=np.array(c2),
-        gain1=np.array(gain1),
-        gain2=np.array(gain2),
+        alpha1=_read_only(alpha1),
+        alpha2=_read_only(alpha2),
+        rho=_read_only(rho),
+        psi=_read_only(psi),
+        c1=_read_only(c1),
+        c2=_read_only(c2),
+        gain1=_read_only(gain1),
+        gain2=_read_only(gain2),
     )
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    """A schedule array: every trial run on the schedule shares it, so a write
+    to it raises instead of changing the trials that follow."""
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
 
 
 def _checked_schedule(

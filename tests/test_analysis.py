@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -494,6 +495,36 @@ def test_rates_headline_value():
     assert rp.prelog_ratio == pytest.approx(rp.sum / (0.5 * math.log2(11.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "sigmas",
+    [
+        (1.0, 1.0),
+        pytest.param(
+            (1.0, 2.0),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    "Known defect: achievable_rates uses the equal-noise formula "
+                    "1/2 log2((P + s_v^2) / (P g/2 + s_v^2)), which is the scheme's rate "
+                    "only at sigma1 = sigma2. At sigma = (1, 2), rho_z = -1, P = 100 it "
+                    "gives (2.7123, 2.1402), while each step of the schedule at rho* "
+                    "shrinks the error variances by rates (2.9901, 2.0113)."
+                ),
+            ),
+        ),
+    ],
+    ids=["equal", "unequal"],
+)
+def test_rates_are_the_per_step_decay_of_the_error_variances(sigmas):
+    # At the fixed point each channel use multiplies alpha_v by 2^(-2 R_v).
+    params = params_of(100.0, *sigmas)
+    fp = solve_fixed_point(params)
+    rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
+    step = step_error_state(ErrorState(alpha1=1.0, alpha2=1.0, rho=fp.rho_star), params)
+    assert rp.r1 == pytest.approx(-0.5 * math.log2(step.alpha1), abs=1e-12)
+    assert rp.r2 == pytest.approx(-0.5 * math.log2(step.alpha2), abs=1e-12)
+
+
 def test_rates_monotone_in_rho():
     params = params_of(50.0, 1.0, 2.0, 0.3)
     rhos = np.linspace(0, 1, 101)
@@ -631,6 +662,19 @@ def test_each_grid_call_forms_the_coefficients_once():
     assert {type(v) for row in rows + list(report.rows) for v in vars(row).values()} == {float}
     fp = solve_fixed_point(params_of(100.0))
     assert [type(v) for v in vars(fp).values()] == [float] * 4
+
+
+def test_rows_are_plain_dataclass_records():
+    # Rows are built positionally; the dataclass helpers see them by name.
+    sweep_row = sweep_rates(HEADLINE, 1e2, 1e6, 1)[0]
+    asymptotics_row = verify_asymptotics(HEADLINE, power_grid(1e2, 1e6, 1)).rows[0]
+    for row in (sweep_row, asymptotics_row):
+        names = [f.name for f in dataclasses.fields(row)]
+        assert list(vars(row)) == names
+        assert dataclasses.astuple(row) == tuple(getattr(row, name) for name in names)
+        moved = dataclasses.replace(row, power=7.0)
+        assert moved.power == 7.0
+        assert dataclasses.replace(moved, power=row.power) == row
 
 
 def test_float32_grids_give_the_rows_of_their_float_values():

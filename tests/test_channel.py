@@ -46,6 +46,28 @@ def test_noise_spec_rejects_sigma_whose_square_underflows(name, tiny):
     NoiseSpec(1e-160, np.float64(1e-160), -1.0)
 
 
+def test_params_hold_python_floats_whatever_reals_they_are_given():
+    # Equal params must compute with equal bits: a float32 power compared and
+    # hashed like 100.0 but built a float32 schedule.
+    params = ChannelParams(np.float32(100.0), NoiseSpec(np.float32(1.0), np.int64(2), 0.3))
+    assert params == ChannelParams(100.0, NoiseSpec(1.0, 2.0, 0.3))
+    assert hash(params) == hash(ChannelParams(100.0, NoiseSpec(1.0, 2.0, 0.3)))
+    noise = params.noise
+    assert [type(v) for v in (params.power, noise.sigma1, noise.sigma2, noise.rho_z)] == [float] * 4
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, np.array(100.0), np.array([100.0]), "100", None, 1j, 10**400],
+    ids=["bool", "numpy bool", "0-d array", "1-d array", "str", "None", "complex", "huge int"],
+)
+@pytest.mark.parametrize("field", ["power", "sigma1", "sigma2", "rho_z"])
+def test_params_reject_what_is_not_one_real_number(field, value):
+    values = {"power": 100.0, "sigma1": 1.0, "sigma2": 1.0, "rho_z": -1.0, field: value}
+    with pytest.raises(ParameterError, match=field):
+        ChannelParams(values["power"], NoiseSpec(values["sigma1"], values["sigma2"], values["rho_z"]))
+
+
 def test_covariance_matrix():
     spec = NoiseSpec(1.0, 2.0, 0.25)
     cov = spec.covariance()

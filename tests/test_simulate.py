@@ -350,6 +350,35 @@ def test_schedule_underflow_guard():
         lmmse_coefficient_schedule(params, 60, 1.0 / 12.0, 1.0 / 12.0)
 
 
+SCHEDULE_ARRAYS = ("alpha1", "alpha2", "rho", "psi", "c1", "c2", "gain1", "gain2")
+
+
+def test_schedule_arrays_are_read_only_and_summaries_copy_them():
+    # Every trial run on a schedule shares its arrays: a write such as
+    # schedule.c1[0] = 0.0 would change all the trials that follow.
+    var = message_point_variance(64)
+    schedule = lmmse_coefficient_schedule(HEADLINE, 20, var, var)
+    for name in SCHEDULE_ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(schedule, name)[0] = 0.0
+    summary = run_broadcast_campaign(headline_config(), HEADLINE, 100, 3)
+    for name in ("alpha1", "alpha2", "rho"):
+        getattr(summary, name)[0] = 0.0
+
+
+def test_schedule_of_numpy_scalar_params_is_the_float_schedule():
+    # A float32 power used to build float32 arrays: alpha1[-1] was
+    # 3.2612974e-26, not 3.2612970306289386e-26.
+    var = message_point_variance(64)
+    noise = NoiseSpec(1.0, 2.0, 0.3)
+    reference = lmmse_coefficient_schedule(ChannelParams(100.0, noise), 20, var, var)
+    schedule = lmmse_coefficient_schedule(ChannelParams(np.float32(100.0), noise), 20, var, var)
+    for name in SCHEDULE_ARRAYS:
+        got, want = getattr(schedule, name), getattr(reference, name)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # trials
 # ---------------------------------------------------------------------------
