@@ -19,9 +19,6 @@ import numpy as np
 from .channel import ChannelParams, NoiseSpec
 from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 
-# Roots are accepted as genuine fixed points only if one application of the
-# correlation recursion returns to them (in magnitude) within this residual.
-RECURSION_RESIDUAL_ACCEPT = 1e-6
 # The returned root must satisfy the rho-form cubic to within this multiple
 # of 1 + |a| + |b| + |c|; bisection to adjacent floats leaves ~2e-16.
 CUBIC_RESIDUAL_ACCEPT = 1e-10
@@ -77,7 +74,11 @@ class GapCubicCoeffs:
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """A solved fixed-point correlation with its certification residuals."""
+    """A solved correlation rho*, its gap g = 1 - rho* and the rho-form
+    cubic's residual, the solver's one certificate.  ``recursion_residual``,
+    | |rho_recursion(rho*)| - rho* |, is an absolute diagnostic at the float
+    rho* with no bound: once g < 2^-53 rounds rho* to 1, it measures the
+    recursion at 1 (1.0, 0.5, 0.1 at P = 1e33, unit sigmas, rho_z = 0, 0.5, -0.9)."""
 
     rho_star: float
     gap: float
@@ -196,8 +197,11 @@ def _coeffs(noise: NoiseSpec, p):
     c = (p + s11 + s22 - rz * s12) / spp
     # The defect without cancellation: the direct 1 - P / spp subtracts two
     # quantities that agree to ~s^2/P relative and so loses all significance
-    # at large P.
-    defect = (p * (s11 + s22) + s11 * s22) / (spp * (spp + p))
+    # at large P.  Where spp > 1, both terms are scaled by an exact 1/4 that
+    # keeps spp (spp + P) finite up to P = 1.3e154, the end of the accepted
+    # range, and makes neither subnormal, so no finite quotient moves a bit.
+    quarter = np.where(spp > 1.0, 0.25, 1.0)
+    defect = (quarter * (p * (s11 + s22) + s11 * s22)) / ((quarter * spp) * (spp + p))
     lambda2 = (
         3.0 - 2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / (p * spp)
     )
@@ -226,26 +230,6 @@ def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
     return GapCubicCoeffs(lambda0=float(l0[0]), lambda1=float(l1[0]), lambda2=float(l2[0]))
 
 
-def _rho_recursion(rho, p, noise: NoiseSpec):
-    """``rho_recursion`` at powers ``p`` broadcast against ``rho`` (or a float)."""
-    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
-    ar = abs(rho)
-    sg = (rho >= 0.0) * 2.0 - 1.0
-    s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
-    pi1, pi2 = p + s11, p + s22
-    spp = np.sqrt(pi1) * np.sqrt(pi2)
-    b_noise = s11 + s22 + 2.0 * s12 * ar
-    # (1 - ar)(1 + ar): exact to one rounding even for ar near 1, where the
-    # naive 1 - ar*ar cancels.
-    omr2 = (1.0 - ar) * (1.0 + ar)
-    q = p * omr2 + b_noise
-    # P S / (pi1 pi2) = 1 - tau with tau = s1 s2 (s1 s2 + P rho_z) / (pi1 pi2)
-    tau = s12 * (s12 + p * rz) / (pi1 * pi2)
-    w0 = (s1 + s2 * ar) * (s2 + s1 * ar)
-    core = sg * (w0 * tau - s12 * omr2)
-    return spp / (q * s12) * core
-
-
 def rho_recursion(rho, params: ChannelParams):
     """One application of the error-correlation recursion.
 
@@ -261,7 +245,23 @@ def rho_recursion(rho, params: ChannelParams):
     """
     if not isinstance(rho, float):
         rho = np.asarray(rho, dtype=float)
-    out = _rho_recursion(rho, params.power, params.noise)
+    p, noise = params.power, params.noise
+    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
+    ar = abs(rho)
+    sg = (rho >= 0.0) * 2.0 - 1.0
+    s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
+    pi1, pi2 = p + s11, p + s22
+    spp = np.sqrt(pi1) * np.sqrt(pi2)
+    b_noise = s11 + s22 + 2.0 * s12 * ar
+    # (1 - ar)(1 + ar): exact to one rounding even for ar near 1, where the
+    # naive 1 - ar*ar cancels.
+    omr2 = (1.0 - ar) * (1.0 + ar)
+    q = p * omr2 + b_noise
+    # P S / (pi1 pi2) = 1 - tau with tau = s1 s2 (s1 s2 + P rho_z) / (pi1 pi2)
+    tau = s12 * (s12 + p * rz) / (pi1 * pi2)
+    w0 = (s1 + s2 * ar) * (s2 + s1 * ar)
+    core = sg * (w0 * tau - s12 * omr2)
+    out = spp / (q * s12) * core
     if out.ndim == 0:
         return float(out)
     return out
@@ -452,19 +452,17 @@ def _verified_depths(x, c2, c1, c0):
     return depth
 
 
-def _start_brackets(c2, c1, c0, closed):
+def _start_brackets(c2, c1, c0):
     """The deepest bracket on each monic cubic's own bisection path from
-    [0, 1/2] whose every sign has been checked (see ``_solve_powers``), and
-    [0, 0] where ``closed``."""
+    [0, 1/2] whose every sign has been checked (see ``_solve_powers``)."""
     x = _root_estimates(c2, c1, c0)
     depth = _verified_depths(x, c2, c1, c0)
     lo = np.ldexp(np.floor(np.ldexp(x, depth + 1)), -depth - 1)
-    hi = lo + np.ldexp(1.0, -depth - 1)
-    return np.where(closed, 0.0, lo), np.where(closed, 0.0, hi)
+    return lo, lo + np.ldexp(1.0, -depth - 1)
 
 
 def _solve_powers(noise: NoiseSpec, powers: list[float]):
-    """Arrays of ``solve_fixed_point``'s fields at each power of ``powers``,
+    """Arrays of rho*, the gap and the cubic residual at each of ``powers``,
     solved together, then the gap-form coefficients and the root defect.
 
     The rho-form cubic f(r) = r^3 + a r^2 + b r + c has exactly one root in
@@ -475,7 +473,9 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
       f' is a convex quadratic with f'(0) = b < 0, so f falls until its
         minimum and then rises, staying below f(1) < 0: one sign change.
     The gap form is f(1 - g), negative at g = 0 and positive at g = 1.
-    A power whose coefficients or root defect are not all finite is rejected.
+    A power whose coefficients or root defect are not all finite is rejected,
+    and so is one whose lambda0 = f(1), negative, underflows to 0, which
+    would make g = 0 a root.
 
     Each root is bisected in its smaller variable, the other taken as its
     complement, so both keep full relative precision: near rho = 1 the rho
@@ -483,8 +483,7 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     small same-scale ones, and near rho = 0 it is the other way round.  One
     gap-form evaluation at g = 1/2 picks the variable: where it is not
     positive, g >= 1/2 and the rho form bisects rho in [0, 1/2]; elsewhere
-    the gap form bisects g in [0, 1/2].  A lambda0 that underflows to 0 is
-    its own root g = 0, a bracket [0, 0] already closed in the gap form.
+    the gap form bisects g in [0, 1/2].
 
     The bisection of [0, 1/2] does not start there.  In the monic form
     h = s f (s = -1 in the gap form, whose evaluation is then exactly -f
@@ -496,50 +495,42 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     evaluated with the same operations, so it ends on the same bits as from
     [0, 1/2]; a poor estimate only shortens the prefix.
 
-    A genuine fixed point alternates in sign with constant magnitude, so a
-    root is rejected if its recursion residual exceeds
-    RECURSION_RESIDUAL_ACCEPT, and the rho-form cubic must certify it: its
-    residual must not exceed CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).
+    The rho-form cubic certifies each root: its residual must not exceed
+    CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).  No other check is made:
+    the cubic has one root in [0, 1] and the bisection ends on adjacent
+    floats around it, so there is no other candidate to screen out.
     """
     _check_float_range(noise, powers)
     p = np.array(powers, dtype=float)
     (a, b, c), (lambda0, lambda1, lambda2), defect = _coeffs(noise, p)
-    finite = np.isfinite([a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
-    if not finite.all():
+    valid = np.isfinite([a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
+    valid &= lambda0 != 0.0
+    if not valid.all():
         raise ParameterError(
-            f"power P = {float(p[np.argmin(finite)])} with sigma1 = {noise.sigma1}, "
+            f"power P = {float(p[np.argmin(valid)])} with sigma1 = {noise.sigma1}, "
             f"sigma2 = {noise.sigma2} is beyond the solver's float range: "
-            "the fixed-point cubic's coefficients must be finite"
+            "the fixed-point cubic's coefficients must be finite and lambda0 nonzero"
         )
-    closed = lambda0 == 0.0
-    in_rho = (((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0) & ~closed
+    in_rho = ((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0
     s = np.where(in_rho, 1.0, -1.0)
     c2 = np.where(in_rho, a, lambda2)
     c1 = np.where(in_rho, b, lambda1)
     c0 = np.where(in_rho, c, lambda0)
-    lo, hi = _start_brackets(s * c2, s * c1, s * c0, closed)
+    lo, hi = _start_brackets(s * c2, s * c1, s * c0)
     x = _bisect_brackets(lo, hi, s, c2, c1, c0)
     gap = np.where(in_rho, 1.0 - x, x)
     rho = np.where(in_rho, x, 1.0 - x)
-    rec_res = np.abs(np.abs(_rho_recursion(rho, p, noise)) - rho)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(((rho + a) * rho + b) * rho + c)
         bound = CUBIC_RESIDUAL_ACCEPT * (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
-    genuine = rec_res <= RECURSION_RESIDUAL_ACCEPT
-    failed = np.flatnonzero(~genuine | (residual > bound))
+    failed = np.flatnonzero(residual > bound)
     if failed.size:
         i = failed[0]
-        if not genuine[i]:
-            candidates = [(float(gap[i]), float(rho[i]), float(rec_res[i]))]
-            raise NoFixedPointError(
-                "no root of the fixed-point cubic in [0, 1] is consistent with the "
-                f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
-            )
         raise NoFixedPointError(
             f"cubic residual {float(residual[i])} exceeds tolerance {float(bound[i])} "
             f"at rho = {float(rho[i])}"
         )
-    return (rho, gap, residual, rec_res), (lambda0, lambda1, lambda2), defect
+    return (rho, gap, residual), (lambda0, lambda1, lambda2), defect
 
 
 def solve_fixed_point(params: ChannelParams) -> FixedPoint:
@@ -547,8 +538,9 @@ def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     g = 1 - rho*: ``_solve_powers`` at one power, which also solves the
     grids of ``sweep_rates`` and ``verify_asymptotics``, with the same result
     at each power."""
-    solved, _, _ = _solve_powers(params.noise, [params.power])
-    return FixedPoint(*(v.item() for v in solved))
+    (rho, gap, residual), _, _ = _solve_powers(params.noise, [params.power])
+    r = rho.item()
+    return FixedPoint(r, gap.item(), residual.item(), abs(abs(rho_recursion(r, params)) - r))
 
 
 def solve_gap(params: ChannelParams) -> float:
@@ -630,7 +622,7 @@ def sweep_rates(
     grid = power_grid(p_start, p_stop, points_per_decade)
     s1, s2 = noise.sigma1, noise.sigma2
     gap_exponent = 1.0 - delta
-    (rho, gap, _, _), _, _ = _solve_powers(noise, grid)
+    (rho, gap, _), _, _ = _solve_powers(noise, grid)
     return [
         SweepRow(p, r, g, *_rates(p, s1, s2, g), p**gap_exponent * g)
         for p, r, g in zip(grid, rho.tolist(), gap.tolist())
@@ -674,7 +666,7 @@ def verify_asymptotics(
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
     # exponents of P in lambda0_scaled, lambda1_scaled and gap_scaled
     e0, e1, eg = 2.0 - delta - eps, 1.0 - 0.5 * eps, 1.0 - delta
-    (_, gap, _, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
+    (_, gap, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
     lambda0, lambda1, lambda2 = (v.tolist() for v in gap_coeffs)
     p_defect = [p * d for p, d in zip(p_grid, defect.tolist())]
     rows = [

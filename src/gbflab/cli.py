@@ -307,7 +307,10 @@ def _config_value(key: str, value):
     its JSON type or value is one the flag would not accept."""
     expected, _, _, choices = _OPTIONS[key]
     if expected is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParameterError(f"config key {key!r} is an integer beyond float range") from None
     if type(value) is not expected:
         raise ParameterError(f"config key {key!r} must be a {expected.__name__}, got {value!r}")
     if choices is not None and value not in choices:

@@ -31,5 +31,6 @@ class NumericalIntegrityError(GbflabError, RuntimeError):
 
 
 class NoFixedPointError(NumericalIntegrityError):
-    """No polynomial root in [0, 1] behaves as a sign-alternating fixed point
-    of the error-correlation recursion."""
+    """The root the solver found in [0, 1] fails the fixed-point cubic's
+    certificate: its residual exceeds CUBIC_RESIDUAL_ACCEPT times the
+    coefficients' scale."""

@@ -165,8 +165,9 @@ def test_rho_recursion_is_odd():
 
 
 def test_rho_recursion_on_a_float_equals_the_array_path_bit_for_bit():
-    # A float runs through the same body as an array (the solver's path),
-    # without a 0-d array; every bit must agree, the sign of a zero too.
+    # A float (solve_fixed_point's recursion_residual) runs through the same
+    # body as an array, without a 0-d array; every bit must agree, the sign
+    # of a zero too.
     special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]
     rng = np.random.default_rng(2024)
     for i in range(2000):
@@ -288,18 +289,12 @@ def test_fixed_point_near_degenerate_high_power():
         assert solve_gap(params_of(p, rz=1.0)) * math.sqrt(p) == pytest.approx(2.0, rel=1e-14)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "Known defect: at rho_z = -1 and P = 1e154 the gap-form cubic's terms are "
-        "near 1e-308, at the edge of the subnormal range, and solve_gap returns "
-        "5.6155e-155, about 55% below (sqrt(5) - 1) / P, with cubic and recursion "
-        "residuals both 0."
-    ),
-)
 def test_gap_just_below_float_range_anticorrelated():
-    p = 1e154
-    assert solve_gap(params_of(p)) * p == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-14)
+    # spp (spp + P) in the root defect's denominator overflows from about
+    # P = 9.5e153; it is formed at a quarter of its size, so the defect keeps
+    # its value up to the end of the accepted range.
+    for p in (1e153, 1e154, 1.3e154):
+        assert solve_gap(params_of(p)) * p == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-14)
 
 
 def test_solver_rejects_power_beyond_float_range():
@@ -315,8 +310,7 @@ def test_solver_rejects_power_beyond_float_range():
     # q s12 at rho = 1, does.
     with pytest.raises(ParameterError, match=r"P = 1e\+100 with sigma1 = 1e-100, sigma2 = 1e-100"):
         solve_fixed_point(params_of(1e100, 1e-100, 1e-100))
-    # P sqrt((P+1)(P+1)) = 1e308 is still in range at P = 1e154; its gap is
-    # the defect pinned just above.
+    # P sqrt((P+1)(P+1)) = 1e308 is still in range at P = 1e154.
     solve_fixed_point(params_of(1e154))
 
 
@@ -380,15 +374,23 @@ def cubic_scale(params):
 
 def oracle_digits(p, s1, s2):
     """60 digits, plus one per decade that P lies below max(1, s1^2, s2^2):
-    at low SNR the rate ratios lie within P / sigma^2 of 1."""
-    return 60 + max(0, math.ceil(math.log10(max(1.0, s1 * s1, s2 * s2) / p)))
+    at low SNR the rate ratios lie within P / sigma^2 of 1; plus two per
+    decade that P lies above min(1, s1^2, s2^2).  At high SNR the gap is
+    about sigma^2 / P or larger, so rho* = 1 - g needs one more digit per
+    decade for g to keep 60; and the root is then nearly double, the cubic
+    is about g^2 in size near it, and the secant method stops once the
+    cubic is below its working precision, so that takes one more."""
+    low = 2.0 * math.log10(max(1.0, s1, s2)) - math.log10(p)
+    high = math.log10(p) - 2.0 * math.log10(min(1.0, s1, s2))
+    return 60 + max(0, math.ceil(low)) + 2 * max(0, math.ceil(high))
 
 
 def mpmath_fixed_point(p, s1, s2, rz):
     """High-precision oracle: the root in [0, 1] of the rho-form cubic,
     transcribed in mpmath and found by a bracketing secant method (the
     cubic has exactly one root there, test_cubic_has_one_root_in_unit_interval),
-    checked to be a fixed point that the correlation recursion maps to its
+    checked to change the cubic's sign within 1e-40 of both rho* and 1 - rho*
+    and to be a fixed point that the correlation recursion maps to its
     negative; returns (rho*, 1 - rho*) as mpf."""
     import mpmath as mp
 
@@ -408,9 +410,14 @@ def mpmath_fixed_point(p, s1, s2, rz):
         def cubic(r):
             return ((r + a) * r + b) * r + c
 
-        rho = mp.findroot(cubic, (mp.mpf(0), mp.mpf(1)), solver="anderson", verify=False, maxsteps=200)
+        # Up to about 360 steps at P = 1e153, where the root lies within 1e-77
+        # of the bracket's end.
+        rho = mp.findroot(cubic, (mp.mpf(0), mp.mpf(1)), solver="anderson", verify=False, maxsteps=1000)
         assert 0 < rho < 1
         assert abs(cubic(rho)) <= mp.mpf(10) ** -40 * (1 + abs(a) + abs(b) + abs(c))
+        # f(0) = c > 0 > f(1) with one root between: f > 0 left of it, < 0 right.
+        h = mp.mpf(10) ** -40 * min(rho, 1 - rho)
+        assert cubic(rho - h) > 0 > cubic(rho + h)
         assert abs(recursion(rho) + rho) <= mp.mpf(10) ** -30 * rho
         return rho, 1 - rho
 
@@ -443,6 +450,13 @@ def test_fixed_point_matches_mpmath_oracle_over_domain():
     for i in range(40):
         s1, s2 = 10 ** rng.uniform(-3, 3, size=2)
         p = min(s1, s2) ** 2 * 10 ** rng.uniform(-290, -12)
+        rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
+        draws.append((p, s1, s2, rz))
+    # High power, P in [1e14, 1e153]: g < 2^-53 rounds rho* to 1 from about
+    # P = 1e16 (rho_z = -1) or 1e32 (|rho_z| < 1), and the gap carries the root.
+    for i in range(40):
+        p = 10 ** rng.uniform(14, 153)
+        s1, s2 = 10 ** rng.uniform(-3, 3, size=2)
         rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
         draws.append((p, s1, s2, rz))
     for p, s1, s2, rz in draws:

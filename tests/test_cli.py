@@ -58,6 +58,27 @@ def test_analyze_high_power_prelog(capsys):
     assert float(rec["prelog_ratio"]) >= 1.9
 
 
+def test_analyze_where_rho_star_rounds_to_one(capsys):
+    # g = (s1 + s2) sqrt((1 + rho_z) / 2) / sqrt(P) = 4.47e-17 is below 2^-53,
+    # so rho* = 1 - g rounds to 1 and the gap alone carries the root.
+    code, out, err = run_cli(capsys, "analyze", "--power", "1e33", "--rhoz", "0")
+    rec = parse_record(out)
+    assert code == 0 and err == ""
+    assert (rec["rho_star"], rec["g"]) == ("1.000000000000e+00", "4.472135955000e-17")
+
+
+def test_sweep_where_rho_star_rounds_to_one(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--p-start", "1e30", "--p-stop", "1e40", "--rhoz", "0.5"
+    )
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert len(rows) == 41
+    # The gap follows (s1 + s2) sqrt((1 + rho_z) / 2) / sqrt(P) = sqrt(3 / P).
+    for row in rows:
+        assert row[2] * math.sqrt(row[0]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
+
+
 def test_analyze_invalid_sigma_exits_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "--sigma1", "-1")
     assert code == 2
@@ -90,6 +111,8 @@ def test_sigma_whose_square_underflows_exits_2(capsys, command, flag):
         # P spp is in range, but the cubic's coefficients overflow
         ("analyze", "--power", "1e-309"),
         ("analyze", "--power", "1e-300", "--sigma1", "1e5", "--sigma2", "1e5"),
+        # lambda0, about -(s1 + s2)^4 / (2 P^2), underflows to 0
+        ("analyze", "--power", "1e150", "--sigma1", "1e-80", "--sigma2", "1e-80"),
         ("simulate", "--power", "1e300"),
         ("sweep", "--p-stop", "1e200"),
         ("verify", "--p-stop", "1e200"),
@@ -310,8 +333,10 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, valu
         ('{"mode": "bogus"}',
          "config key 'mode' must be one of ('broadcast', 'interference', 'limited'), "
          "got 'bogus'"),
+        ('{"power": 1' + "0" * 400 + "}",
+         "config key 'power' is an integer beyond float range"),
     ],
-    ids=["missing", "invalid-json", "array", "bad-choice"],
+    ids=["missing", "invalid-json", "array", "bad-choice", "huge-integer"],
 )
 def test_config_file_that_cannot_be_used_exits_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"

@@ -21,14 +21,13 @@ from gbflab.analysis import (
 from gbflab.errors import GbflabError, ParameterError
 
 
-def _from_half(c2, c1, c0, closed):
-    """The start every power had before the verified prefix: [0, 1/2], and
-    [0, 0] where lambda0 = 0."""
-    return np.zeros_like(c0), np.where(closed, 0.0, 0.5)
+def _from_half(c2, c1, c0):
+    """The start every power had before the verified prefix: [0, 1/2]."""
+    return np.zeros_like(c0), np.full_like(c0, 0.5)
 
 
 def _outcome(noise, powers):
-    """Each power's (rho*, gap, residual, recursion residual) in float.hex, or
+    """Each power's (rho*, gap, cubic residual) in float.hex, or
     the type and message of the package error the solve raises.  Any other
     exception, such as a mistake in this test, fails the test."""
     try:
@@ -77,7 +76,7 @@ def test_estimate_on_a_path_midpoint_counts_as_left_of_it():
     assert _verified_depths(np.array([5 / 16]), c2, c1, c0).tolist() == [38]
     one = np.ones(1)
     half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), one, c2, c1, c0)
-    lo, hi = _start_brackets(c2, c1, c0, np.zeros(1, dtype=bool))
+    lo, hi = _start_brackets(c2, c1, c0)
     assert half.tolist() == _bisect_brackets(lo, hi, one, c2, c1, c0).tolist() == [r]
 
 
@@ -90,19 +89,19 @@ def test_every_level_of_a_path_can_verify():
     x = c0 * 2.0**-60
     c2, c1, c0 = _cubic(0.0, -(2.0**60), c0)
     assert _verified_depths(np.array([x]), c2, c1, c0).tolist() == [58 + 51]
-    lo, hi = _start_brackets(c2, c1, c0, np.zeros(1, dtype=bool))
+    lo, hi = _start_brackets(c2, c1, c0)
     assert hi - lo == 4 * math.ulp(x)
     one = np.ones(1)
     half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), one, c2, c1, c0)
     assert half.tolist() == _bisect_brackets(lo, hi, one, c2, c1, c0).tolist() == [x]
 
 
-def test_known_wrong_gap_at_the_float_range_edge_keeps_its_bits():
-    # The strict xfail test_gap_just_below_float_range_anticorrelated: the
-    # start changes how the gap is found, not which bits it is.
+def test_gap_at_the_float_range_edge_keeps_its_bits():
+    # test_gap_just_below_float_range_anticorrelated: the start changes how
+    # the gap (sqrt(5) - 1) / P is found, not which bits it is.
     noise = NoiseSpec(1.0, 1.0, -1.0)
     assert _outcome(noise, [1e154]) == _reference(noise, [1e154]) == [
-        ("0x1.0000000000000p+0", "0x1.817ea0f587b22p-513", "0x0.0p+0", "0x0.0p+0")
+        ("0x1.0000000000000p+0", "0x1.a844905ff5288p-512", "0x0.0p+0")
     ]
 
 
@@ -143,5 +142,5 @@ def test_power_whose_coefficients_overflow_is_rejected(power, s1, s2):
         solve_fixed_point(ChannelParams(power, NoiseSpec(s1, s2, -1.0)))
     assert str(exc.value) == (
         f"power P = {power} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's float "
-        "range: the fixed-point cubic's coefficients must be finite"
+        "range: the fixed-point cubic's coefficients must be finite and lambda0 nonzero"
     )
