@@ -24,6 +24,7 @@ from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 CUBIC_RESIDUAL_ACCEPT = 1e-10
 _RHO_INTEGRITY_TOL = 1e-12
 _LN2 = math.log(2.0)
+_FLOAT_MIN = 2.0**-1022  # the smallest normal float
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +308,19 @@ def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
     The coefficients divide by P sqrt((P+s1^2)(P+s2^2)), which grows with P,
     so the smallest power decides whether it underflows to 0 and the largest
     whether it overflows.  They and the recursion also multiply and divide
-    by (s1 + s2)^2 s1 s2, the recursion's q s12 at rho = 1, which must be
-    neither 0 nor inf.  Checked in Python floats, which do either without a
-    warning."""
+    by (s1 + s2)^2 s1 s2, the recursion's q s12 at rho = 1, which must be a
+    normal float: a subnormal one has lost bits, and so have the sigma^4
+    terms of the coefficients, which are no larger.  Checked in Python
+    floats, which overflow and underflow without a warning."""
     s1, s2 = noise.sigma1, noise.sigma2
     sigma_product = (s1 * s1 + s2 * s2 + 2.0 * s1 * s2) * (s1 * s2)
     for p in (float(min(powers)), float(max(powers))):
         product = p * math.sqrt(p + s1 * s1) * math.sqrt(p + s2 * s2)
-        if not (0.0 < product < math.inf and 0.0 < sigma_product < math.inf):
+        if not (0.0 < product < math.inf and _FLOAT_MIN <= sigma_product < math.inf):
             raise ParameterError(
                 f"power P = {p} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's "
-                "float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) and "
-                "(sigma1+sigma2)^2*sigma1*sigma2 must be positive and finite"
+                "float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be positive and finite "
+                "and (sigma1+sigma2)^2*sigma1*sigma2 a finite normal float"
             )
 
 
@@ -474,8 +476,9 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
         minimum and then rises, staying below f(1) < 0: one sign change.
     The gap form is f(1 - g), negative at g = 0 and positive at g = 1.
     A power whose coefficients or root defect are not all finite is rejected,
-    and so is one whose lambda0 = f(1), negative, underflows to 0, which
-    would make g = 0 a root.
+    and so is one whose lambda0 = f(1), negative, is not a normal float: at
+    0 it would make g = 0 a root, and subnormal it carries too few bits for
+    the small gap it sets (at rho_z = -1 from P ~ 4.7e153 (s1 + s2)^2).
 
     Each root is bisected in its smaller variable, the other taken as its
     complement, so both keep full relative precision: near rho = 1 the rho
@@ -504,12 +507,12 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     p = np.array(powers, dtype=float)
     (a, b, c), (lambda0, lambda1, lambda2), defect = _coeffs(noise, p)
     valid = np.isfinite([a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
-    valid &= lambda0 != 0.0
+    valid &= np.abs(lambda0) >= _FLOAT_MIN
     if not valid.all():
         raise ParameterError(
             f"power P = {float(p[np.argmin(valid)])} with sigma1 = {noise.sigma1}, "
             f"sigma2 = {noise.sigma2} is beyond the solver's float range: "
-            "the fixed-point cubic's coefficients must be finite and lambda0 nonzero"
+            "the fixed-point cubic's coefficients must be finite and lambda0 a normal float"
         )
     in_rho = ((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0
     s = np.where(in_rho, 1.0, -1.0)

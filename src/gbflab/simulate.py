@@ -6,7 +6,12 @@ and from then on transmits a power-normalized linear combination of the two
 receivers' current estimation errors.  Each receiver refines its estimate
 with a one-step scalar LMMSE update from its newest output.  The deterministic
 moment schedule that generates the combining and estimation coefficients is
-shared, read-only, by every trial.
+shared, read-only, by every trial.  A process builds it once per
+configuration (channel, n and message-point variances) and keeps the 16 it
+used last, so trials and campaigns called without a schedule reuse it.  The
+key is safe because each of its fields is canonical once validated:
+``ChannelParams`` stores Python floats, n is an int and the variances are
+Python floats, so equal keys build equal bits.
 
 The scheme is written once, in the coding loop ``_coding_loop``, which runs
 it in three modes: single-encoder broadcast, the two-transmitter interference
@@ -47,7 +52,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +61,7 @@ from .analysis import ErrorState, gamma, solve_fixed_point, step_error_state
 from .channel import (
     ChannelParams,
     RngSpec,
+    _store_floats,
     make_generator,
     sample_noise_pair,
 )
@@ -76,6 +82,7 @@ _STEP_BLOCK_VALUES = 1 << 13
 _CONFIDENCE = 0.95  # level of a campaign's Wilson interval for the block error rate
 _WILSON_Z = 1.9599639845400536  # NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
 _MODES = ("broadcast", "interference", "limited")
+_SCHEDULE_CACHE_SIZE = 16  # configurations whose schedules a process keeps
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +92,8 @@ _MODES = ("broadcast", "interference", "limited")
 
 @dataclass(frozen=True)
 class MessageConfig:
-    """Block length and per-user rates in bits per channel use."""
+    """Block length and per-user rates in bits per channel use, the rates
+    stored as Python floats."""
 
     n: int
     rate1: float
@@ -95,8 +103,9 @@ class MessageConfig:
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
             raise ParameterError(f"block length must be an integer >= 3, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        _store_floats(self, "rate1", "rate2")
         for name, rate in (("rate1", self.rate1), ("rate2", self.rate2)):
-            if not (rate >= 0.0 and np.isfinite(rate)):
+            if not (rate >= 0.0 and math.isfinite(rate)):
                 raise ParameterError(f"{name} must be a nonnegative finite real, got {rate}")
             if self.n * rate > 512.0:
                 raise ParameterError(f"{name} gives an alphabet beyond 2**512; not supported")
@@ -280,7 +289,7 @@ def _checked_schedule(
     schedule: CoefficientSchedule | None = None,
 ) -> CoefficientSchedule:
     """Reject inputs the coding loop cannot run, then return ``schedule`` or,
-    when it is None, the schedule of ``config``."""
+    when it is None, the process's shared schedule of ``config``."""
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "limited":
@@ -308,7 +317,24 @@ def _checked_schedule(
                 f"({schedule.var_theta1}, {schedule.var_theta2}), not ({var1}, {var2})"
             )
         return schedule
-    return lmmse_coefficient_schedule(params, config.n, var1, var2)
+    return _shared_schedule(params, config.n, var1, var2)
+
+
+@lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _shared_schedule(params: ChannelParams, n: int, var1: float, var2: float):
+    """``lmmse_coefficient_schedule(params, n, var1, var2)``, built on the
+    first request for its key and shared by every later one.
+
+    Reached only from ``_checked_schedule``, after validation, where every
+    key field is canonical: ``ChannelParams`` stores Python floats, n is an
+    int and the variances are the Python floats of ``message_point_variance``.
+    Equal keys therefore build equal bits; rho_z = -0.0 and 0.0 do too, as
+    rho_z enters the schedule only through s1 s2 + P rho_z.
+    ``lmmse_coefficient_schedule`` itself is not cached: its callers may pass
+    numpy variances that hash like their float values but compute other
+    bits.  A build that
+    raises caches nothing, so it raises again on the next call."""
+    return lmmse_coefficient_schedule(params, n, var1, var2)
 
 
 # ---------------------------------------------------------------------------

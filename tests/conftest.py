@@ -1,7 +1,21 @@
-"""Shared test plumbing: collects acceptance-criterion verdicts and prints
-one PASS/FAIL line per criterion in the terminal summary."""
+"""Shared test plumbing: starts every test with no shared coefficient
+schedule, and collects acceptance-criterion verdicts and prints one PASS/FAIL
+line per criterion in the terminal summary."""
 
 from __future__ import annotations
+
+import pytest
+
+from gbflab import simulate
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_schedules():
+    """Empty the process's schedule cache, so a test that patches
+    ``lmmse_coefficient_schedule`` or counts its calls does not depend on
+    which tests ran before it."""
+    simulate._shared_schedule.cache_clear()
+
 
 _ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 

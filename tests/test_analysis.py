@@ -475,6 +475,56 @@ def test_fixed_point_matches_mpmath_oracle_over_domain():
             assert float(abs(getattr(rp, name) - value) / value) <= 1e-14, (name, p, s1, s2, rz)
 
 
+def test_small_lambda0_corner_is_solved_to_full_precision_or_rejected():
+    # The gap form's constant term lambda0 sets the gap where it is small.
+    # It is about -(s1 + s2)^4 / (2 P^2) at rho_z = -1, subnormal beyond
+    # P ~ 4.7e153 (s1 + s2)^2, and about -(1 + rho_z)(s1 + s2)^2 / P
+    # otherwise, subnormal at tiny sigmas; there the gap lost precision
+    # without an error (1.9e-7 at sigma = 1e-3, P = 1e153, rho_z = -1).
+    # Every input is now solved to about 1e-15 or rejected.
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1024)
+    draws = []
+    for _ in range(40):  # rho_z = -1 across the subnormal threshold
+        s1 = 10 ** rng.uniform(-3, 0.5)
+        s2 = s1 * 10 ** rng.uniform(-1, 1)
+        draws.append((10 ** (2 * math.log10(s1 + s2) + rng.uniform(152, 154.5)), s1, s2, -1.0))
+    for i in range(40):  # tiny sigmas, P / sigma^2 in [1e100, 1e320]
+        s1 = 10 ** rng.uniform(-81, -20)
+        s2 = s1 * 10 ** rng.uniform(-2, 2)
+        p = 10 ** (2 * math.log10(min(s1, s2)) + rng.uniform(100, 320))
+        draws.append((p, s1, s2, (-1.0, 0.0, 0.5, -1.0 + 1e-9)[i % 4]))
+    outcomes = []
+    for p, s1, s2, rz in draws:
+        noise = NoiseSpec(s1, s2, rz)
+        try:
+            (rho, gap, _), _, _ = analysis._solve_powers(noise, [p])
+        except ParameterError as exc:
+            assert "beyond the solver's float range" in str(exc)
+            outcomes.append(False)
+            continue
+        outcomes.append(True)
+        want_rho, want_gap = mpmath_fixed_point(p, s1, s2, rz)
+        assert float(abs(gap[0] - want_gap) / want_gap) <= 1e-15, (p, s1, s2, rz)
+        assert float(abs(rho[0] - want_rho) / want_rho) <= 1e-15, (p, s1, s2, rz)
+        rp = achievable_rates(ChannelParams(p, noise), float(rho[0]), gap=float(gap[0]))
+        for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), mpmath_rates(p, s1, s2, gap[0])):
+            assert float(abs(getattr(rp, name) - value) / value) <= 1e-14, (name, p, s1, s2, rz)
+    # Both halves hold inputs of both kinds.
+    assert 0 < sum(outcomes[:40]) < 40 and 0 < sum(outcomes[40:]) < 40
+
+
+def test_barely_subnormal_lambda0_is_rejected():
+    # The price of a scale-aware bound: lambda0 = -2.0e-308 here, and the
+    # gap was within 2.6e-16 of exact, yet the power is rejected with the
+    # rest of its corner.  Unit sigmas stay accepted to the end of range.
+    params = params_of(8e152, 0.2, 0.2)
+    assert 0.0 < -gap_cubic_coeffs(params).lambda0 < 2.0**-1022
+    with pytest.raises(ParameterError, match="lambda0 a normal float$"):
+        solve_gap(params)
+    assert -gap_cubic_coeffs(params_of(1.3e154)).lambda0 >= 2.0**-1022
+
+
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------

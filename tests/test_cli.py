@@ -111,8 +111,11 @@ def test_sigma_whose_square_underflows_exits_2(capsys, command, flag):
         # P spp is in range, but the cubic's coefficients overflow
         ("analyze", "--power", "1e-309"),
         ("analyze", "--power", "1e-300", "--sigma1", "1e5", "--sigma2", "1e5"),
-        # lambda0, about -(s1 + s2)^4 / (2 P^2), underflows to 0
+        # (s1 + s2)^2 s1 s2 is subnormal (lambda0 also underflows to 0)
         ("analyze", "--power", "1e150", "--sigma1", "1e-80", "--sigma2", "1e-80"),
+        # lambda0, about -(s1 + s2)^4 / (2 P^2), is subnormal
+        ("analyze", "--power", "1e153", "--sigma1", "0.1", "--sigma2", "0.1"),
+        ("sweep", "--p-start", "1e150", "--p-stop", "1e153", "--sigma1", "0.1", "--sigma2", "0.1"),
         ("simulate", "--power", "1e300"),
         ("sweep", "--p-stop", "1e200"),
         ("verify", "--p-stop", "1e200"),

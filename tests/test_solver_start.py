@@ -142,5 +142,5 @@ def test_power_whose_coefficients_overflow_is_rejected(power, s1, s2):
         solve_fixed_point(ChannelParams(power, NoiseSpec(s1, s2, -1.0)))
     assert str(exc.value) == (
         f"power P = {power} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's float "
-        "range: the fixed-point cubic's coefficients must be finite and lambda0 nonzero"
+        "range: the fixed-point cubic's coefficients must be finite and lambda0 a normal float"
     )
