@@ -24,11 +24,11 @@ A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats
 and takes the noise of all n channel uses from its stream in one call; a
 campaign (``run_broadcast_campaign``) runs it on arrays of B independent
-blocks in step blocks of k = min(n, max(1, 8,192 // B)) channel uses (k = 1
-beyond 4,096 blocks): one call draws a step block's noise, and one reduction
-per quantity turns its stacked per-use values into per-use sums.  Both draw the
-same noise from the same stream, and form the same sums, as one call and one
-reduction per channel use would.
+blocks in step blocks of k = min(n, max(1, 8,192 // B)) channel uses, so
+k = 1 beyond 4,096 blocks: one call draws a step block's noise, and one
+reduction per quantity turns its stacked per-use values into per-use sums.
+Both draw the same noise from the same stream, and form the same sums, as
+one call and one reduction per channel use would.
 A campaign splits its blocks into chunks of at most 65,536: chunk c runs on
 the stream ``RngSpec(master_seed, c)``, the chunks run concurrently, one per
 available CPU (a single chunk runs in the calling thread), their sums are
@@ -103,6 +103,10 @@ class MessageConfig:
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
             raise ParameterError(f"block length must be an integer >= 3, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        try:  # n * rate below converts n to a float
+            float(self.n)
+        except OverflowError:
+            raise ParameterError("block length beyond float range; not supported") from None
         _store_floats(self, "rate1", "rate2")
         for name, rate in (("rate1", self.rate1), ("rate2", self.rate2)):
             if not (rate >= 0.0 and math.isfinite(rate)):
@@ -375,14 +379,16 @@ def _coding_loop(
     n = config.n
     if size is None:
         noises = zip(*(z.tolist() for z in sample_noise_pair(noise, gen, steps=n)))
-    elif (k := _step_block(n, size)) == 1:
-        # Each use's own arrays, as one call per use draws them: row views of
-        # one-use draws, which the loop updates in place, more than doubled a
-        # full chunk's page faults in glibc's heap and cost it about 3%.
-        noises = (sample_noise_pair(noise, gen, size) for _ in range(n))
     else:
-        draws = (sample_noise_pair(noise, gen, size, steps=min(k, n - t)) for t in range(0, n, k))
-        noises = (pair for z1, z2 in draws for pair in zip(z1, z2))
+        # Each step block's rows are popped off its list, so once its last
+        # row is out nothing here holds its draw: the draw is freed with that
+        # row, before the next step block is drawn.
+        k = _step_block(n, size)
+        blocks = (
+            list(zip(*sample_noise_pair(noise, gen, size, steps=min(k, n - t))))[::-1]
+            for t in range(0, n, k)
+        )
+        noises = (rows.pop() for rows in blocks for _ in range(len(rows)))
 
     # t = 1 and t = 2 plant the message points (transmitter v sends point v
     # in interference mode).  Receiver 1 keeps only the noise of t = 1 and
@@ -654,12 +660,11 @@ def _chunk_sums(
     product would make the bytes depend on the BLAS build and its thread
     count.
 
-    The uses run in step blocks of k = ``_step_block(n, size)``.  With
-    k > 1 each block is reduced as a whole once it has run
-    (``_add_block_sums``): a chunk of 100 blocks at n = 20 draws its noise in
-    one call and forms each quantity's 20 sums in one reduction.  A chunk of
-    more than 4,096 blocks, k = 1, reduces each use as it arrives, with
-    scalar stores, which costs less Python per use than a one-row block."""
+    The uses run in step blocks of k = ``_step_block(n, size)``, each
+    reduced as a whole once it has run (``_add_block_sums``): a chunk of 100
+    blocks at n = 20 draws its noise in one call and forms each quantity's
+    20 sums in one reduction, and a chunk of more than 4,096 blocks, k = 1,
+    reduces each use as it arrives."""
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
@@ -671,28 +676,11 @@ def _chunk_sums(
     n = config.n
     k = _step_block(n, size)
     sums = np.zeros((8, n))
-    if k == 1:
-        total = np.add.reduce
-        # Not enumerate(steps), whose cached tuple would keep the previous
-        # step's arrays alive while the next one runs.
-        t = 0
-        for x, t1, t2, eps1, eps2 in steps:
-            sums[0, t] = total(x * x)
-            if mode == "interference":  # axis=None: t1 or t2 is 0.0 at t = 1, 2
-                sums[1, t], sums[2, t] = total(t1 * t1, None), total(t2 * t2, None)
-            del x, t1, t2
-            if t:
-                sums[3, t], sums[4, t] = total(eps1), total(eps2)
-                sums[5, t] = total(eps1 * eps1)
-                sums[6, t] = total(eps2 * eps2)
-                sums[7, t] = total(eps1 * eps2)
-            t += 1
-    else:
-        for start in range(0, n, k):
-            eps1, eps2 = _add_block_sums(sums, start, mode, itertools.islice(steps, k))
-        if mode == "interference":
-            # Transmitter v alone sends at t = v, its message point: t_v = x.
-            sums[1, 0], sums[2, 1] = sums[0, 0], sums[0, 1]
+    for start in range(0, n, k):
+        eps1, eps2 = _add_block_sums(sums, start, mode, itertools.islice(steps, k))
+    if mode == "interference":
+        # Transmitter v alone sends at t = v, its message point: t_v = x.
+        sums[1, 0], sums[2, 1] = sums[0, 0], sums[0, 1]
 
     ok1 = _decoded_correctly(eps1, *edges1, config.levels1)
     ok2 = _decoded_correctly(eps2, *edges2, config.levels2)

@@ -466,6 +466,20 @@ def test_infinite_grid_bound_exits_2(tmp_path, capsys, command, via_config):
     assert "p_stop" in err
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_block_length_beyond_float_range_exits_2(tmp_path, capsys, via_config):
+    block_length = "1" + "0" * 400
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"block_length": ' + block_length + "}")
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["simulate", "--block-length", block_length]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "gbflab simulate: error: block length beyond float range; not supported\n"
+
+
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt"
     code, out, err = run_cli(capsys, "analyze", "--out", str(target))

@@ -638,9 +638,10 @@ def test_trial_deterministic_and_streams_differ():
 @pytest.mark.parametrize("noise", [NoiseSpec(1.0, 1.0, -1.0), NoiseSpec(1.0, 2.0, 0.3)], ids=str)
 def test_trial_draws_its_noise_in_one_call_and_a_campaign_once_per_step_block(monkeypatch, noise):
     # The coding loop reaches the sampler through the name simulate imported,
-    # so a wrapper set there sees every call: one n-step draw per trial, one
-    # n-step draw for a chunk of 100 blocks, and one draw per channel use
-    # for a full chunk of 65,536 blocks.
+    # so a wrapper set there sees every call: one n-step draw per trial, and
+    # one draw per step block for a campaign chunk: all n uses of a chunk of
+    # 100 blocks, 3 uses (2 in the last step block) of a chunk of 2,730
+    # blocks, and one use of a full chunk of 65,536 blocks.
     calls = []
     original = simulate.sample_noise_pair
 
@@ -661,8 +662,11 @@ def test_trial_draws_its_noise_in_one_call_and_a_campaign_once_per_step_block(mo
         run_broadcast_campaign(config, params, 100, 3, mode=mode)
         assert calls == [(100, 20)], mode
         calls.clear()
+        run_broadcast_campaign(config, params, 2_730, 3, mode=mode)
+        assert calls == [(2_730, 3)] * 6 + [(2_730, 2)], mode
+        calls.clear()
         run_broadcast_campaign(config, params, 65_536, 3, mode=mode)
-        assert calls == [(65_536, None)] * 20, mode
+        assert calls == [(65_536, 1)] * 20, mode
 
 
 def test_trial_record_shapes_and_powers():
@@ -948,19 +952,25 @@ def test_campaign_memory_is_bounded_by_the_chunk():
     assert peak < 20e6
 
 
-def test_campaign_chunk_working_set_stays_small():
+@pytest.mark.parametrize("mode", ["broadcast", "interference"])
+@pytest.mark.parametrize("noise", [NoiseSpec(1.0, 2.0, 0.3), NoiseSpec(1.0, 1.0, -1.0)], ids=str)
+def test_campaign_chunk_working_set_stays_small(noise, mode):
     # One chunk of 65,536 blocks keeps only the two errors, the message edge
     # flags and the arrays of the step in flight, 0.52 MB each: about 4.5 MB
-    # at the peak.  A thread per CPU holds one such chunk.
-    params = ChannelParams(100.0, NoiseSpec(1.0, 2.0, 0.3))
+    # at the peak, 8.5 such arrays.  A use's noise draw held while the next
+    # one is drawn adds two more, so the bound is 9.5.  A thread per CPU
+    # holds one such chunk.  The first campaign of a process also loads
+    # numpy's random module (0.7 MB), so one runs before the trace.
+    params = ChannelParams(100.0, noise)
     config = headline_config(n=20, params=params)
+    run_broadcast_campaign(config, params, 100, 1, mode=mode)
     tracemalloc.start()
     try:
-        run_broadcast_campaign(config, params, 65_536, 1)
+        run_broadcast_campaign(config, params, 65_536, 1, mode=mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7e6
+    assert peak <= 9.5 * 65_536 * 8
 
 
 def test_campaign_step_block_working_set_stays_small():
@@ -1175,6 +1185,20 @@ def test_message_config_validation():
         MessageConfig(n=10, rate1=-0.1, rate2=0.5)
     with pytest.raises(DegenerateMessageError):
         run_broadcast_trial(MessageConfig(n=5, rate1=0.0, rate2=0.4), HEADLINE, RngSpec(0, 0))
+
+
+def test_message_config_rejects_a_block_length_beyond_float_range():
+    # n * rate converts n to a float: n = 10**400 used to end in a bare
+    # OverflowError.  Every n that converts keeps its verdict.
+    for n in (10**400, 2**1024 - 2**970):
+        with pytest.raises(ParameterError, match="^block length beyond float range"):
+            MessageConfig(n=n, rate1=0.5, rate2=0.5)
+        with pytest.raises(ParameterError, match="^block length beyond float range"):
+            MessageConfig(n=n, rate1=0.0, rate2=0.0)
+    n = 2**1024 - 2**970 - 1  # the largest int that converts to a float
+    assert MessageConfig(n=n, rate1=0.0, rate2=0.0).n == n
+    with pytest.raises(ParameterError, match="^rate1 gives an alphabet beyond 2"):
+        MessageConfig(n=n, rate1=0.5, rate2=0.5)
 
 
 def test_numpy_rates_are_stored_as_the_floats_they_equal():
