@@ -40,18 +40,29 @@ from .errors import (
     ParameterError,
     UnsupportedConfigurationError,
 )
-from .simulate import (
-    CoefficientSchedule,
-    McSummary,
-    MessageConfig,
-    TrialRecord,
-    level_count,
-    lmmse_coefficient_schedule,
-    message_point_variance,
-    run_broadcast_campaign,
-    run_broadcast_trial,
-    run_interference_trial,
-    run_limited_feedback_trial,
-)
 
 __version__ = "0.1.0"
+
+# The simulator loads on first use of one of its names, as numpy.random does:
+# only simulations need it, and a process that runs none skips its import.
+_SIMULATE_NAMES = frozenset({
+    "CoefficientSchedule",
+    "McSummary",
+    "MessageConfig",
+    "TrialRecord",
+    "level_count",
+    "lmmse_coefficient_schedule",
+    "message_point_variance",
+    "run_broadcast_campaign",
+    "run_broadcast_trial",
+    "run_interference_trial",
+    "run_limited_feedback_trial",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

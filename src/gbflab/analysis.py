@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class ErrorState:
             )
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
+class CubicCoeffs(NamedTuple):
     """Coefficients of rho^3 + a rho^2 + b rho + c, whose root in [0, 1] is
     the fixed-point correlation magnitude."""
 
@@ -60,8 +60,7 @@ class CubicCoeffs:
     c: float
 
 
-@dataclass(frozen=True)
-class GapCubicCoeffs:
+class GapCubicCoeffs(NamedTuple):
     """Coefficients of the same cubic rewritten in the gap g = 1 - rho:
     0 = -g^3 + lambda2 g^2 + lambda1 g + lambda0."""
 
@@ -73,8 +72,7 @@ class GapCubicCoeffs:
         return ((-g + self.lambda2) * g + self.lambda1) * g + self.lambda0
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """A solved correlation rho*, its gap g = 1 - rho* and the rho-form
     cubic's residual, the solver's one certificate.  ``recursion_residual``,
     | |rho_recursion(rho*)| - rho* |, is an absolute diagnostic at the float
@@ -87,8 +85,7 @@ class FixedPoint:
     recursion_residual: float
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """Achievable rate pair at a given power, plus the finite-power quotient
     of the sum rate by the single-channel log capacity growth."""
 
@@ -114,13 +111,13 @@ class PrelogClass:
             raise ParameterError("an Undefined classification must carry a reason")
 
 
-@dataclass
-class AsymptoticsRow:
+class AsymptoticsRow(NamedTuple):
     """High-power limit diagnostics at one grid power.
 
-    Not frozen, so mutable and unhashable: a frozen dataclass stores each
-    field through ``object.__setattr__``, which was most of the cost of
-    building a grid's rows.  The records built once per call stay frozen.
+    A named tuple, like every record here that validates nothing: it is
+    immutable, and it builds in a fraction of a frozen dataclass's time,
+    which stores each field through ``object.__setattr__``.  It compares
+    and unpacks as a tuple of its fields.
     """
 
     power: float
@@ -134,21 +131,16 @@ class AsymptoticsRow:
     gap_scaled: float           # P^(1 - delta) * gap
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+class AsymptoticsReport(NamedTuple):
     rows: tuple[AsymptoticsRow, ...]
     # name -> strictly-decreasing verdict over the last three decades
     # (None when the quantity does not apply to this noise correlation)
     monotone: dict[str, bool | None]
 
 
-@dataclass
-class SweepRow:
-    """One power grid point of a rate sweep.
-
-    Not frozen, so mutable and unhashable, for the reason ``AsymptoticsRow``
-    gives.
-    """
+class SweepRow(NamedTuple):
+    """One power grid point of a rate sweep, a named tuple for the reason
+    ``AsymptoticsRow`` gives."""
 
     power: float
     rho_star: float

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
+_MODES = ("broadcast", "interference", "limited")  # the channel modes a simulation runs
 
 
 def _store_floats(record, *names: str) -> None:

@@ -20,8 +20,6 @@ classification, 4 internal numerical-integrity failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 import warnings
 
@@ -36,9 +34,19 @@ from .analysis import (
     sweep_rates,
     verify_asymptotics,
 )
-from .channel import ChannelParams, NoiseSpec
+from .channel import _MODES, ChannelParams, NoiseSpec
 from .errors import NumericalIntegrityError, ParameterError
-from .simulate import _MODES, MessageConfig, run_broadcast_campaign
+
+
+def __getattr__(name: str):
+    # The simulator loads with the simulate subcommand, and these two names
+    # with it; perfbench's tracer wraps cli.run_broadcast_campaign.
+    if name in ("MessageConfig", "run_broadcast_campaign"):
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -111,11 +119,13 @@ def _cmd_sweep(opts: dict) -> tuple[list[str], int]:
     )
     lines = _option_header("sweep", opts)
     lines.append("P,rho_star,g,R1,R2,sum,prelog_ratio,scaled_gap")
-    lines.extend(_csv_row(dataclasses.astuple(r)) for r in rows)
+    lines.extend(map(_csv_row, rows))
     return lines, 0
 
 
 def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
+    from .simulate import MessageConfig, run_broadcast_campaign
+
     params = ChannelParams(power=opts["power"], noise=_noise_from(opts))
     fraction = opts["rate_fraction"]
     if not (0.0 < fraction < 1.0):
@@ -198,7 +208,7 @@ def _cmd_verify(opts: dict) -> tuple[list[str], int]:
         "P,lambda2,lambda2_err,lambda1_scaled,root_defect,root_defect_err,"
         "lambda0_scaled,gap,gap_scaled"
     )
-    lines.extend(_csv_row(dataclasses.astuple(r)) for r in report.rows)
+    lines.extend(map(_csv_row, report.rows))
     last = report.rows[-1]
     checks: list[tuple[str, bool | None]] = [
         ("lambda2_to_two", last.lambda2_err < 1e-3),
@@ -321,6 +331,8 @@ def _config_value(key: str, value):
 def _effective_options(command: str, args: argparse.Namespace) -> dict:
     opts = {name: _OPTIONS[name][1] for name in _COMMANDS[command][2]}
     if args.config is not None:
+        import json  # only a config file needs it
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)

@@ -53,12 +53,14 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 # solve_fixed_point is unused here but kept: perfbench/tracing.py patches simulate.solve_fixed_point
 from .analysis import ErrorState, gamma, solve_fixed_point, step_error_state
 from .channel import (
+    _MODES,
     ChannelParams,
     RngSpec,
     _store_floats,
@@ -81,7 +83,6 @@ _CHUNK_TRIALS = 1 << 16  # most campaign blocks held in memory at once
 _STEP_BLOCK_VALUES = 1 << 13
 _CONFIDENCE = 0.95  # level of a campaign's Wilson interval for the block error rate
 _WILSON_Z = 1.9599639845400536  # NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
-_MODES = ("broadcast", "interference", "limited")
 _SCHEDULE_CACHE_SIZE = 16  # configurations whose schedules a process keeps
 
 
@@ -183,8 +184,7 @@ def _draw_messages(gen: np.random.Generator, levels: int, size: int | None = Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientSchedule:
+class CoefficientSchedule(NamedTuple):
     """Deterministic per-step data shared by all trials; its arrays are
     read-only.
 
@@ -433,8 +433,7 @@ def _coding_loop(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Everything observable about one simulated block."""
 
     message1: int

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -17,6 +16,7 @@ from gbflab import (
     NumericalIntegrityError,
     ParameterError,
     PrelogValue,
+    RngSpec,
     achievable_rates,
     cubic_coeffs,
     gamma,
@@ -25,6 +25,7 @@ from gbflab import (
     message_point_variance,
     prelog_classify,
     rho_recursion,
+    run_broadcast_trial,
     single_user_bound,
     solve_fixed_point,
     solve_gap,
@@ -723,22 +724,65 @@ def test_each_grid_call_forms_the_coefficients_once():
         report = verify_asymptotics(HEADLINE, grid)
         assert coeffs.call_count == 2
     assert coeffs.call_args.args[1].tolist() == grid
-    assert {type(v) for row in rows + list(report.rows) for v in vars(row).values()} == {float}
+    assert {type(v) for row in rows + list(report.rows) for v in row} == {float}
     fp = solve_fixed_point(params_of(100.0))
-    assert [type(v) for v in vars(fp).values()] == [float] * 4
+    assert [type(v) for v in fp] == [float] * 4
 
 
-def test_rows_are_plain_dataclass_records():
-    # Rows are built positionally; the dataclass helpers see them by name.
-    sweep_row = sweep_rates(HEADLINE, 1e2, 1e6, 1)[0]
-    asymptotics_row = verify_asymptotics(HEADLINE, power_grid(1e2, 1e6, 1)).rows[0]
-    for row in (sweep_row, asymptotics_row):
-        names = [f.name for f in dataclasses.fields(row)]
-        assert list(vars(row)) == names
-        assert dataclasses.astuple(row) == tuple(getattr(row, name) for name in names)
-        moved = dataclasses.replace(row, power=7.0)
-        assert moved.power == 7.0
-        assert dataclasses.replace(moved, power=row.power) == row
+# Each output record's fields in order, as they were when the records were
+# dataclasses: rows are built positionally and print as CSV in this order.
+RECORD_FIELDS = {
+    "CubicCoeffs": ("a", "b", "c"),
+    "GapCubicCoeffs": ("lambda0", "lambda1", "lambda2"),
+    "FixedPoint": ("rho_star", "gap", "residual", "recursion_residual"),
+    "RatePoint": ("r1", "r2", "sum", "prelog_ratio"),
+    "SweepRow": ("power", "rho_star", "gap", "r1", "r2", "sum", "prelog_ratio", "scaled_gap"),
+    "AsymptoticsRow": (
+        "power", "lambda2", "lambda2_err", "lambda1_scaled", "root_defect", "root_defect_err",
+        "lambda0_scaled", "gap", "gap_scaled",
+    ),
+    "AsymptoticsReport": ("rows", "monotone"),
+    "CoefficientSchedule": (
+        "params", "n", "var_theta1", "var_theta2", "alpha1", "alpha2", "rho", "psi", "c1", "c2",
+        "gain1", "gain2",
+    ),
+    "TrialRecord": (
+        "message1", "message2", "decoded1", "decoded2", "success", "inputs", "eps1", "eps2",
+        "tx1", "tx2",
+    ),
+}
+RECORDS = {
+    "CubicCoeffs": lambda: cubic_coeffs(params_of(100.0)),
+    "GapCubicCoeffs": lambda: gap_cubic_coeffs(params_of(100.0)),
+    "FixedPoint": lambda: solve_fixed_point(params_of(100.0)),
+    "RatePoint": lambda: achievable_rates(params_of(100.0), 0.5, gap=0.5),
+    "SweepRow": lambda: sweep_rates(HEADLINE, 1e2, 1e6, 1)[0],
+    "AsymptoticsRow": lambda: verify_asymptotics(HEADLINE, power_grid(1e2, 1e6, 1)).rows[0],
+    "AsymptoticsReport": lambda: verify_asymptotics(HEADLINE, power_grid(1e2, 1e6, 1)),
+    "CoefficientSchedule": lambda: lmmse_coefficient_schedule(params_of(100.0), 10, 0.08, 0.08),
+    "TrialRecord": lambda: run_broadcast_trial(
+        MessageConfig(n=10, rate1=0.5, rate2=0.5), params_of(100.0), RngSpec(3, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_FIELDS))
+def test_output_records_are_named_tuples_of_their_fields(name):
+    # Records that validate nothing are named tuples: built positionally,
+    # read by name, and copied with one field changed by _replace.
+    record = RECORDS[name]()
+    kind = type(record)
+    assert kind.__name__ == name and isinstance(record, tuple)
+    assert kind._fields == RECORD_FIELDS[name]
+    assert list(record._asdict()) == list(kind._fields)
+    assert tuple(record) == tuple(getattr(record, field) for field in kind._fields)
+    assert kind(*record) == record
+    defaults = {"tx1": None, "tx2": None} if name == "TrialRecord" else {}
+    assert kind._field_defaults == defaults
+    first = kind._fields[0]
+    moved = record._replace(**{first: 7.0})
+    assert getattr(moved, first) == 7.0 and moved[1:] == record[1:]
+    assert moved._replace(**{first: record[0]}) == record
 
 
 def test_float32_grids_give_the_rows_of_their_float_values():
@@ -752,7 +796,7 @@ def test_float32_grids_give_the_rows_of_their_float_values():
         report = verify_asymptotics(noise, grid)
     assert rows == sweep_rates(noise, float(grid[0]), float(grid[-1]), 2)
     assert report == verify_asymptotics(noise, [float(p) for p in grid])
-    assert {type(v) for row in rows + list(report.rows) for v in vars(row).values()} == {float}
+    assert {type(v) for row in rows + list(report.rows) for v in row} == {float}
 
 
 def test_gap_cubic_matches_rho_cubic_transform():

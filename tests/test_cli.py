@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gbflab
+import gbflab.cli
 from gbflab.cli import build_parser, main
 
 
@@ -536,12 +537,79 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True)
 
 
-def test_import_loads_neither_statistics_nor_fractions():
+def test_import_leaves_unneeded_modules_unloaded():
     # statistics pulls in fractions and decimal, about 1.5 ms of every CLI
-    # process; nothing in gbflab needs them.
-    code = "import sys, gbflab, gbflab.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
+    # process, and nothing in gbflab needs them; json loads with a --config
+    # file and the simulator with the simulate subcommand.
+    unneeded = "{'statistics', 'fractions', 'json', 'gbflab.simulate'}"
+    code = f"import sys, gbflab, gbflab.cli; print(sorted({unneeded} & set(sys.modules)))"
     done = run_python("-c", code)
     assert (done.returncode, done.stdout) == (0, b"[]\n")
+
+
+SUBCOMMANDS_IN_ONE_PROCESS = """
+import contextlib, io, sys
+from gbflab.cli import main
+for argv in (["analyze"], ["sweep"], ["verify"], ["classify", sys.argv[1]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(argv[0], code, sorted({"gbflab.simulate", "numpy.random"} & set(sys.modules)))
+"""
+
+
+def test_subcommands_that_simulate_nothing_leave_the_simulator_unloaded(tmp_path):
+    matrix = tmp_path / "corr.txt"
+    matrix.write_text("1 -1\n-1 1\n")
+    done = run_python("-c", SUBCOMMANDS_IN_ONE_PROCESS, str(matrix))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines() == [
+        f"{command} 0 []" for command in ("analyze", "sweep", "verify", "classify")
+    ]
+
+
+SIMULATE_NAMES = [
+    "CoefficientSchedule",
+    "McSummary",
+    "MessageConfig",
+    "TrialRecord",
+    "level_count",
+    "lmmse_coefficient_schedule",
+    "message_point_variance",
+    "run_broadcast_campaign",
+    "run_broadcast_trial",
+    "run_interference_trial",
+    "run_limited_feedback_trial",
+]
+
+
+@pytest.mark.parametrize("name", SIMULATE_NAMES)
+def test_package_simulate_names_are_the_simulate_objects(name):
+    namespace = {}
+    exec(f"from gbflab import {name}", namespace)
+    assert getattr(gbflab, name) is namespace[name] is getattr(gbflab.simulate, name)
+
+
+def test_package_and_cli_resolve_only_the_names_they_have():
+    namespace = {}
+    exec("from gbflab import simulate", namespace)
+    assert namespace["simulate"] is sys.modules["gbflab.simulate"]
+    assert gbflab.cli.run_broadcast_campaign is gbflab.simulate.run_broadcast_campaign
+    assert gbflab.cli.MessageConfig is gbflab.simulate.MessageConfig
+    for module in (gbflab, gbflab.cli):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from gbflab import no_such_name", {})
+
+
+def test_first_simulate_name_loads_the_simulator():
+    code = (
+        "import sys, gbflab; loaded = 'gbflab.simulate' in sys.modules; "
+        "from gbflab import run_broadcast_campaign as run; "
+        "print(loaded, run is sys.modules['gbflab.simulate'].run_broadcast_campaign)"
+    )
+    done = run_python("-c", code)
+    assert (done.returncode, done.stdout) == (0, b"False True\n"), done.stderr
 
 
 def test_import_leaves_numpy_random_unloaded():

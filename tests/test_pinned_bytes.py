@@ -41,9 +41,17 @@ def _config(n, fraction, params=PARAMS):
     return MessageConfig(n=n, rate1=fraction * rp.r1, rate2=fraction * rp.r2)
 
 
+def field_names(record):
+    """A record's field names in order: a named tuple's ``_fields``, or the
+    fields of a dataclass such as ``McSummary``."""
+    if isinstance(record, tuple):
+        return record._fields
+    return tuple(f.name for f in dataclasses.fields(record))
+
+
 def _digest(obj, fields=None):
     h = hashlib.sha256()
-    for name in fields or [f.name for f in dataclasses.fields(obj)]:
+    for name in fields or field_names(obj):
         value = getattr(obj, name)
         h.update(name.encode())
         if isinstance(value, np.ndarray):

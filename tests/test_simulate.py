@@ -40,6 +40,7 @@ from gbflab.simulate import (
     _draw_messages,
     _run_trial,
 )
+from test_pinned_bytes import field_names
 
 HEADLINE = ChannelParams(100.0, NoiseSpec(1.0, 1.0, -1.0))
 
@@ -441,12 +442,12 @@ def test_trials_and_campaigns_give_the_same_bytes_on_a_shared_schedule(mode):
 def _assert_same_bytes(record, reference):
     """Every field of two trial records or campaign summaries is equal, the
     arrays byte for byte."""
-    for field in dataclasses.fields(reference):
-        got, want = getattr(record, field.name), getattr(reference, field.name)
+    for name in field_names(reference):
+        got, want = getattr(record, name), getattr(reference, name)
         if isinstance(want, np.ndarray):
-            assert got.tobytes() == want.tobytes(), field.name
+            assert got.tobytes() == want.tobytes(), name
         else:
-            assert got == want, field.name
+            assert got == want, name
 
 
 def test_schedule_is_built_once_per_configuration(monkeypatch):
