@@ -4,18 +4,14 @@ correlated receiver noises."""
 from .analysis import (
     AsymptoticsReport,
     AsymptoticsRow,
-    CubicCoeffs,
     ErrorState,
     FixedPoint,
-    GapCubicCoeffs,
     PrelogClass,
     PrelogValue,
     RatePoint,
     SweepRow,
     achievable_rates,
-    cubic_coeffs,
     gamma,
-    gap_cubic_coeffs,
     prelog_classify,
     rho_recursion,
     single_user_bound,

@@ -51,27 +51,6 @@ class ErrorState:
             )
 
 
-class CubicCoeffs(NamedTuple):
-    """Coefficients of rho^3 + a rho^2 + b rho + c, whose root in [0, 1] is
-    the fixed-point correlation magnitude."""
-
-    a: float
-    b: float
-    c: float
-
-
-class GapCubicCoeffs(NamedTuple):
-    """Coefficients of the same cubic rewritten in the gap g = 1 - rho:
-    0 = -g^3 + lambda2 g^2 + lambda1 g + lambda0."""
-
-    lambda0: float
-    lambda1: float
-    lambda2: float
-
-    def evaluate(self, g):
-        return ((-g + self.lambda2) * g + self.lambda1) * g + self.lambda0
-
-
 class FixedPoint(NamedTuple):
     """A solved correlation rho*, its gap g = 1 - rho* and the rho-form
     cubic's residual, the solver's one certificate.  ``recursion_residual``,
@@ -211,18 +190,6 @@ def _coeffs(noise: NoiseSpec, p):
     return (a, b, c), (lambda0, lambda1, lambda2), defect
 
 
-def cubic_coeffs(params: ChannelParams) -> CubicCoeffs:
-    """Coefficients (a, b, c) of the fixed-point cubic in rho."""
-    (a, b, c), _, _ = _coeffs(params.noise, np.array([params.power]))
-    return CubicCoeffs(a=float(a[0]), b=float(b[0]), c=float(c[0]))
-
-
-def gap_cubic_coeffs(params: ChannelParams) -> GapCubicCoeffs:
-    """Coefficients of the gap form of the fixed-point cubic."""
-    _, (l0, l1, l2), _ = _coeffs(params.noise, np.array([params.power]))
-    return GapCubicCoeffs(lambda0=float(l0[0]), lambda1=float(l1[0]), lambda2=float(l2[0]))
-
-
 def rho_recursion(rho, params: ChannelParams):
     """One application of the error-correlation recursion.
 
@@ -316,35 +283,43 @@ def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
             )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _bisect_brackets(lo, hi, s, c2, c1, c0):
-    """Bisect every bracket of f(x) = ((s x + c2) x + c1) x + c0 at once,
-    each with its own coefficients, until it collapses to adjacent floats.
+def _monic_at(m, c2, c1, c0):
+    """The monic cubic h(m) = ((m + c2) m + c1) m + c0, in the one order of
+    operations that the bisection and the check of its start share."""
+    h = m + c2
+    h *= m
+    h += c1
+    h *= m
+    h += c0
+    return h
+
+
+@np.errstate(over="ignore")
+def _bisect_brackets(lo, hi, c2, c1, c0):
+    """Bisect every bracket of the monic cubic h(x) = ((x + c2) x + c1) x + c0
+    at once, each with its own coefficients, until it collapses to adjacent
+    floats.
 
     No step limit: a bracket of width w around a root x takes about
     log2(w / ulp(x)) halvings, from [0, 1/2] up to about 1,075 for the
     smallest floats, which is why ``_solve_powers`` starts each one from a
     verified bracket near its root.
-    Each bracket is held as its end u, where f is not negative (NaN counts as
-    not negative), and its end v, where f is negative; a step moves u to mid
-    where f(mid) is not negative, v where it is negative, and both where
-    f(mid) = 0 exactly, which ends the bracket at mid.  A collapsed bracket
-    (its midpoint equals an end) is a fixed point of the step, and a step
-    that leaves a midpoint in place has collapsed its bracket, so the loop
-    runs until no midpoint moves."""
-    neg_lo = ((s * lo + c2) * lo + c1) * lo + c0 < 0.0
+    Each bracket is held as its end u, where h is not negative, and its end
+    v, where h is negative; a step moves u to mid where h(mid) is not
+    negative, v where it is negative, and both where h(mid) = 0 exactly,
+    which ends the bracket at mid.  With finite coefficients and mid in
+    [0, 1/2] no evaluation is NaN.  A collapsed bracket (its midpoint equals
+    an end) is a fixed point of the step, and a step that leaves a midpoint
+    in place has collapsed its bracket, so the loop runs until no midpoint
+    moves."""
+    neg_lo = _monic_at(lo, c2, c1, c0) < 0.0
     u = np.where(neg_lo, hi, lo)
     v = np.where(neg_lo, lo, hi)
     mid = 0.5 * (lo + hi)
     while True:
-        fm = s * mid
-        fm += c2
-        fm *= mid
-        fm += c1
-        fm *= mid
-        fm += c0
-        np.copyto(u, mid, where=~(fm < 0.0))
-        np.copyto(v, mid, where=fm <= 0.0)
+        hm = _monic_at(mid, c2, c1, c0)
+        np.copyto(u, mid, where=~(hm < 0.0))
+        np.copyto(v, mid, where=hm <= 0.0)
         prev, mid = mid, 0.5 * (u + v)
         if not np.count_nonzero(mid != prev):
             return mid
@@ -362,9 +337,6 @@ _PATH_BLOCK = 1 << 15
 # each depth d stays inside [0, 1/2].
 _ESTIMATE_MIN = 2.0**-1022
 _ESTIMATE_MAX = 0.5 - 2.0**-54
-# 2^k for the levels k = 0 .. 52 - _PATH_SPARE_BITS below an estimate's
-# leading bit, as a column.
-_LEVEL_SCALES = np.ldexp(1.0, np.arange(53 - _PATH_SPARE_BITS))[:, None]
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -384,65 +356,43 @@ def _root_estimates(c2, c1, c0):
     return np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
 
 
-def _monic_at(m, c2, c1, c0):
-    """((m + c2) m + c1) m + c0, in the order of operations of
-    ``_bisect_brackets``."""
-    h = m + c2
-    h *= m
-    h += c1
-    h *= m
-    h += c0
-    return h
-
-
-def _first_bad(bad):
-    """Index of each column's first True, or the column length where there is
-    none."""
-    first = np.full(bad.shape[1], bad.shape[0])
-    broken = np.flatnonzero(bad.any(axis=0))
-    first[broken] = bad[:, broken].argmax(axis=0)
-    return first
-
-
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def _verified_depths(x, c2, c1, c0):
     """How many levels of the bisection of [0, 1/2] towards each estimate x
     the signs of the monic cubic h confirm.
 
-    Level j of that path evaluates the midpoint m_j = (2 floor(x 2^j) + 1)
-    2^-(j+1) of its bracket, the value the bisection's 0.5 (u + v) forms
-    exactly while m_j fits in 53 bits, and goes right where m_j <= x: it
-    expects h(m_j) > 0 there and h(m_j) < 0 elsewhere.  A level confirms when
-    its sign is the expected one; a zero, NaN or wrong sign ends the prefix.
-    With x = f 2^e (1/2 <= f < 1), the levels j < -e all have m_j = 2^-(j+1)
-    > x; the next 53 - _PATH_SPARE_BITS levels m_j = (floor(f 2^k) + 1/2)
-    2^-k 2^e, k = j + e, each have at most k + 1 bits.  Each part is
-    evaluated in blocks of about _PATH_BLOCK midpoints, a level per row and a
-    power per column, the first part only for the powers whose prefix is
-    still unbroken."""
-    f, e = np.frexp(x)
-    zeros = -1 - e
+    Level j = 1, 2, ... of that path evaluates the midpoint
+    m_j = (floor(x 2^j) + 1/2) 2^-j of its bracket, the value the
+    bisection's 0.5 (u + v) forms exactly while m_j fits in 53 bits, and goes
+    right where m_j <= x: it expects h(m_j) > 0 there and h(m_j) < 0
+    elsewhere.  A level confirms when its sign is the expected one; a zero or
+    wrong sign ends the prefix.  With x = f 2^e (1/2 <= f < 1), the levels
+    j = 1 .. 52 - _PATH_SPARE_BITS - e are checked, whose midpoints have at
+    most 53 - _PATH_SPARE_BITS bits.  x 2^j is formed as (x 2^512) 2^(j - 512),
+    exact and finite through j = 1,073, where 2^j itself overflows from
+    j = 1,024.  The levels are evaluated in blocks of about _PATH_BLOCK
+    midpoints, a level per row and a power per column, and only for the
+    powers whose prefix is still unbroken."""
+    levels = 52 - _PATH_SPARE_BITS - np.frexp(x)[1]
+    x512 = x * 2.0**512
     depth = np.zeros(x.shape, dtype=np.int64)
-    cols = np.flatnonzero(zeros > 0)
+    cols = np.arange(x.size)
     top = 0
     while cols.size:
-        width = min(max(1, _PATH_BLOCK // cols.size), int(zeros[cols].max()) - top)
-        mids = np.ldexp(1.0, -np.arange(top + 2, top + width + 2))[:, None]
+        width = min(max(1, _PATH_BLOCK // cols.size), int(levels[cols].max()) - top)
+        # Rows past a column's last level may overflow; its depth is capped.
+        scales = np.ldexp(1.0, np.arange(top + 1 - 512, top + width + 1 - 512))[:, None]
+        mids = x512[cols] * scales
+        np.floor(mids, out=mids)
+        mids += 0.5
+        mids /= scales
+        mids *= 2.0**-512
         h = _monic_at(mids, c2[cols], c1[cols], c0[cols])
-        depth[cols] = np.minimum(top + _first_bad(~(h < 0.0)), zeros[cols])
+        bad = ~np.where(mids <= x[cols], h > 0.0, h < 0.0)
+        first = np.where(bad.any(axis=0), bad.argmax(axis=0), width)
+        depth[cols] = np.minimum(top + first, levels[cols])
         top += width
-        cols = cols[(depth[cols] == top) & (zeros[cols] > top)]
-    cols = np.flatnonzero(depth == zeros)
-    step = max(1, _PATH_BLOCK // _LEVEL_SCALES.size)
-    for start in range(0, cols.size, step):
-        c = cols[start:start + step]
-        fc = f[c]
-        scaled = fc * _LEVEL_SCALES
-        np.floor(scaled, out=scaled)
-        scaled += 0.5
-        scaled /= _LEVEL_SCALES
-        h = _monic_at(scaled * np.ldexp(1.0, e[c]), c2[c], c1[c], c0[c])
-        depth[c] += _first_bad(~np.where(scaled <= fc, h > 0.0, h < 0.0))
+        cols = cols[(depth[cols] == top) & (levels[cols] > top)]
     return depth
 
 
@@ -480,15 +430,16 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     positive, g >= 1/2 and the rho form bisects rho in [0, 1/2]; elsewhere
     the gap form bisects g in [0, 1/2].
 
-    The bisection of [0, 1/2] does not start there.  In the monic form
-    h = s f (s = -1 in the gap form, whose evaluation is then exactly -f
-    bit for bit) a Newton estimate of the root names the dyadic path the
-    bisection would take towards it; h is evaluated at that path's midpoints
-    a block of levels at a time (``_verified_depths``), and the bisection
-    starts after the longest prefix of levels whose signs all agree with the
-    path.  Every sign the bisection would test on that prefix has been
-    evaluated with the same operations, so it ends on the same bits as from
-    [0, 1/2]; a poor estimate only shortens the prefix.
+    Every evaluation from here on is of one monic cubic h (``_monic_at``):
+    h = f in rho, and in g the gap form with its coefficients negated, which
+    is exact, so h = -f bit for bit.  The bisection of [0, 1/2] does not
+    start there.  A Newton estimate of the root names the dyadic path the
+    bisection would take towards it; h is evaluated at that path's midpoints,
+    every level in one loop over blocks of levels (``_verified_depths``), and
+    the bisection starts after the longest prefix of levels whose signs all
+    agree with the path.  Every sign the bisection would test on that prefix
+    has been evaluated with the same operations, so it ends on the same bits
+    as from [0, 1/2]; a poor estimate only shortens the prefix.
 
     The rho-form cubic certifies each root: its residual must not exceed
     CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).  No other check is made:
@@ -507,12 +458,11 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
             "the fixed-point cubic's coefficients must be finite and lambda0 a normal float"
         )
     in_rho = ((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0
-    s = np.where(in_rho, 1.0, -1.0)
-    c2 = np.where(in_rho, a, lambda2)
-    c1 = np.where(in_rho, b, lambda1)
-    c0 = np.where(in_rho, c, lambda0)
-    lo, hi = _start_brackets(s * c2, s * c1, s * c0)
-    x = _bisect_brackets(lo, hi, s, c2, c1, c0)
+    c2 = np.where(in_rho, a, -lambda2)
+    c1 = np.where(in_rho, b, -lambda1)
+    c0 = np.where(in_rho, c, -lambda0)
+    lo, hi = _start_brackets(c2, c1, c0)
+    x = _bisect_brackets(lo, hi, c2, c1, c0)
     gap = np.where(in_rho, 1.0 - x, x)
     rho = np.where(in_rho, x, 1.0 - x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -643,7 +593,14 @@ def verify_asymptotics(
     gap itself, with strict-monotonicity verdicts over the last three decades
     for each quantity that must vanish.  The grid is checked as the float64
     powers it is solved at, so entries that round to one float are equal."""
-    if not all(isinstance(p, (int, float, np.integer, np.floating)) for p in p_grid):
+    try:  # bools are rejected, as channel fields reject them
+        reals = all(
+            isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+            and 0.0 < float(p) < math.inf for p in p_grid
+        )
+    except OverflowError:  # an int beyond float range
+        reals = False
+    if not reals:
         raise ParameterError("p_grid powers must be positive finite reals")
     p_grid = [float(p) for p in p_grid]
     if len(p_grid) < 2 or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
@@ -654,8 +611,6 @@ def verify_asymptotics(
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if not (0.0 < eps < delta):
         raise ParameterError(f"eps must lie in (0, delta), got {eps}")
-    if not all(0.0 < p < math.inf for p in p_grid):
-        raise ParameterError("p_grid powers must be positive finite reals")
     s1, s2 = noise.sigma1, noise.sigma2
     anti = noise.rho_z == -1.0
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 # solve_fixed_point is unused here but kept: perfbench/tracing.py patches simulate.solve_fixed_point
-from .analysis import ErrorState, gamma, solve_fixed_point, step_error_state
+from .analysis import _FLOAT_MIN, ErrorState, gamma, solve_fixed_point, step_error_state
 from .channel import (
     _MODES,
     ChannelParams,
@@ -239,16 +239,21 @@ def lmmse_coefficient_schedule(
         alpha2=var_theta2 * s2 * s2 / p,
         rho=0.0,
     )
-    alpha1 = [state.alpha1]
-    alpha2 = [state.alpha2]
-    rho = [state.rho]
+    alpha1, alpha2, rho = [], [], []
     psi, c1, c2, gain1, gain2 = [], [], [], [], []
-    for k in range(3, n + 1):
-        if not (state.alpha1 > 0.0 and state.alpha2 > 0.0):
+    for k in range(2, n + 1):
+        # Every state's variances, the first and the last too, must be normal
+        # floats: a subnormal one has lost bits, and 0 leaves no gain.
+        if not (state.alpha1 >= _FLOAT_MIN and state.alpha2 >= _FLOAT_MIN):
             raise NumericalIntegrityError(
-                f"error variance underflowed at step {k - 1}; "
-                "the block length is too large for this power"
+                f"error variance underflowed at step {k}; "
+                f"power P = {p} is too large for block length n = {n}"
             )
+        alpha1.append(state.alpha1)
+        alpha2.append(state.alpha2)
+        rho.append(state.rho)
+        if k == n:
+            break
         ar = abs(state.rho)
         sgn = 1.0 if state.rho >= 0.0 else -1.0
         scale = math.sqrt(p / (1.0 + g * g + 2.0 * g * ar))
@@ -258,9 +263,6 @@ def lmmse_coefficient_schedule(
         gain1.append(scale / math.sqrt(state.alpha1))
         gain2.append(scale * g * sgn / math.sqrt(state.alpha2))
         state = step_error_state(state, params)
-        alpha1.append(state.alpha1)
-        alpha2.append(state.alpha2)
-        rho.append(state.rho)
     return CoefficientSchedule(
         params=params,
         n=n,

@@ -15,8 +15,6 @@ from gbflab import (
     PrelogValue,
     RngSpec,
     achievable_rates,
-    cubic_coeffs,
-    gap_cubic_coeffs,
     lmmse_coefficient_schedule,
     message_point_variance,
     prelog_classify,
@@ -30,6 +28,7 @@ from gbflab import (
     verify_asymptotics,
 )
 from gbflab.simulate import MessageConfig
+from test_analysis import cubic_forms, gap_form_at
 
 HEADLINE_NOISE = NoiseSpec(1.0, 1.0, -1.0)
 HEADLINE_PARAMS = ChannelParams(100.0, HEADLINE_NOISE)
@@ -169,16 +168,15 @@ def test_criterion_5_polynomial_identity():
         s1, s2 = rng.uniform(0.3, 3.0, size=2)
         rz = rng.uniform(-1.0, 1.0)
         params = ChannelParams(power, NoiseSpec(s1, s2, rz))
-        c = cubic_coeffs(params)
-        lam = gap_cubic_coeffs(params)
+        (a, b, c), lam = cubic_forms(params)
         for g in np.linspace(0.0, 1.0, 21):
             via_abc = (
-                (1 + c.a + c.b + c.c)
-                + g * (-3 - 2 * c.a - c.b)
-                + g * g * (3 + c.a)
+                (1 + a + b + c)
+                + g * (-3 - 2 * a - b)
+                + g * g * (3 + a)
                 - g**3
             )
-            via_lambda = lam.evaluate(g)
+            via_lambda = gap_form_at(lam, g)
             scale = max(1.0, abs(via_abc), abs(via_lambda))
             worst = max(worst, abs(via_abc - via_lambda) / scale)
     elapsed = time.perf_counter() - t0
@@ -197,8 +195,8 @@ def test_criterion_6_high_power_limits():
     # part 1: lambda2 at 1e8 within 1e-3 of 2, several noise configurations
     lambda2_ok = True
     for s1, s2, rz in [(1.0, 1.0, -1.0), (1.0, 2.0, -1.0), (0.5, 2.0, 0.3), (1.5, 0.7, 0.9)]:
-        lam = gap_cubic_coeffs(ChannelParams(1e8, NoiseSpec(s1, s2, rz)))
-        lambda2_ok = lambda2_ok and abs(lam.lambda2 - 2.0) < 1e-3
+        _, (_, _, lambda2) = cubic_forms(ChannelParams(1e8, NoiseSpec(s1, s2, rz)))
+        lambda2_ok = lambda2_ok and abs(lambda2 - 2.0) < 1e-3
     # part 2: P (1 - P/sqrt(pi1 pi2)) at 1e6 within 1% of (s1^2+s2^2)/2
     defect_ok = True
     for s1, s2 in [(1.0, 1.0), (1.0, 2.0), (0.5, 2.0)]:

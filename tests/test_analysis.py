@@ -18,9 +18,7 @@ from gbflab import (
     PrelogValue,
     RngSpec,
     achievable_rates,
-    cubic_coeffs,
     gamma,
-    gap_cubic_coeffs,
     lmmse_coefficient_schedule,
     message_point_variance,
     prelog_classify,
@@ -41,6 +39,20 @@ HEADLINE = NoiseSpec(1.0, 1.0, -1.0)
 
 def params_of(p, s1=1.0, s2=1.0, rz=-1.0):
     return ChannelParams(p, NoiseSpec(s1, s2, rz))
+
+
+def cubic_forms(params):
+    """The rho-form (a, b, c) and gap-form (lambda0, lambda1, lambda2)
+    coefficients at one power, as Python floats, from the solver's one
+    coefficient pass."""
+    rho_form, gap_form, _ = analysis._coeffs(params.noise, np.array([params.power]))
+    return tuple(v.item() for v in rho_form), tuple(v.item() for v in gap_form)
+
+
+def gap_form_at(gap_form, g):
+    """-g^3 + lambda2 g^2 + lambda1 g + lambda0, the gap form at g."""
+    lambda0, lambda1, lambda2 = gap_form
+    return ((-g + lambda2) * g + lambda1) * g + lambda0
 
 
 def recursion_root_oracle(params, lo=0.0, hi=1.0, points=1_000_001):
@@ -75,17 +87,17 @@ def test_gamma_examples():
 
 
 def test_cubic_coeffs_at_p10():
-    c = cubic_coeffs(params_of(10.0))
-    assert c.a == pytest.approx(-67.0 / 55.0, rel=1e-14)
-    assert c.b == pytest.approx(-57.0 / 55.0, rel=1e-14)
-    assert c.c == pytest.approx(13.0 / 11.0, rel=1e-14)
+    (a, b, c), _ = cubic_forms(params_of(10.0))
+    assert a == pytest.approx(-67.0 / 55.0, rel=1e-14)
+    assert b == pytest.approx(-57.0 / 55.0, rel=1e-14)
+    assert c == pytest.approx(13.0 / 11.0, rel=1e-14)
 
 
 def test_cubic_coeffs_high_power_limit():
-    c = cubic_coeffs(params_of(1e12))
-    assert abs(c.a + 1.0) < 1e-6
-    assert abs(c.b + 1.0) < 1e-6
-    assert abs(c.c - 1.0) < 1e-6
+    (a, b, c), _ = cubic_forms(params_of(1e12))
+    assert abs(a + 1.0) < 1e-6
+    assert abs(b + 1.0) < 1e-6
+    assert abs(c - 1.0) < 1e-6
 
 
 def test_cubic_constant_term_positive_for_anticorrelated():
@@ -93,7 +105,7 @@ def test_cubic_constant_term_positive_for_anticorrelated():
     for _ in range(50):
         p = 10 ** rng.uniform(-2, 8)
         s1, s2 = rng.uniform(0.2, 5, size=2)
-        assert cubic_coeffs(params_of(p, s1, s2, -1.0)).c > 0.0
+        assert cubic_forms(params_of(p, s1, s2, -1.0))[0][2] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +381,8 @@ def test_fixed_point_invariants_random_draws():
 
 
 def cubic_scale(params):
-    coeffs = cubic_coeffs(params)
-    return 1.0 + abs(coeffs.a) + abs(coeffs.b) + abs(coeffs.c)
+    a, b, c = cubic_forms(params)[0]
+    return 1.0 + abs(a) + abs(b) + abs(c)
 
 
 def oracle_digits(p, s1, s2):
@@ -520,10 +532,10 @@ def test_barely_subnormal_lambda0_is_rejected():
     # gap was within 2.6e-16 of exact, yet the power is rejected with the
     # rest of its corner.  Unit sigmas stay accepted to the end of range.
     params = params_of(8e152, 0.2, 0.2)
-    assert 0.0 < -gap_cubic_coeffs(params).lambda0 < 2.0**-1022
+    assert 0.0 < -cubic_forms(params)[1][0] < 2.0**-1022
     with pytest.raises(ParameterError, match="lambda0 a normal float$"):
         solve_gap(params)
-    assert -gap_cubic_coeffs(params_of(1.3e154)).lambda0 >= 2.0**-1022
+    assert -cubic_forms(params_of(1.3e154))[1][0] >= 2.0**-1022
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +709,18 @@ def test_asymptotics_grid_validation():
         verify_asymptotics(HEADLINE, [1e2, 1e2, 1e7], 0.2, 0.1)  # not increasing
     with pytest.raises(ParameterError):
         verify_asymptotics(HEADLINE, [1e2, 1e7], 0.2, 0.5)  # eps >= delta
-    for grid in (["1e2", "1e7"], [1e2, "1e7"], [1e2, None, 1e7], [1e2, np.array([1e7])]):
+    # 10**400 and 2**1024 - 1 raised a bare OverflowError at their float
+    # conversion, and True was solved as P = 1.0, although channel fields
+    # reject bools.
+    for grid in (
+        ["1e2", "1e7"], [1e2, "1e7"], [1e2, None, 1e7], [1e2, np.array([1e7])],
+        [1, 10**400], [1e2, 2**1024 - 1], [True, 1e5],
+    ):
         with pytest.raises(ParameterError, match="^p_grid powers must be positive finite reals$"):
             verify_asymptotics(HEADLINE, grid)
     with pytest.raises(ParameterError):  # a one-shot iterator is used up by the checks
         verify_asymptotics(HEADLINE, (p for p in (1e2, 1e7)))
+
 
 
 def test_asymptotics_grid_is_validated_as_the_floats_it_is_solved_at():
@@ -732,8 +751,6 @@ def test_each_grid_call_forms_the_coefficients_once():
 # Each output record's fields in order, as they were when the records were
 # dataclasses: rows are built positionally and print as CSV in this order.
 RECORD_FIELDS = {
-    "CubicCoeffs": ("a", "b", "c"),
-    "GapCubicCoeffs": ("lambda0", "lambda1", "lambda2"),
     "FixedPoint": ("rho_star", "gap", "residual", "recursion_residual"),
     "RatePoint": ("r1", "r2", "sum", "prelog_ratio"),
     "SweepRow": ("power", "rho_star", "gap", "r1", "r2", "sum", "prelog_ratio", "scaled_gap"),
@@ -752,8 +769,6 @@ RECORD_FIELDS = {
     ),
 }
 RECORDS = {
-    "CubicCoeffs": lambda: cubic_coeffs(params_of(100.0)),
-    "GapCubicCoeffs": lambda: gap_cubic_coeffs(params_of(100.0)),
     "FixedPoint": lambda: solve_fixed_point(params_of(100.0)),
     "RatePoint": lambda: achievable_rates(params_of(100.0), 0.5, gap=0.5),
     "SweepRow": lambda: sweep_rates(HEADLINE, 1e2, 1e6, 1)[0],
@@ -805,11 +820,10 @@ def test_gap_cubic_matches_rho_cubic_transform():
         params = params_of(
             10 ** rng.uniform(-1, 8), *rng.uniform(0.3, 3, size=2), rng.uniform(-1, 1)
         )
-        c = cubic_coeffs(params)
-        lam = gap_cubic_coeffs(params)
+        (a, b, c), lam = cubic_forms(params)
         for g in np.linspace(0.0, 1.0, 21):
-            via_abc = (1 + c.a + c.b + c.c) + g * (-3 - 2 * c.a - c.b) + g * g * (3 + c.a) - g**3
-            via_lambda = lam.evaluate(g)
+            via_abc = (1 + a + b + c) + g * (-3 - 2 * a - b) + g * g * (3 + a) - g**3
+            via_lambda = gap_form_at(lam, g)
             scale = max(1.0, abs(via_abc), abs(via_lambda))
             assert abs(via_abc - via_lambda) <= 1e-9 * scale
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,26 @@ def test_simulate_underflow_exits_4(capsys):
     )
     assert code == 4
     assert "underflow" in err
+
+
+@pytest.mark.parametrize(
+    "power, block_length, step",
+    [("1e300", "5", 4), ("1e20", "31", 31)],
+)
+def test_simulate_with_a_subnormal_variance_exits_4(capsys, power, block_length, step):
+    # These printed mean_power=nan and NaN rows at P = 1e300, and a last
+    # variance of 7.7e-308 at P = 1e20, with exit 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "simulate", "--power", power, "--block-length", block_length,
+            "--trials", "100", "--rhoz", "0.3", "--rate1", "0.5", "--rate2", "0.5",
+        )
+    assert (code, out) == (4, "")
+    assert err == (
+        f"gbflab simulate: numerical-integrity failure: error variance underflowed at step "
+        f"{step}; power P = {float(power)} is too large for block length n = {block_length}\n"
+    )
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

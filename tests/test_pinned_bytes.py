@@ -203,9 +203,10 @@ def test_sweep_and_verify_row_bytes_are_pinned(cfg):
 
 
 def test_bisection_collapses_onto_an_exact_dyadic_zero():
-    # -g^3 + (11/8) g^2 + (13/8) g - 3/4 is exactly 0 at g = 3/8, the third
+    # g^3 - (11/8) g^2 - (13/8) g + 3/4, the monic form of the gap cubic
+    # -g^3 + (11/8) g^2 + (13/8) g - 3/4, is exactly 0 at g = 3/8, the third
     # midpoint from [0, 1]: the step that evaluates it closes the bracket
     # there, as a bracket already closed at it stays.
     lo, hi = np.array([0.0, 0.25, 0.375]), np.array([1.0, 0.5, 0.375])
-    coeffs = (np.full(3, value) for value in (-1.0, 11 / 8, 13 / 8, -3 / 4))
+    coeffs = (np.full(3, value) for value in (-11 / 8, -13 / 8, 3 / 4))
     assert _bisect_brackets(lo, hi, *coeffs).tolist() == [0.375] * 3

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -349,6 +350,33 @@ def test_schedule_underflow_guard():
     params = ChannelParams(1e8, NoiseSpec(1.0, 1.0, -1.0))
     with pytest.raises(NumericalIntegrityError, match="underflow"):
         lmmse_coefficient_schedule(params, 60, 1.0 / 12.0, 1.0 / 12.0)
+
+
+@pytest.mark.parametrize("power", [1e2, 1e20, 1e100, 1e300])
+def test_every_schedule_that_builds_has_normal_variances(power):
+    # Block lengths n = 3, 4, ... until one is rejected.  Each n shares its
+    # first n - 1 states with n - 1, so the first rejected one fails at its
+    # last state: at P = 1e20 alpha1[31] = 1.7e-308 and at P = 1e300
+    # alpha1[4] = 2.2e-318 and alpha1[5] = 0.0 were returned unchecked.
+    params = ChannelParams(power, NoiseSpec(1.0, 1.0, 0.3))
+    for n in itertools.count(3):
+        try:
+            sched = lmmse_coefficient_schedule(params, n, 0.08, 0.08)
+        except NumericalIntegrityError as exc:
+            assert str(exc) == (
+                f"error variance underflowed at step {n}; "
+                f"power P = {power} is too large for block length n = {n}"
+            )
+            break
+        assert min(sched.alpha1.min(), sched.alpha2.min()) >= 2.0**-1022
+    assert n > 3
+
+
+def test_schedule_whose_first_variance_is_subnormal_is_rejected():
+    # var_theta sigma^2 / P = 8e-312 before the first feedback step.
+    params = ChannelParams(1e300, NoiseSpec(1e-5, 1e-5, 0.3))
+    with pytest.raises(NumericalIntegrityError, match="^error variance underflowed at step 2;"):
+        lmmse_coefficient_schedule(params, 5, 0.08, 0.08)
 
 
 SCHEDULE_ARRAYS = ("alpha1", "alpha2", "rho", "psi", "c1", "c2", "gain1", "gain2")

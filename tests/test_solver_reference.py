@@ -25,13 +25,12 @@ from gbflab import (
     NoFixedPointError,
     NoiseSpec,
     ParameterError,
-    gap_cubic_coeffs,
     solve_fixed_point,
     sweep_rates,
     verify_asymptotics,
 )
 from gbflab.analysis import _solve_powers, power_grid
-from test_analysis import mpmath_fixed_point
+from test_analysis import cubic_forms, mpmath_fixed_point
 
 _FLOAT_MIN = 2.0**-1022  # the smallest normal float
 
@@ -170,7 +169,7 @@ def _screened(outcome):
 @example(s1=1e-3, s2=1e-3, rz=-1.0, powers=[1e2, 1e150])
 def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
     noise = NoiseSpec(s1, s2, rz)
-    if any(abs(gap_cubic_coeffs(ChannelParams(p, noise)).lambda0) < _FLOAT_MIN for p in powers):
+    if any(abs(cubic_forms(ChannelParams(p, noise))[1][0]) < _FLOAT_MIN for p in powers):
         # At rho_z = -1 beyond P ~ 4.7e153 (s1 + s2)^2 lambda0 is subnormal
         # and the gap it sets imprecise; the grid rejects the power, the
         # reference solved it with that imprecision.

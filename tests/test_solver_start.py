@@ -74,10 +74,9 @@ def test_estimate_on_a_path_midpoint_counts_as_left_of_it():
     r = 5 / 16 + 2.0**-40
     c2, c1, c0 = _cubic(-(1.0 + r), r - 2.0, 2.0 * r)
     assert _verified_depths(np.array([5 / 16]), c2, c1, c0).tolist() == [38]
-    one = np.ones(1)
-    half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), one, c2, c1, c0)
+    half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), c2, c1, c0)
     lo, hi = _start_brackets(c2, c1, c0)
-    assert half.tolist() == _bisect_brackets(lo, hi, one, c2, c1, c0).tolist() == [r]
+    assert half.tolist() == _bisect_brackets(lo, hi, c2, c1, c0).tolist() == [r]
 
 
 def test_every_level_of_a_path_can_verify():
@@ -91,9 +90,23 @@ def test_every_level_of_a_path_can_verify():
     assert _verified_depths(np.array([x]), c2, c1, c0).tolist() == [58 + 51]
     lo, hi = _start_brackets(c2, c1, c0)
     assert hi - lo == 4 * math.ulp(x)
-    one = np.ones(1)
-    half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), one, c2, c1, c0)
-    assert half.tolist() == _bisect_brackets(lo, hi, one, c2, c1, c0).tolist() == [x]
+    half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), c2, c1, c0)
+    assert half.tolist() == _bisect_brackets(lo, hi, c2, c1, c0).tolist() == [x]
+
+
+def test_a_path_below_2_to_the_minus_1000_verifies_past_level_1023():
+    # h = x^3 - x + r with r = (1 + 2^-52) 2^-1005: for m < 2^-27, m^2 - 1
+    # rounds to -1 and h(m) = r - m is exact, so h changes sign only at r,
+    # which has 53 bits and is no midpoint.  Every level j = 1 .. 1,054
+    # verifies; from j = 1,024 on, 2^j is beyond float range, so x 2^j must
+    # be formed without it.
+    r = (1.0 + 2.0**-52) * 2.0**-1005
+    c2, c1, c0 = _cubic(0.0, -1.0, r)
+    assert _verified_depths(np.array([r]), c2, c1, c0).tolist() == [1004 + 50]
+    lo, hi = _start_brackets(c2, c1, c0)
+    assert hi - lo == 4 * math.ulp(r)
+    half = _bisect_brackets(np.zeros(1), np.full(1, 0.5), c2, c1, c0)
+    assert half.tolist() == _bisect_brackets(lo, hi, c2, c1, c0).tolist() == [r]
 
 
 def test_gap_at_the_float_range_edge_keeps_its_bits():
