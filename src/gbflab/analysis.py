@@ -159,12 +159,13 @@ def _coeffs(noise: NoiseSpec, p):
     # relative precision, which the plain product under one root loses
     # first.  np.sqrt is correctly rounded, as math.sqrt is.
     spp = np.sqrt(p + s11) * np.sqrt(p + s22)
-    a = -2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / (p * spp)
+    pspp = p * spp
+    a = -2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / pspp
     b = (
         -1.0
         - (s11 + s22) / p
         - rz * (s11 + s22) / spp
-        - s12 * (s11 + s22) / (p * spp)
+        - s12 * (s11 + s22) / pspp
     )
     c = (p + s11 + s22 - rz * s12) / spp
     # The defect without cancellation: the direct 1 - P / spp subtracts two
@@ -175,18 +176,18 @@ def _coeffs(noise: NoiseSpec, p):
     quarter = np.where(spp > 1.0, 0.25, 1.0)
     defect = (quarter * (p * (s11 + s22) + s11 * s22)) / ((quarter * spp) * (spp + p))
     lambda2 = (
-        3.0 - 2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / (p * spp)
+        3.0 - 2.0 * s12 / p - (p + s11 + s22 + rz * s12) / spp - 2.0 * s11 * s22 / pspp
     )
     lambda1 = (
         -2.0 * defect
         + ((2.0 + rz) * s11 + (2.0 + rz) * s22 + 2.0 * rz * s12) / spp
         + (s11 + s22 + 4.0 * s12) / p
-        + s12 * (s11 + 4.0 * s12 + s22) / (p * spp)
+        + s12 * (s11 + 4.0 * s12 + s22) / pspp
     )
     # 1 + rz * P / spp == (1 + rz) - rz * defect; at rz = -1 this is exactly
     # the stable defect instead of a fully cancelled subtraction.
     sq = s11 + 2.0 * s12 + s22
-    lambda0 = -(sq / p) * ((1.0 + rz) - rz * defect) - s12 * sq / (p * spp)
+    lambda0 = -(sq / p) * ((1.0 + rz) - rz * defect) - s12 * sq / pspp
     return (a, b, c), (lambda0, lambda1, lambda2), defect
 
 
@@ -308,17 +309,17 @@ def _bisect_brackets(lo, hi, c2, c1, c0):
     v, where h is negative; a step moves u to mid where h(mid) is not
     negative, v where it is negative, and both where h(mid) = 0 exactly,
     which ends the bracket at mid.  With finite coefficients and mid in
-    [0, 1/2] no evaluation is NaN.  A collapsed bracket (its midpoint equals
-    an end) is a fixed point of the step, and a step that leaves a midpoint
-    in place has collapsed its bracket, so the loop runs until no midpoint
-    moves."""
+    [0, 1/2] no evaluation is NaN, so "not negative" is h(mid) >= 0.  A
+    collapsed bracket (its midpoint equals an end) is a fixed point of the
+    step, and a step that leaves a midpoint in place has collapsed its
+    bracket, so the loop runs until no midpoint moves."""
     neg_lo = _monic_at(lo, c2, c1, c0) < 0.0
     u = np.where(neg_lo, hi, lo)
     v = np.where(neg_lo, lo, hi)
     mid = 0.5 * (lo + hi)
     while True:
         hm = _monic_at(mid, c2, c1, c0)
-        np.copyto(u, mid, where=~(hm < 0.0))
+        np.copyto(u, mid, where=hm >= 0.0)
         np.copyto(v, mid, where=hm <= 0.0)
         prev, mid = mid, 0.5 * (u + v)
         if not np.count_nonzero(mid != prev):
@@ -499,17 +500,22 @@ def solve_gap(params: ChannelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rates(p: float, s1: float, s2: float, gap: float) -> tuple[float, float, float, float]:
-    """(R1, R2, R1 + R2, pre-log ratio) at power p, noise levels s1, s2 and
-    gap g = 1 - rho, whose denominators P * gap / 2 + sigma^2 never form
-    1 - rho."""
-    half_gap_power = 0.5 * p * gap
-    # log1p keeps full relative precision at low SNR, where the ratios
-    # (P + s^2) / (P g/2 + s^2) and 1 + P lie within rounding of 1.
-    r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / _LN2
-    r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / _LN2
-    total = r1 + r2
-    return r1, r2, total, total / (0.5 * math.log1p(p) / _LN2)
+def _rates(powers: list[float], s1: float, s2: float, gaps: list[float]) -> list[tuple]:
+    """(R1, R2, R1 + R2, pre-log ratio) at each power P and its gap
+    g = 1 - rho, noise levels s1, s2: the one transcription of the rate
+    formula, whose denominators P g / 2 + sigma^2 never form 1 - rho.  One
+    loop over Python floats: numpy's log1p does not always give math's bits."""
+    s11, s22 = s1 * s1, s2 * s2
+    out = []
+    for p, gap in zip(powers, gaps):
+        half_gap_power = 0.5 * p * gap
+        # log1p keeps full relative precision at low SNR, where the ratios
+        # (P + s^2) / (P g/2 + s^2) and 1 + P lie within rounding of 1.
+        r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s11)) / _LN2
+        r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s22)) / _LN2
+        total = r1 + r2
+        out.append((r1, r2, total, total / (0.5 * math.log1p(p) / _LN2)))
+    return out
 
 
 def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
@@ -519,7 +525,8 @@ def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
     if not (0.0 <= gap <= 1.0):
         raise ParameterError(f"gap must lie in [0, 1], got {gap}")
-    return RatePoint(*_rates(params.power, params.noise.sigma1, params.noise.sigma2, gap))
+    noise = params.noise
+    return RatePoint(*_rates([params.power], noise.sigma1, noise.sigma2, [gap])[0])
 
 
 def single_user_bound(params: ChannelParams, receiver: int) -> float:
@@ -565,12 +572,14 @@ def sweep_rates(
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
-    s1, s2 = noise.sigma1, noise.sigma2
     gap_exponent = 1.0 - delta
     (rho, gap, _), _, _ = _solve_powers(noise, grid)
+    gaps = gap.tolist()
+    rates = _rates(grid, noise.sigma1, noise.sigma2, gaps)
+    new = tuple.__new__  # a row without the generated __new__'s Python call
     return [
-        SweepRow(p, r, g, *_rates(p, s1, s2, g), p**gap_exponent * g)
-        for p, r, g in zip(grid, rho.tolist(), gap.tolist())
+        new(SweepRow, (p, r, g, r1, r2, total, ratio, p**gap_exponent * g))
+        for p, r, g, (r1, r2, total, ratio) in zip(grid, rho.tolist(), gaps, rates)
     ]
 
 
@@ -593,17 +602,22 @@ def verify_asymptotics(
     gap itself, with strict-monotonicity verdicts over the last three decades
     for each quantity that must vanish.  The grid is checked as the float64
     powers it is solved at, so entries that round to one float are equal."""
-    try:  # bools are rejected, as channel fields reject them
-        reals = all(
-            isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
-            and 0.0 < float(p) < math.inf for p in p_grid
-        )
-    except OverflowError:  # an int beyond float range
-        reals = False
+    p_grid = list(p_grid)
+    if set(map(type, p_grid)) <= {float}:  # the common grid, checked in C
+        reals = all(map(math.isfinite, p_grid)) and all(map((0.0).__lt__, p_grid))
+    else:
+        try:  # bools are rejected, as channel fields reject them
+            reals = all(
+                isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+                and 0.0 < float(p) < math.inf for p in p_grid
+            )
+        except OverflowError:  # an int beyond float range
+            reals = False
     if not reals:
         raise ParameterError("p_grid powers must be positive finite reals")
-    p_grid = [float(p) for p in p_grid]
-    if len(p_grid) < 2 or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
+    p_grid = list(map(float, p_grid))
+    # finite floats, so a < b is exactly not (b <= a)
+    if len(p_grid) < 2 or not all(map(float.__lt__, p_grid, p_grid[1:])):
         raise ParameterError("p_grid must be strictly increasing")
     if p_grid[-1] < 1e4 * p_grid[0]:
         raise ParameterError("p_grid must span at least four decades")
@@ -617,14 +631,14 @@ def verify_asymptotics(
     # exponents of P in lambda0_scaled, lambda1_scaled and gap_scaled
     e0, e1, eg = 2.0 - delta - eps, 1.0 - 0.5 * eps, 1.0 - delta
     (_, gap, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
-    lambda0, lambda1, lambda2 = (v.tolist() for v in gap_coeffs)
-    p_defect = [p * d for p, d in zip(p_grid, defect.tolist())]
+    lambda0, lambda1, lambda2, defect, gap = (v.tolist() for v in (*gap_coeffs, defect, gap))
+    new = tuple.__new__  # as in sweep_rates; pd is P * defect
     rows = [
-        AsymptoticsRow(
-            p, l2, abs(l2 - 2.0), p**e1 * l1, d, abs(d - half_noise_sum),
+        new(AsymptoticsRow, (
+            p, l2, abs(l2 - 2.0), p**e1 * l1, (pd := p * d), abs(pd - half_noise_sum),
             p**e0 * l0 if anti else math.nan, g, p**eg * g,
-        )
-        for p, l0, l1, l2, d, g in zip(p_grid, lambda0, lambda1, lambda2, p_defect, gap.tolist())
+        ))
+        for p, l0, l1, l2, d, g in zip(p_grid, lambda0, lambda1, lambda2, defect, gap)
     ]
     tail = [r for r in rows if r.power >= p_grid[-1] / 1e3]
     monotone: dict[str, bool | None] = {

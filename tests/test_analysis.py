@@ -718,8 +718,11 @@ def test_asymptotics_grid_validation():
     ):
         with pytest.raises(ParameterError, match="^p_grid powers must be positive finite reals$"):
             verify_asymptotics(HEADLINE, grid)
-    with pytest.raises(ParameterError):  # a one-shot iterator is used up by the checks
-        verify_asymptotics(HEADLINE, (p for p in (1e2, 1e7)))
+    # The grid is made a list first, so a one-shot iterator is checked and
+    # solved as the list of its entries.
+    assert verify_asymptotics(HEADLINE, (p for p in (1e2, 1e7))) == verify_asymptotics(
+        HEADLINE, [1e2, 1e7]
+    )
 
 
 

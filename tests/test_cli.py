@@ -427,11 +427,13 @@ def test_analyze_matches_sweep_row(capsys):
     code, out_a, _ = run_cli(capsys, "analyze", "--power", "1e4")
     rec = parse_record(out_a)
     code, out_s, _ = run_cli(capsys, "sweep", "--p-start", "1e2", "--p-stop", "1e4")
-    _, rows = parse_csv(out_s)
-    last = rows[-1]
-    assert last[0] == pytest.approx(1e4)
-    assert float(rec["rho_star"]) == pytest.approx(last[1], rel=1e-12)
-    assert float(rec["sum"]) == pytest.approx(last[5], rel=1e-12)
+    # A power's solve does not depend on the grid it is solved in, and both
+    # subcommands form their rates through one transcription, so every cell
+    # the two print for P = 1e4 is the same text.
+    header, *_, last = [line for line in out_s.splitlines() if not line.startswith("#")]
+    cells = dict(zip(header.split(","), last.split(",")))
+    for key in ("P", "rho_star", "g", "R1", "R2", "sum", "prelog_ratio"):
+        assert cells[key] == rec[key], key
 
 
 # stdout of the subcommands at their defaults, pinned byte for byte: a change

@@ -7,6 +7,7 @@ digest, so a speed-up that moves any bit of any field shows here."""
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ import pytest
 from gbflab import (
     ChannelParams,
     MessageConfig,
+    NoFixedPointError,
     NoiseSpec,
+    ParameterError,
     RngSpec,
     achievable_rates,
     lmmse_coefficient_schedule,
@@ -28,7 +31,7 @@ from gbflab import (
     verify_asymptotics,
 )
 from gbflab import simulate
-from gbflab.analysis import _bisect_brackets, power_grid
+from gbflab.analysis import _bisect_brackets, _solve_powers, power_grid
 
 # Asymmetric, anti-correlated noise: gamma != 1, both signs of rho, and
 # limited mode can run.
@@ -210,3 +213,124 @@ def test_bisection_collapses_onto_an_exact_dyadic_zero():
     lo, hi = np.array([0.0, 0.25, 0.375]), np.array([1.0, 0.5, 0.375])
     coeffs = (np.full(3, value) for value in (-11 / 8, -13 / 8, 3 / 4))
     assert _bisect_brackets(lo, hi, *coeffs).tolist() == [0.375] * 3
+
+
+# ---------------------------------------------------------------------------
+# sweep and verify rows against their per-row formulas
+# ---------------------------------------------------------------------------
+
+_LN2 = math.log(2.0)
+
+
+def reference_rates(p, s1, s2, gap):
+    """The rate formula applied one power at a time, as each row once was."""
+    half_gap_power = 0.5 * p * gap
+    r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / _LN2
+    r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / _LN2
+    total = r1 + r2
+    return r1, r2, total, total / (0.5 * math.log1p(p) / _LN2)
+
+
+def reference_sweep(noise, p_start, p_stop, points_per_decade, delta):
+    if p_stop < 100.0 * p_start:
+        raise ParameterError("sweep range must span at least two decades")
+    if not (0.0 < delta <= 1.0):
+        raise ParameterError(f"delta must lie in (0, 1], got {delta}")
+    grid = power_grid(p_start, p_stop, points_per_decade)
+    (rho, gap, _), _, _ = _solve_powers(noise, grid)
+    return [
+        (p, r, g, *reference_rates(p, noise.sigma1, noise.sigma2, g), p ** (1.0 - delta) * g)
+        for p, r, g in zip(grid, rho.tolist(), gap.tolist())
+    ]
+
+
+def reference_verify(noise, p_grid, delta, eps):
+    """Rows and verdicts of ``verify_asymptotics``, every grid entry checked on
+    its own and every row formed on its own."""
+    try:
+        reals = all(
+            isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+            and 0.0 < float(p) < math.inf for p in p_grid
+        )
+    except OverflowError:
+        reals = False
+    if not reals:
+        raise ParameterError("p_grid powers must be positive finite reals")
+    p_grid = [float(p) for p in p_grid]
+    if len(p_grid) < 2 or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
+        raise ParameterError("p_grid must be strictly increasing")
+    if p_grid[-1] < 1e4 * p_grid[0]:
+        raise ParameterError("p_grid must span at least four decades")
+    if not (0.0 < delta < 1.0):
+        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    if not (0.0 < eps < delta):
+        raise ParameterError(f"eps must lie in (0, delta), got {eps}")
+    s1, s2 = noise.sigma1, noise.sigma2
+    anti = noise.rho_z == -1.0
+    (_, gap, _), (lambda0, lambda1, lambda2), defect = _solve_powers(noise, p_grid)
+    rows = []
+    for i, p in enumerate(p_grid):
+        l0, l1, l2 = float(lambda0[i]), float(lambda1[i]), float(lambda2[i])
+        d, g = p * float(defect[i]), float(gap[i])
+        rows.append((
+            p, l2, abs(l2 - 2.0), p ** (1.0 - 0.5 * eps) * l1, d,
+            abs(d - 0.5 * (s1 * s1 + s2 * s2)),
+            p ** (2.0 - delta - eps) * l0 if anti else math.nan, g, p ** (1.0 - delta) * g,
+        ))
+    tail = [r for r in rows if r[0] >= p_grid[-1] / 1e3]
+
+    def decreasing(column, mag=False):
+        values = [abs(r[column]) if mag else r[column] for r in tail]
+        return all(b < a for a, b in zip(values, values[1:]))
+
+    return rows, {
+        "lambda2_err": decreasing(2),
+        "lambda1_scaled_mag": decreasing(3, mag=True),
+        "root_defect_err": decreasing(5),
+        "lambda0_scaled_mag": decreasing(6, mag=True) if anti else None,
+        "gap_scaled": decreasing(8) if anti else None,
+    }
+
+
+def _outcome(call):
+    """Rows in float.hex and the verdicts, or the error's type and message."""
+    try:
+        result = call()
+    except (ParameterError, NoFixedPointError) as exc:
+        return type(exc).__name__, str(exc)
+    rows, monotone = result if isinstance(result, tuple) else (result, None)
+    return [tuple(v.hex() for v in row) for row in rows], monotone
+
+
+def test_sweep_and_verify_rows_equal_their_per_row_formulas():
+    # Beyond the four pinned configurations: seeded random noises, grids,
+    # delta and eps (some of them invalid), and verify grids of int,
+    # np.float64 and np.float32 entries, each checked entry by entry.
+    rng = np.random.default_rng(11)
+    kinds = (float, int, np.float64, np.float32)
+    solved = 0
+    for case in range(120):
+        s1, s2 = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        rho_z = (-1.0, 1.0, rng.uniform(-1.0, 1.0))[case % 3]
+        noise = NoiseSpec(s1, s2, rho_z)
+        p_start = 10.0 ** rng.uniform(-3.0, 5.0)
+        p_stop = p_start * 10.0 ** rng.uniform(1.5, 12.0)
+        points = int(rng.integers(1, 9))
+        delta, eps = rng.uniform(-0.1, 1.1), rng.uniform(-0.05, 0.6)
+        sweep = _outcome(lambda: sweep_rates(noise, p_start, p_stop, points, delta))
+        assert sweep == _outcome(
+            lambda: reference_sweep(noise, p_start, p_stop, points, delta)
+        ), case
+        if isinstance(sweep[0], list):
+            solved += 1
+            for row in sweep_rates(noise, p_start, p_stop, points, delta):
+                rates = achievable_rates(ChannelParams(row.power, noise), row.rho_star, row.gap)
+                assert [v.hex() for v in rates] == [
+                    v.hex() for v in (row.r1, row.r2, row.sum, row.prelog_ratio)
+                ]
+        kind = kinds[case % 4]
+        grid = [kind(round(p)) if kind is int else kind(p)
+                for p in power_grid(p_start, p_stop, points)]
+        report = _outcome(lambda: verify_asymptotics(noise, grid, delta, eps))
+        assert report == _outcome(lambda: reference_verify(noise, grid, delta, eps)), case
+    assert solved >= 40
