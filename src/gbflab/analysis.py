@@ -143,10 +143,10 @@ def gamma(noise: NoiseSpec) -> float:
 
 
 # At the ends of the accepted range (P near 1e154, or tiny P or sigmas)
-# intermediate values overflow to inf.  The coefficient formulas, the
-# bisection and the certification let them do so silently, as the same
-# arithmetic on Python floats does; the recursion warns.
-@np.errstate(over="ignore", invalid="ignore")
+# intermediate values overflow to inf, and beyond them P spp may be 0.  The
+# coefficients, the bisection and the certification let them do so
+# silently, as Python floats do; the recursion warns.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _coeffs(noise: NoiseSpec, p):
     """Rho-form (a, b, c) and gap-form (lambda0, lambda1, lambda2)
     coefficients at each power of the array ``p``, and the root defect
@@ -262,28 +262,6 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
 # ---------------------------------------------------------------------------
 
 
-def _check_float_range(noise: NoiseSpec, powers: list[float]) -> None:
-    """Reject powers whose cubic coefficients leave float range.
-
-    The coefficients divide by P sqrt((P+s1^2)(P+s2^2)), which grows with P,
-    so the smallest power decides whether it underflows to 0 and the largest
-    whether it overflows.  They and the recursion also multiply and divide
-    by (s1 + s2)^2 s1 s2, the recursion's q s12 at rho = 1, which must be a
-    normal float: a subnormal one has lost bits, and so have the sigma^4
-    terms of the coefficients, which are no larger.  Checked in Python
-    floats, which overflow and underflow without a warning."""
-    s1, s2 = noise.sigma1, noise.sigma2
-    sigma_product = (s1 * s1 + s2 * s2 + 2.0 * s1 * s2) * (s1 * s2)
-    for p in (float(min(powers)), float(max(powers))):
-        product = p * math.sqrt(p + s1 * s1) * math.sqrt(p + s2 * s2)
-        if not (0.0 < product < math.inf and _FLOAT_MIN <= sigma_product < math.inf):
-            raise ParameterError(
-                f"power P = {p} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's "
-                "float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be positive and finite "
-                "and (sigma1+sigma2)^2*sigma1*sigma2 a finite normal float"
-            )
-
-
 def _monic_at(m, c2, c1, c0):
     """The monic cubic h(m) = ((m + c2) m + c1) m + c0, in the one order of
     operations that the bisection and the check of its start share."""
@@ -305,17 +283,17 @@ def _bisect_brackets(lo, hi, c2, c1, c0):
     log2(w / ulp(x)) halvings, from [0, 1/2] up to about 1,075 for the
     smallest floats, which is why ``_solve_powers`` starts each one from a
     verified bracket near its root.
-    Each bracket is held as its end u, where h is not negative, and its end
-    v, where h is negative; a step moves u to mid where h(mid) is not
-    negative, v where it is negative, and both where h(mid) = 0 exactly,
-    which ends the bracket at mid.  With finite coefficients and mid in
-    [0, 1/2] no evaluation is NaN, so "not negative" is h(mid) >= 0.  A
-    collapsed bracket (its midpoint equals an end) is a fixed point of the
-    step, and a step that leaves a midpoint in place has collapsed its
-    bracket, so the loop runs until no midpoint moves."""
-    neg_lo = _monic_at(lo, c2, c1, c0) < 0.0
-    u = np.where(neg_lo, hi, lo)
-    v = np.where(neg_lo, lo, hi)
+    Each bracket is held as its end u = lo, where h must not be negative,
+    and its end v = hi: every start bracket of an accepted power has
+    h(lo) > 0, as h(0) = c0 > 0 (``_solve_powers``) and a path's left end
+    past 0 is a midpoint where h was found positive.  A step moves u to mid
+    where h(mid) is not negative, v where it is negative, and both where
+    h(mid) = 0 exactly, which ends the bracket at mid.  With finite
+    coefficients and mid in [0, 1/2] no evaluation is NaN, so "not negative"
+    is h(mid) >= 0.  A collapsed bracket (its midpoint equals an end) is a
+    fixed point of the step, and a step that leaves a midpoint in place has
+    collapsed its bracket, so the loop runs until no midpoint moves."""
+    u, v = lo.copy(), hi.copy()
     mid = 0.5 * (lo + hi)
     while True:
         hm = _monic_at(mid, c2, c1, c0)
@@ -418,10 +396,15 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
       f' is a convex quadratic with f'(0) = b < 0, so f falls until its
         minimum and then rises, staying below f(1) < 0: one sign change.
     The gap form is f(1 - g), negative at g = 0 and positive at g = 1.
-    A power whose coefficients or root defect are not all finite is rejected,
-    and so is one whose lambda0 = f(1), negative, is not a normal float: at
-    0 it would make g = 0 a root, and subnormal it carries too few bits for
-    the small gap it sets (at rho_z = -1 from P ~ 4.7e153 (s1 + s2)^2).
+    One mask over the grid decides which powers are solved, and the first it
+    rejects in grid order is named in a ParameterError.  It rejects P spp
+    (formed as P sqrt(P + s1^2) sqrt(P + s2^2), monotone in P) at 0 or inf;
+    (s1 + s2)^2 s1 s2, the recursion's q s12 at rho = 1, not a normal float;
+    a coefficient or the root defect not finite; and lambda0 = f(1),
+    negative, not a normal float: at 0 it would make g = 0 a root, and
+    subnormal it carries too few bits for the small gap it sets (at
+    rho_z = -1 from P ~ 4.7e153 (s1 + s2)^2).  So c > 0 > lambda0 wherever
+    the solver runs.
 
     Each root is bisected in its smaller variable, the other taken as its
     complement, so both keep full relative precision: near rho = 1 the rho
@@ -447,16 +430,20 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     the cubic has one root in [0, 1] and the bisection ends on adjacent
     floats around it, so there is no other candidate to screen out.
     """
-    _check_float_range(noise, powers)
+    s1, s2 = noise.sigma1, noise.sigma2
     p = np.array(powers, dtype=float)
     (a, b, c), (lambda0, lambda1, lambda2), defect = _coeffs(noise, p)
-    valid = np.isfinite([a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
-    valid &= np.abs(lambda0) >= _FLOAT_MIN
+    with np.errstate(over="ignore"):
+        pspp = p * np.sqrt(p + s1 * s1) * np.sqrt(p + s2 * s2)
+    valid = np.isfinite([pspp, a, b, c, lambda0, lambda1, lambda2, defect]).all(axis=0)
+    valid &= (pspp > 0.0) & (np.abs(lambda0) >= _FLOAT_MIN)
+    valid &= _FLOAT_MIN <= (s1 * s1 + s2 * s2 + 2.0 * s1 * s2) * (s1 * s2) < math.inf
     if not valid.all():
         raise ParameterError(
-            f"power P = {float(p[np.argmin(valid)])} with sigma1 = {noise.sigma1}, "
-            f"sigma2 = {noise.sigma2} is beyond the solver's float range: "
-            "the fixed-point cubic's coefficients must be finite and lambda0 a normal float"
+            f"power P = {float(p[np.argmin(valid)])} with sigma1 = {s1}, sigma2 = {s2} is "
+            "beyond the solver's float range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be "
+            "positive and finite, (sigma1+sigma2)^2*sigma1*sigma2 a finite normal float, "
+            "the fixed-point cubic's coefficients finite and lambda0 a normal float"
         )
     in_rho = ((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0
     c2 = np.where(in_rho, a, -lambda2)

@@ -168,32 +168,13 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
     if summary.tx1_mean_power is not None:
         lines.append(f"# summary.tx1_mean_power={_fmt(summary.tx1_mean_power)}")
         lines.append(f"# summary.tx2_mean_power={_fmt(summary.tx2_mean_power)}")
-    z = summary.moment_z_scores()
-    lines.append(
-        "step,mean1,mean2,var1,var2,corr,alpha1,alpha2,rho,"
-        "z_mean1,z_mean2,z_var1,z_var2,z_corr"
-    )
-    for i, k in enumerate(summary.steps):
-        lines.append(
-            _csv_row(
-                [
-                    int(k),
-                    summary.mean1[i],
-                    summary.mean2[i],
-                    summary.var1[i],
-                    summary.var2[i],
-                    summary.corr[i],
-                    summary.alpha1[i],
-                    summary.alpha2[i],
-                    summary.rho[i],
-                    z["mean1"][i],
-                    z["mean2"][i],
-                    z["var1"][i],
-                    z["var2"][i],
-                    z["corr"][i],
-                ]
-            )
-        )
+    columns = {"step": summary.steps}
+    for name in ("mean1", "mean2", "var1", "var2", "corr", "alpha1", "alpha2", "rho"):
+        columns[name] = getattr(summary, name)
+    for name, z in summary.moment_z_scores().items():
+        columns["z_" + name] = z
+    lines.append(",".join(columns))
+    lines.extend(map(_csv_row, zip(*columns.values())))
     return lines, 0
 
 

@@ -239,52 +239,38 @@ def lmmse_coefficient_schedule(
         alpha2=var_theta2 * s2 * s2 / p,
         rho=0.0,
     )
-    alpha1, alpha2, rho = [], [], []
-    psi, c1, c2, gain1, gain2 = [], [], [], [], []
+    walk = []
     for k in range(2, n + 1):
         # Every state's variances, the first and the last too, must be normal
-        # floats: a subnormal one has lost bits, and 0 leaves no gain.
-        if not (state.alpha1 >= _FLOAT_MIN and state.alpha2 >= _FLOAT_MIN):
+        # floats: a subnormal one has lost bits, and 0 leaves no gain.  As
+        # Python floats, so that a float32 0 is not compared in float32.
+        if not (float(state.alpha1) >= _FLOAT_MIN and float(state.alpha2) >= _FLOAT_MIN):
             raise NumericalIntegrityError(
                 f"error variance underflowed at step {k}; "
                 f"power P = {p} is too large for block length n = {n}"
             )
-        alpha1.append(state.alpha1)
-        alpha2.append(state.alpha2)
-        rho.append(state.rho)
-        if k == n:
-            break
-        ar = abs(state.rho)
-        sgn = 1.0 if state.rho >= 0.0 else -1.0
-        scale = math.sqrt(p / (1.0 + g * g + 2.0 * g * ar))
-        psi.append(scale)
-        c1.append(scale * math.sqrt(state.alpha1) * (1.0 + g * ar) / pi1)
-        c2.append(scale * math.sqrt(state.alpha2) * sgn * (g + ar) / pi2)
-        gain1.append(scale / math.sqrt(state.alpha1))
-        gain2.append(scale * g * sgn / math.sqrt(state.alpha2))
-        state = step_error_state(state, params)
-    return CoefficientSchedule(
-        params=params,
-        n=n,
-        var_theta1=var_theta1,
-        var_theta2=var_theta2,
-        alpha1=_read_only(alpha1),
-        alpha2=_read_only(alpha2),
-        rho=_read_only(rho),
-        psi=_read_only(psi),
-        c1=_read_only(c1),
-        c2=_read_only(c2),
-        gain1=_read_only(gain1),
-        gain2=_read_only(gain2),
-    )
-
-
-def _read_only(values: list[float]) -> np.ndarray:
-    """A schedule array: every trial run on the schedule shares it, so a write
-    to it raises instead of changing the trials that follow."""
-    array = np.array(values)
-    array.setflags(write=False)
-    return array
+        walk.append((state.alpha1, state.alpha2, state.rho))
+        if k < n:
+            state = step_error_state(state, params)
+    alpha1, alpha2, rho = map(np.array, zip(*walk))
+    # Each feedback step's coefficients from its state (all but the last), in
+    # the scalar formulas' order of operations: np.sqrt rounds as math.sqrt
+    # does, so the bits are the Python floats', which overflow without warning.
+    a1, a2, r = (np.asarray(v[:-1], dtype=float) for v in (alpha1, alpha2, rho))
+    ar = np.abs(r)
+    sgn = np.where(r >= 0.0, 1.0, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.sqrt(p / (1.0 + g * g + 2.0 * g * ar))
+        c1 = psi * np.sqrt(a1) * (1.0 + g * ar) / pi1
+        c2 = psi * np.sqrt(a2) * sgn * (g + ar) / pi2
+        gain1 = psi / np.sqrt(a1)
+        gain2 = psi * g * sgn / np.sqrt(a2)
+    arrays = (alpha1, alpha2, rho, psi, c1, c2, gain1, gain2)  # in field order
+    for array in arrays:
+        # Every trial run on the schedule shares its arrays, so a write to
+        # one raises instead of changing the trials that follow.
+        array.setflags(write=False)
+    return CoefficientSchedule(params, n, var_theta1, var_theta2, *arrays)
 
 
 def _checked_schedule(

@@ -310,10 +310,21 @@ def test_gap_just_below_float_range_anticorrelated():
         assert solve_gap(params_of(p)) * p == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-14)
 
 
+def _float_range_message(p, s1, s2):
+    return (
+        f"power P = {p} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's float "
+        "range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be positive and finite, "
+        "(sigma1+sigma2)^2*sigma1*sigma2 a finite normal float, the fixed-point cubic's "
+        "coefficients finite and lambda0 a normal float"
+    )
+
+
 def test_solver_rejects_power_beyond_float_range():
     with pytest.raises(ParameterError, match=r"P = 1e\+300 with sigma1 = 1.0, sigma2 = 1.0"):
         solve_fixed_point(params_of(1e300))
-    with pytest.raises(ParameterError, match=r"P = 1e\+155 .*float range"):
+    # The first rejected power of the grid is named: P spp overflows from
+    # about 1.3e154.
+    with pytest.raises(ParameterError, match=r"P = 1.7782794100389228e\+154 .*float range"):
         sweep_rates(HEADLINE, 1e140, 1e155)
     with pytest.raises(ParameterError, match=r"sigma1 = 1e\+100, sigma2 = 1e\+100"):
         solve_fixed_point(params_of(1.0, 1e100, 1e100))
@@ -325,6 +336,23 @@ def test_solver_rejects_power_beyond_float_range():
         solve_fixed_point(params_of(1e100, 1e-100, 1e-100))
     # P sqrt((P+1)(P+1)) = 1e308 is still in range at P = 1e154.
     solve_fixed_point(params_of(1e154))
+    # One mask decides, with one message, whichever condition fails: P spp
+    # overflows, P spp underflows to 0, the sigma product underflows, lambda1
+    # overflows, lambda0 is subnormal.  At the sixth power P sqrt(P + s1^2)
+    # sqrt(P + s2^2) is positive but the coefficients' P (sqrt sqrt) is 0,
+    # and the divisions by it must not warn.
+    for p, s1, s2 in (
+        (1e300, 1.0, 1.0), (1e-320, 1e-3, 1e-3), (1e100, 1e-100, 1e-100),
+        (1e-309, 1.0, 1.0), (8e152, 0.2, 0.2),
+        (2.3018725392278707e-282, 1.8762564203713423e-32, 5.719804669057521e-11),
+    ):
+        with pytest.raises(ParameterError) as exc:
+            solve_fixed_point(params_of(p, s1, s2))
+        assert str(exc.value) == _float_range_message(p, s1, s2)
+    # Both ends of this grid are rejected; the first in grid order is named.
+    with pytest.raises(ParameterError) as exc:
+        verify_asymptotics(NoiseSpec(1e-3, 1e-3, -1.0), [1e-320, 1.0, 1e300])
+    assert str(exc.value) == _float_range_message(1e-320, 1e-3, 1e-3)
 
 
 def test_fixed_point_contrast_uncorrelated_moderate_power():

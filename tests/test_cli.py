@@ -124,7 +124,7 @@ def test_sigma_whose_square_underflows_exits_2(capsys, command, flag):
     ],
 )
 def test_power_beyond_solver_float_range_exits_2(capsys, argv):
-    # Rejected before the solver runs: no overflow RuntimeWarning (the suite
+    # Rejected before the solver bisects: no overflow RuntimeWarning (the suite
     # turns those into errors), no exit 4 from the solver and, for a product
     # that underflows to 0, no division by zero.
     code, out, err = run_cli(capsys, *argv)

@@ -408,6 +408,62 @@ def test_schedule_of_numpy_scalar_params_is_the_float_schedule():
         assert got.tobytes() == want.tobytes()
 
 
+def test_float32_variance_that_underflows_to_zero_is_rejected():
+    # float32 message-point variances keep the moments in float32, where
+    # 2^-1022 rounds to 0: compared in float32, a variance of 0 passed the
+    # normal-float check, and a gain divided by its square root.
+    var = np.float32(1.0 / 12.0)
+    with pytest.raises(NumericalIntegrityError, match="underflowed at step 14;"):
+        lmmse_coefficient_schedule(ChannelParams(1e4, NoiseSpec(1.0, 1.0, -1.0)), 20, var, var)
+
+
+def _scalar_schedule(params, n, var1, var2):
+    """The schedule's arrays from a per-step loop on Python floats, each step's
+    coefficients formed from its state with math.sqrt, or the step k at
+    which a variance is no normal float."""
+    p, s1, s2 = params.power, params.noise.sigma1, params.noise.sigma2
+    g = s1 / s2
+    pi1, pi2 = p + s1 * s1, p + s2 * s2
+    state = ErrorState(var1 * s1 * s1 / p, var2 * s2 * s2 / p, 0.0)
+    rows = []
+    for k in range(2, n + 1):
+        if not (state.alpha1 >= 2.0**-1022 and state.alpha2 >= 2.0**-1022):
+            return k
+        ar = abs(state.rho)
+        sgn = 1.0 if state.rho >= 0.0 else -1.0
+        psi = math.sqrt(p / (1.0 + g * g + 2.0 * g * ar))
+        rows.append((
+            state.alpha1, state.alpha2, state.rho, psi,
+            psi * math.sqrt(state.alpha1) * (1.0 + g * ar) / pi1,
+            psi * math.sqrt(state.alpha2) * sgn * (g + ar) / pi2,
+            psi / math.sqrt(state.alpha1),
+            psi * g * sgn / math.sqrt(state.alpha2),
+        ))
+        state = step_error_state(state, params)
+    columns = [list(column) for column in zip(*rows)]
+    for column in columns[3:]:  # the last state drives no feedback step
+        column.pop()
+    return [np.array(column).tobytes() for column in columns]
+
+
+def test_schedule_is_its_scalar_formulas_bit_for_bit():
+    # Powers and block lengths wide enough that about a sixth of the
+    # configurations underflow a variance before step n.
+    rng = np.random.default_rng(29)
+    for i in range(200):
+        s1, s2 = 10.0 ** rng.uniform(-2, 2, size=2)
+        rz = (-1.0, 1.0, 0.0, rng.uniform(-1, 1))[i % 4]
+        params = ChannelParams(10.0 ** rng.uniform(-3, 16), NoiseSpec(s1, s2, rz))
+        n = int(rng.integers(3, 61))
+        var1, var2 = (message_point_variance(int(v)) for v in rng.integers(2, 1 << 20, 2))
+        want = _scalar_schedule(params, n, var1, var2)
+        if isinstance(want, int):
+            with pytest.raises(NumericalIntegrityError, match=f"underflowed at step {want};"):
+                lmmse_coefficient_schedule(params, n, var1, var2)
+        else:
+            assert _schedule_bytes(lmmse_coefficient_schedule(params, n, var1, var2)) == want
+
+
 def _schedule_bytes(schedule):
     return [getattr(schedule, name).tobytes() for name in SCHEDULE_ARRAYS]
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gbflab import ChannelParams, NoiseSpec, analysis, solve_fixed_point
 from gbflab.analysis import (
     _bisect_brackets,
+    _monic_at,
     _solve_powers,
     _start_brackets,
     _verified_depths,
@@ -42,6 +43,15 @@ def _reference(noise, powers):
         return _outcome(noise, powers)
 
 
+def _positive_at_lo(c2, c1, c0):
+    """``_start_brackets``, checking what ``_bisect_brackets`` relies on to
+    orient each bracket: the monic cubic is positive at its left end."""
+    lo, hi = _start_brackets(c2, c1, c0)
+    with np.errstate(over="ignore"):
+        assert (_monic_at(lo, c2, c1, c0) > 0.0).all()
+    return lo, hi
+
+
 _log_power = st.floats(-300.0, 153.0)
 _rho_z = st.one_of(
     st.sampled_from([1.0, -1.0, -1.0 + 1e-15]),
@@ -59,7 +69,9 @@ _rho_z = st.one_of(
 def test_verified_start_gives_the_bits_of_the_start_from_half(log_powers, log_s1, log_s2, rz):
     noise = NoiseSpec(10.0**log_s1, 10.0**log_s2, rz)
     powers = [10.0**v for v in log_powers]
-    assert _outcome(noise, powers) == _reference(noise, powers)
+    with mock.patch.object(analysis, "_start_brackets", _positive_at_lo):
+        outcome = _outcome(noise, powers)
+    assert outcome == _reference(noise, powers)
 
 
 def _cubic(c2, c1, c0):
@@ -155,5 +167,7 @@ def test_power_whose_coefficients_overflow_is_rejected(power, s1, s2):
         solve_fixed_point(ChannelParams(power, NoiseSpec(s1, s2, -1.0)))
     assert str(exc.value) == (
         f"power P = {power} with sigma1 = {s1}, sigma2 = {s2} is beyond the solver's float "
-        "range: the fixed-point cubic's coefficients must be finite and lambda0 a normal float"
+        "range: P*sqrt((P+sigma1^2)(P+sigma2^2)) must be positive and finite, "
+        "(sigma1+sigma2)^2*sigma1*sigma2 a finite normal float, the fixed-point cubic's "
+        "coefficients finite and lambda0 a normal float"
     )
