@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, NoiseSpec
+from .channel import ChannelParams, NoiseSpec, _real
 from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 
 # The returned root must satisfy the rho-form cubic to within this multiple
@@ -36,7 +36,8 @@ _FLOAT_MIN = 2.0**-1022  # the smallest normal float
 @dataclass(frozen=True)
 class ErrorState:
     """Second moments of the two receivers' estimation errors after one
-    channel output: variances (alpha1, alpha2) and correlation rho."""
+    channel output: variances (alpha1, alpha2) and correlation rho, stored
+    clamped to [-1, 1]; a NaN rho or |rho| > 1 + 1e-12 raises."""
 
     alpha1: float
     alpha2: float
@@ -45,10 +46,12 @@ class ErrorState:
     def __post_init__(self) -> None:
         if not (self.alpha1 >= 0.0 and self.alpha2 >= 0.0):
             raise ParameterError("error variances must be nonnegative")
-        if abs(self.rho) > 1.0 + _RHO_INTEGRITY_TOL:
+        if not abs(self.rho) <= 1.0 + _RHO_INTEGRITY_TOL:
             raise NumericalIntegrityError(
                 f"|rho| = {abs(self.rho)} exceeds 1 beyond tolerance"
             )
+        if abs(self.rho) > 1.0:
+            object.__setattr__(self, "rho", math.copysign(1.0, self.rho))
 
 
 class FixedPoint(NamedTuple):
@@ -244,16 +247,10 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
     omr2 = (1.0 - ar) * (1.0 + ar)
     ratio1 = (g * g * p * omr2 + s1 * s1 * d) / (d * (p + s1 * s1))
     ratio2 = (p * omr2 + s2 * s2 * d) / (d * (p + s2 * s2))
-    rho_next = rho_recursion(state.rho, params)
-    if abs(rho_next) > 1.0 + _RHO_INTEGRITY_TOL:
-        raise NumericalIntegrityError(
-            f"correlation update produced |rho| = {abs(rho_next)} > 1"
-        )
-    rho_next = min(1.0, max(-1.0, rho_next))
     return ErrorState(
         alpha1=state.alpha1 * ratio1,
         alpha2=state.alpha2 * ratio2,
-        rho=rho_next,
+        rho=rho_recursion(state.rho, params),
     )
 
 
@@ -264,7 +261,7 @@ def step_error_state(state: ErrorState, params: ChannelParams) -> ErrorState:
 
 def _monic_at(m, c2, c1, c0):
     """The monic cubic h(m) = ((m + c2) m + c1) m + c0, in the one order of
-    operations that the bisection and the check of its start share."""
+    operations that every evaluation of the solver's cubics shares."""
     h = m + c2
     h *= m
     h += c1
@@ -331,7 +328,7 @@ def _root_estimates(c2, c1, c0):
     x = np.where(c1 < 0.0, 2.0 * c0 / (root - c1), (c1 + root) / (-2.0 * c2))
     for _ in range(_NEWTON_STEPS):
         x = np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
-        x = x - (((x + c2) * x + c1) * x + c0) / ((3.0 * x + 2.0 * c2) * x + c1)
+        x = x - _monic_at(x, c2, c1, c0) / ((3.0 * x + 2.0 * c2) * x + c1)
     return np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
 
 
@@ -409,21 +406,21 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     Each root is bisected in its smaller variable, the other taken as its
     complement, so both keep full relative precision: near rho = 1 the rho
     form is a ~1e-16 difference of order-one terms and the gap form a sum of
-    small same-scale ones, and near rho = 0 it is the other way round.  One
-    gap-form evaluation at g = 1/2 picks the variable: where it is not
-    positive, g >= 1/2 and the rho form bisects rho in [0, 1/2]; elsewhere
-    the gap form bisects g in [0, 1/2].
+    small same-scale ones, and near rho = 0 it is the other way round.
 
-    Every evaluation from here on is of one monic cubic h (``_monic_at``):
+    Every evaluation of a cubic is of one monic cubic h (``_monic_at``):
     h = f in rho, and in g the gap form with its coefficients negated, which
-    is exact, so h = -f bit for bit.  The bisection of [0, 1/2] does not
-    start there.  A Newton estimate of the root names the dyadic path the
-    bisection would take towards it; h is evaluated at that path's midpoints,
-    every level in one loop over blocks of levels (``_verified_depths``), and
-    the bisection starts after the longest prefix of levels whose signs all
-    agree with the path.  Every sign the bisection would test on that prefix
-    has been evaluated with the same operations, so it ends on the same bits
-    as from [0, 1/2]; a poor estimate only shortens the prefix.
+    is exact, so h = -f bit for bit.  h in g at g = 1/2 picks the variable:
+    where it is not negative, g >= 1/2 and the rho form bisects rho in
+    [0, 1/2]; elsewhere the gap form bisects g in [0, 1/2].  The bisection
+    of [0, 1/2] does not start there.  A Newton estimate of the root names
+    the dyadic path the bisection would take towards it; h is evaluated at
+    that path's midpoints, every level in one loop over blocks of levels
+    (``_verified_depths``), and the bisection starts after the longest prefix
+    of levels whose signs all agree with the path.  Every sign the bisection
+    would test on that prefix has been evaluated with the same operations,
+    so it ends on the same bits as from [0, 1/2]; a poor estimate only
+    shortens the prefix.
 
     The rho-form cubic certifies each root: its residual must not exceed
     CUBIC_RESIDUAL_ACCEPT * (1 + |a| + |b| + |c|).  No other check is made:
@@ -445,16 +442,15 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
             "positive and finite, (sigma1+sigma2)^2*sigma1*sigma2 a finite normal float, "
             "the fixed-point cubic's coefficients finite and lambda0 a normal float"
         )
-    in_rho = ((lambda2 - 0.5) * 0.5 + lambda1) * 0.5 + lambda0 <= 0.0
-    c2 = np.where(in_rho, a, -lambda2)
-    c1 = np.where(in_rho, b, -lambda1)
-    c0 = np.where(in_rho, c, -lambda0)
+    negated = -lambda2, -lambda1, -lambda0
+    in_rho = _monic_at(0.5, *negated) >= 0.0
+    c2, c1, c0 = (np.where(in_rho, r, g) for r, g in zip((a, b, c), negated))
     lo, hi = _start_brackets(c2, c1, c0)
     x = _bisect_brackets(lo, hi, c2, c1, c0)
     gap = np.where(in_rho, 1.0 - x, x)
     rho = np.where(in_rho, x, 1.0 - x)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(((rho + a) * rho + b) * rho + c)
+        residual = np.abs(_monic_at(rho, a, b, c))
         bound = CUBIC_RESIDUAL_ACCEPT * (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
     failed = np.flatnonzero(residual > bound)
     if failed.size:
@@ -532,6 +528,7 @@ def single_user_bound(params: ChannelParams, receiver: int) -> float:
 
 def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[float]:
     """Logarithmic power grid, ascending, endpoints included."""
+    p_start, p_stop = _real(p_start, "p_start"), _real(p_stop, "p_stop")
     if not (0 < p_start < p_stop < math.inf):
         raise ParameterError("need 0 < p_start < p_stop < inf")
     if points_per_decade < 1:
@@ -539,7 +536,7 @@ def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[fl
     lg0 = math.log10(p_start)
     n = max(1, round((math.log10(p_stop) - lg0) * points_per_decade))
     inner = [10.0 ** (lg0 + i / points_per_decade) for i in range(1, n)]
-    return [float(p_start)] + inner + [float(p_stop)]
+    return [p_start] + inner + [p_stop]
 
 
 def sweep_rates(
@@ -590,19 +587,16 @@ def verify_asymptotics(
     for each quantity that must vanish.  The grid is checked as the float64
     powers it is solved at, so entries that round to one float are equal."""
     p_grid = list(p_grid)
-    if set(map(type, p_grid)) <= {float}:  # the common grid, checked in C
-        reals = all(map(math.isfinite, p_grid)) and all(map((0.0).__lt__, p_grid))
-    else:
-        try:  # bools are rejected, as channel fields reject them
-            reals = all(
-                isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
-                and 0.0 < float(p) < math.inf for p in p_grid
-            )
-        except OverflowError:  # an int beyond float range
-            reals = False
-    if not reals:
+    reals = all(  # bools are rejected, as channel fields reject them
+        issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool)
+        for t in set(map(type, p_grid))
+    )
+    try:
+        p_grid = list(map(float, p_grid)) if reals else p_grid
+    except OverflowError:  # an int beyond float range
+        reals = False
+    if not (reals and all(map(math.isfinite, p_grid)) and all(map((0.0).__lt__, p_grid))):
         raise ParameterError("p_grid powers must be positive finite reals")
-    p_grid = list(map(float, p_grid))
     # finite floats, so a < b is exactly not (b <= a)
     if len(p_grid) < 2 or not all(map(float.__lt__, p_grid, p_grid[1:])):
         raise ParameterError("p_grid must be strictly increasing")
@@ -653,7 +647,8 @@ def prelog_classify(corr: np.ndarray) -> PrelogClass:
     is perfectly positively correlated and at least one pair is perfectly
     anti-correlated; Undefined when some pair is perfectly positively
     correlated (a duplicated receiver, which the classification rules do not
-    cover).  Perfect correlation means the entry is exactly +/-1.
+    cover).  Perfect correlation means the entry is exactly +/-1.  The
+    reason names the first such pair in row-major order.
     """
     m = np.asarray(corr, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -673,27 +668,16 @@ def prelog_classify(corr: np.ndarray) -> PrelogClass:
     if eig_min < -1e-9:
         raise ParameterError(f"correlation matrix is not PSD (min eigenvalue {eig_min})")
     iu = np.triu_indices(k, 1)
-    off = m[iu]
-    pos_pairs = [(int(i), int(j)) for i, j, v in zip(iu[0], iu[1], off) if v == 1.0]
-    if pos_pairs:
-        i, j = pos_pairs[0]
-        return PrelogClass(
-            value=PrelogValue.UNDEFINED,
-            reason=(
-                f"receivers {i + 1} and {j + 1} have perfectly positively correlated "
-                "noises (a duplicated receiver); no classification rule covers this case"
-            ),
-        )
-    neg_pairs = [(int(i), int(j)) for i, j, v in zip(iu[0], iu[1], off) if v == -1.0]
-    if neg_pairs:
-        i, j = neg_pairs[0]
-        return PrelogClass(
-            value=PrelogValue.TWO,
-            reason=(
-                f"receivers {i + 1} and {j + 1} have perfectly anti-correlated noises "
-                "and no pair is perfectly positively correlated"
-            ),
-        )
+    for entry, value, text in (
+        (1.0, PrelogValue.UNDEFINED, "have perfectly positively correlated noises (a "
+         "duplicated receiver); no classification rule covers this case"),
+        (-1.0, PrelogValue.TWO, "have perfectly anti-correlated noises and no pair is "
+         "perfectly positively correlated"),
+    ):
+        hits = np.flatnonzero(m[iu] == entry)
+        if hits.size:
+            i, j = iu[0][hits[0]] + 1, iu[1][hits[0]] + 1
+            return PrelogClass(value=value, reason=f"receivers {i} and {j} {text}")
     return PrelogClass(
         value=PrelogValue.ONE,
         reason="every pair of receiver noises is imperfectly correlated",

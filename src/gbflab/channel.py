@@ -27,19 +27,22 @@ _UINT64_MASK = (1 << 64) - 1
 _MODES = ("broadcast", "interference", "limited")  # the channel modes a simulation runs
 
 
+def _real(value, name: str) -> float:
+    """The argument ``name`` as a Python float, so that equal values compute
+    with equal bits: a float32 compares like its float64 value but builds
+    float32 arrays.  Bools, arrays (0-d ones too) and other non-reals raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} must be a real number within float range") from None
+
+
 def _store_floats(record, *names: str) -> None:
-    """Replace each named field of a frozen ``record`` by its value as a Python
-    float.  Equal records then compute with equal bits: a float32 power would
-    otherwise compare and hash like its float64 value but build float32
-    arrays.  Bools, arrays (0-d ones too) and other non-reals are rejected."""
+    """Replace each named field of a frozen ``record`` by its ``_real`` value."""
     for name in names:
-        value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ParameterError(f"{name} must be a real number, got {value!r}")
-        try:
-            object.__setattr__(record, name, float(value))
-        except OverflowError:
-            raise ParameterError(f"{name} must be a real number within float range") from None
+        object.__setattr__(record, name, _real(getattr(record, name), name))
 
 
 @dataclass(frozen=True)
@@ -178,20 +181,17 @@ def sample_noise_pair(
     an array one normal after another, so these are bit for bit the draws of
     k separate calls, and leave the stream where those calls would.
     """
+    lead = () if steps is None else (steps,)
     tail = () if size is None else (size,)
     if spec.is_degenerate:
-        z1 = spec.sigma1 * rng.standard_normal(size if steps is None else (steps, *tail))
+        z1 = spec.sigma1 * rng.standard_normal((*lead, *tail))
         z2 = spec.rho_z * (spec.sigma2 / spec.sigma1) * z1
     else:
-        if steps is None:
-            draws = rng.standard_normal((2, *tail))
-            u, v = draws[0], draws[1]
-        else:
-            draws = rng.standard_normal((steps, 2, *tail))
-            u, v = draws[:, 0], draws[:, 1]
+        draws = rng.standard_normal((*lead, 2, *tail)).swapaxes(0, len(lead))
+        u, v = draws[0], draws[1]  # a step's u and v: successive rows of its draw
         z1 = spec.sigma1 * u
         z2 = spec.sigma2 * (spec.rho_z * u + np.sqrt((1.0 - spec.rho_z) * (1.0 + spec.rho_z)) * v)
-    if size is None and steps is None:
+    if not (lead or tail):
         return float(z1), float(z2)
     return z1, z2
 

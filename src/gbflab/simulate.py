@@ -63,6 +63,7 @@ from .channel import (
     _MODES,
     ChannelParams,
     RngSpec,
+    _real,
     _store_floats,
     make_generator,
     sample_noise_pair,
@@ -228,6 +229,7 @@ def lmmse_coefficient_schedule(
     """
     if n < 3:
         raise ParameterError(f"block length must be >= 3, got {n}")
+    var_theta1, var_theta2 = _real(var_theta1, "var_theta1"), _real(var_theta2, "var_theta2")
     if not (var_theta1 > 0.0 and var_theta2 > 0.0):
         raise DegenerateMessageError("message-point variances must be positive")
     p = params.power
@@ -242,9 +244,8 @@ def lmmse_coefficient_schedule(
     walk = []
     for k in range(2, n + 1):
         # Every state's variances, the first and the last too, must be normal
-        # floats: a subnormal one has lost bits, and 0 leaves no gain.  As
-        # Python floats, so that a float32 0 is not compared in float32.
-        if not (float(state.alpha1) >= _FLOAT_MIN and float(state.alpha2) >= _FLOAT_MIN):
+        # floats: a subnormal one has lost bits, and 0 leaves no gain.
+        if not (state.alpha1 >= _FLOAT_MIN and state.alpha2 >= _FLOAT_MIN):
             raise NumericalIntegrityError(
                 f"error variance underflowed at step {k}; "
                 f"power P = {p} is too large for block length n = {n}"
@@ -256,7 +257,7 @@ def lmmse_coefficient_schedule(
     # Each feedback step's coefficients from its state (all but the last), in
     # the scalar formulas' order of operations: np.sqrt rounds as math.sqrt
     # does, so the bits are the Python floats', which overflow without warning.
-    a1, a2, r = (np.asarray(v[:-1], dtype=float) for v in (alpha1, alpha2, rho))
+    a1, a2, r = alpha1[:-1], alpha2[:-1], rho[:-1]
     ar = np.abs(r)
     sgn = np.where(r >= 0.0, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,15 +299,13 @@ def _checked_schedule(
             "an alphabet of size >= 2)"
         )
     var1, var2 = message_point_variance(levels1), message_point_variance(levels2)
-    if schedule is not None:
-        if schedule.params != params:
-            raise ParameterError(f"schedule is built for {schedule.params}, not {params}")
-        if schedule.n < config.n:
-            raise ParameterError(f"schedule covers n = {schedule.n}, not n = {config.n}")
-        if (schedule.var_theta1, schedule.var_theta2) != (var1, var2):
+    if schedule is not None:  # a longer schedule runs its first n steps
+        built = (schedule.params, schedule.var_theta1, schedule.var_theta2)
+        if built != (params, var1, var2) or schedule.n < config.n:
             raise ParameterError(
-                f"schedule is built for message-point variances "
-                f"({schedule.var_theta1}, {schedule.var_theta2}), not ({var1}, {var2})"
+                f"schedule is built for {schedule.params}, n = {schedule.n} and message-point "
+                f"variances ({schedule.var_theta1}, {schedule.var_theta2}), not for {params}, "
+                f"n = {config.n} and ({var1}, {var2})"
             )
         return schedule
     return _shared_schedule(params, config.n, var1, var2)
@@ -322,10 +321,9 @@ def _shared_schedule(params: ChannelParams, n: int, var1: float, var2: float):
     int and the variances are the Python floats of ``message_point_variance``.
     Equal keys therefore build equal bits; rho_z = -0.0 and 0.0 do too, as
     rho_z enters the schedule only through s1 s2 + P rho_z.
-    ``lmmse_coefficient_schedule`` itself is not cached: its callers may pass
-    numpy variances that hash like their float values but compute other
-    bits.  A build that
-    raises caches nothing, so it raises again on the next call."""
+    ``lmmse_coefficient_schedule`` itself is not cached: each of its calls
+    builds a schedule of its own.  A build that raises caches nothing, so it
+    raises again on the next call."""
     return lmmse_coefficient_schedule(params, n, var1, var2)
 
 

@@ -147,6 +147,24 @@ def test_step_at_full_correlation_asymmetric_uses_own_noise():
     assert nxt.alpha2 == pytest.approx(s2 * s2 / (p + s2 * s2), rel=1e-13)
 
 
+def test_nan_correlation_is_rejected():
+    # At this corner rho_recursion overflows to NaN, which a clamp into
+    # [-1, 1] turned into rho = -1.0; the true correlation is about +1.
+    params = ChannelParams(3.56e78, NoiseSpec(5.19e-71, 1.47e-69, 0.0))
+    message = r"^\|rho\| = nan exceeds 1 beyond tolerance$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalIntegrityError, match=message):
+            step_error_state(ErrorState(1.0, 1.0, -1.0), params)
+    with pytest.raises(NumericalIntegrityError, match=message):
+        ErrorState(1.0, 1.0, math.nan)
+
+
+def test_error_state_stores_rho_clamped_to_unit_interval():
+    for rho, stored in ((1.0 + 1e-13, 1.0), (-1.0 - 1e-13, -1.0), (0.3, 0.3), (-0.0, -0.0)):
+        got = ErrorState(1.0, 1.0, rho).rho
+        assert got == stored and math.copysign(1.0, got) == math.copysign(1.0, stored)
+
+
 def test_rho_recursion_matches_literal_transcription():
     # The stable rearrangement must agree with the literal formula wherever
     # the latter retains precision.
@@ -884,6 +902,28 @@ def test_classifier_undefined_on_duplicated_receiver():
     assert result.reason
 
 
+@pytest.mark.parametrize(
+    "rows, value, pair",
+    [
+        # Each receiver's noise as a combination of two independent unit noises.
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], PrelogValue.TWO, (1, 2)),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], PrelogValue.TWO, (1, 3)),
+        ([(1, 0), (0, 1), (0, 1), (-1, 0)], PrelogValue.UNDEFINED, (2, 3)),
+        ([(1, 0), (-1, 0), (0, 1), (0, 1)], PrelogValue.UNDEFINED, (3, 4)),
+        ([(1, 0), (0, 1), (1, 0), (0, 1)], PrelogValue.UNDEFINED, (1, 3)),
+        ([(1, 0), (0, 1), (0, 1), (1, 0)], PrelogValue.UNDEFINED, (1, 4)),
+        ([(1, 0), (1, 0), (-1, 0), (-1, 0)], PrelogValue.UNDEFINED, (1, 2)),
+    ],
+)
+def test_classifier_names_the_first_decisive_pair_in_row_major_order(rows, value, pair):
+    # The first pair in row-major upper-triangle order among the +1 pairs,
+    # else among the -1 pairs: a +1 pair wins over an earlier -1 pair.
+    w = np.array(rows, dtype=float)
+    result = prelog_classify(w @ w.T)
+    assert result.value is value
+    assert result.reason.startswith(f"receivers {pair[0]} and {pair[1]} have perfectly ")
+
+
 def test_classifier_validation():
     with pytest.raises(ParameterError):
         prelog_classify(np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0]]))  # not square
@@ -931,6 +971,10 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "receiver must be 1 or 2, got 3"),
         (lambda: sweep_rates(HEADLINE, 1e2, 1e6, delta=0.0), ParameterError,
          "delta must lie in (0, 1], got 0.0"),
+        (lambda: sweep_rates(HEADLINE, True, 1e4), ParameterError,
+         "p_start must be a real number, got True"),
+        (lambda: power_grid(1, 10**400, 1), ParameterError,
+         "p_stop must be a real number within float range"),
         (lambda: verify_asymptotics(HEADLINE, [1e2, 1e7], delta=1.0), ParameterError,
          "delta must lie in (0, 1), got 1.0"),
         (lambda: verify_asymptotics(HEADLINE, [0.0, 1e2, 1e7]), ParameterError,
@@ -943,6 +987,10 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "block length must be >= 3, got 2"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, 0.08, 0.0),
          DegenerateMessageError, "message-point variances must be positive"),
+        (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, "0.08", 0.08), ParameterError,
+         "var_theta1 must be a real number, got '0.08'"),
+        (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, 0.08, True), ParameterError,
+         "var_theta2 must be a real number, got True"),
         (lambda: prelog_classify(np.array([[1.0, math.nan], [math.nan, 1.0]])), ParameterError,
          "correlation matrix contains non-finite entries"),
         (lambda: prelog_classify(np.array([[1.0, 1.5], [1.5, 1.0]])), ParameterError,
@@ -950,8 +998,9 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
     ],
     ids=[
         "error-state-variance", "error-state-rho", "single-user-receiver", "sweep-delta",
-        "verify-delta", "verify-zero-power", "message-alphabet", "variance-levels",
-        "schedule-length", "schedule-variance", "classify-nan", "classify-entry",
+        "sweep-bool-start", "grid-stop-beyond-float", "verify-delta", "verify-zero-power",
+        "message-alphabet", "variance-levels", "schedule-length", "schedule-variance",
+        "schedule-str-variance", "schedule-bool-variance", "classify-nan", "classify-entry",
     ],
 )
 def test_library_rejects_invalid_input(call, error, message):

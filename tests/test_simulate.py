@@ -408,13 +408,17 @@ def test_schedule_of_numpy_scalar_params_is_the_float_schedule():
         assert got.tobytes() == want.tobytes()
 
 
-def test_float32_variance_that_underflows_to_zero_is_rejected():
-    # float32 message-point variances keep the moments in float32, where
-    # 2^-1022 rounds to 0: compared in float32, a variance of 0 passed the
-    # normal-float check, and a gain divided by its square root.
+def test_float32_variance_builds_the_schedule_of_its_float_value():
+    # float32 message-point variances kept the moments in float32, where
+    # 2^-1022 rounds to 0: this schedule was rejected at step 14, and others
+    # overflowed float32 with a RuntimeWarning.
+    params = ChannelParams(1e4, NoiseSpec(1.0, 1.0, -1.0))
     var = np.float32(1.0 / 12.0)
-    with pytest.raises(NumericalIntegrityError, match="underflowed at step 14;"):
-        lmmse_coefficient_schedule(ChannelParams(1e4, NoiseSpec(1.0, 1.0, -1.0)), 20, var, var)
+    schedule = lmmse_coefficient_schedule(params, 20, var, var)
+    reference = lmmse_coefficient_schedule(params, 20, float(var), float(var))
+    assert type(schedule.var_theta1) is type(schedule.var_theta2) is float
+    for name in SCHEDULE_ARRAYS:
+        assert getattr(schedule, name).tobytes() == getattr(reference, name).tobytes()
 
 
 def _scalar_schedule(params, n, var1, var2):
