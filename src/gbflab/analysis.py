@@ -531,8 +531,13 @@ def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[fl
     p_start, p_stop = _real(p_start, "p_start"), _real(p_stop, "p_stop")
     if not (0 < p_start < p_stop < math.inf):
         raise ParameterError("need 0 < p_start < p_stop < inf")
-    if points_per_decade < 1:
-        raise ParameterError("points_per_decade must be at least 1")
+    if isinstance(points_per_decade, bool) or not (
+        isinstance(points_per_decade, (int, np.integer)) and points_per_decade >= 1
+    ):
+        raise ParameterError(
+            f"points_per_decade must be an integer of at least 1, got {points_per_decade!r}"
+        )
+    points_per_decade = int(points_per_decade)
     lg0 = math.log10(p_start)
     n = max(1, round((math.log10(p_stop) - lg0) * points_per_decade))
     inner = [10.0 ** (lg0 + i / points_per_decade) for i in range(1, n)]
@@ -551,6 +556,7 @@ def sweep_rates(
     ``scaled_gap`` is P^(1-delta) * gap, the quantity whose decay to zero
     certifies that the gap shrinks faster than P^(delta-1).
     """
+    p_start, p_stop = _real(p_start, "p_start"), _real(p_stop, "p_stop")
     if p_stop < 100.0 * p_start:
         raise ParameterError("sweep range must span at least two decades")
     if not (0.0 < delta <= 1.0):

@@ -714,6 +714,15 @@ def test_power_grid_keeps_both_endpoints():
     assert grid == [5.0, 5.5]
 
 
+def test_numpy_integer_density_builds_the_int_density_grid():
+    grid = power_grid(1e2, 1e6, np.int64(2))
+    assert [type(p) for p in grid] == [float] * len(grid)
+    assert [p.hex() for p in grid] == [p.hex() for p in power_grid(1e2, 1e6, 2)]
+    rows = sweep_rates(HEADLINE, 1e2, 1e6, np.int32(2))
+    assert rows == sweep_rates(HEADLINE, 1e2, 1e6, 2)
+    assert {type(row.power) for row in rows} == {float}
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
@@ -973,8 +982,20 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "delta must lie in (0, 1], got 0.0"),
         (lambda: sweep_rates(HEADLINE, True, 1e4), ParameterError,
          "p_start must be a real number, got True"),
+        (lambda: sweep_rates(HEADLINE, "1", 1e4), ParameterError,
+         "p_start must be a real number, got '1'"),
+        (lambda: sweep_rates(HEADLINE, 10**400, 1e4), ParameterError,
+         "p_start must be a real number within float range"),
         (lambda: power_grid(1, 10**400, 1), ParameterError,
          "p_stop must be a real number within float range"),
+        (lambda: power_grid(1.0, 1e4, math.nan), ParameterError,
+         "points_per_decade must be an integer of at least 1, got nan"),
+        (lambda: power_grid(1.0, 1e4, True), ParameterError,
+         "points_per_decade must be an integer of at least 1, got True"),
+        (lambda: power_grid(1.0, 1e4, 2.5), ParameterError,
+         "points_per_decade must be an integer of at least 1, got 2.5"),
+        (lambda: power_grid(1.0, 1e4, np.int64(0)), ParameterError,
+         "points_per_decade must be an integer of at least 1, got np.int64(0)"),
         (lambda: verify_asymptotics(HEADLINE, [1e2, 1e7], delta=1.0), ParameterError,
          "delta must lie in (0, 1), got 1.0"),
         (lambda: verify_asymptotics(HEADLINE, [0.0, 1e2, 1e7]), ParameterError,
@@ -998,7 +1019,9 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
     ],
     ids=[
         "error-state-variance", "error-state-rho", "single-user-receiver", "sweep-delta",
-        "sweep-bool-start", "grid-stop-beyond-float", "verify-delta", "verify-zero-power",
+        "sweep-bool-start", "sweep-str-start", "sweep-start-beyond-float",
+        "grid-stop-beyond-float", "grid-nan-density", "grid-bool-density",
+        "grid-fractional-density", "grid-zero-numpy-density", "verify-delta", "verify-zero-power",
         "message-alphabet", "variance-levels", "schedule-length", "schedule-variance",
         "schedule-str-variance", "schedule-bool-variance", "classify-nan", "classify-entry",
     ],

@@ -635,6 +635,32 @@ def test_first_simulate_name_loads_the_simulator():
     assert (done.returncode, done.stdout) == (0, b"False True\n"), done.stderr
 
 
+BARE_IMPORT = """
+import sys, gbflab
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("gbflab.")))
+print(set(gbflab.__all__) <= set(dir(gbflab)), "sweep_rates" in vars(gbflab))
+print(gbflab.channel is sys.modules["gbflab.channel"], "gbflab.analysis" in sys.modules)
+rates = gbflab.sweep_rates
+print(vars(gbflab)["sweep_rates"] is rates is sys.modules["gbflab.analysis"].sweep_rates)
+"""
+
+
+def test_bare_import_loads_no_numpy_and_each_name_loads_on_first_use():
+    done = run_python("-c", BARE_IMPORT)
+    expected = b"[]\nTrue False\nTrue False\nTrue\n"
+    assert (done.returncode, done.stdout) == (0, expected), done.stderr
+
+
+def test_star_import_binds_every_public_name_from_its_defining_module():
+    namespace = {}
+    exec("from gbflab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(gbflab.__all__)
+    for name in gbflab.__all__:
+        module = sys.modules[f"gbflab.{gbflab._HOME[name]}"]
+        assert namespace[name].__module__ == module.__name__
+        assert namespace[name] is getattr(module, name) is getattr(gbflab, name)
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random takes 11-15 ms to load; only a random stream needs it, and
     # it loads with the first one.
