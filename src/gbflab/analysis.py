@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, NoiseSpec, _real
+from .channel import ChannelParams, NoiseSpec, _integer, _real
 from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 
 # The returned root must satisfy the rho-form cubic to within this multiple
@@ -308,10 +308,9 @@ _NEWTON_STEPS = 4
 _PATH_SPARE_BITS = 2
 # Path midpoints evaluated at once, which bounds the working set.
 _PATH_BLOCK = 1 << 15
-# Estimates are kept in [2^-1022, 1/2): a normal x keeps every midpoint of
+# Estimates are kept in [_FLOAT_MIN, 1/2): a normal x keeps every midpoint of
 # its path exact, and below 1/2 the bracket [floor(x 2^d) 2^-d, + 2^-d] of
 # each depth d stays inside [0, 1/2].
-_ESTIMATE_MIN = 2.0**-1022
 _ESTIMATE_MAX = 0.5 - 2.0**-54
 
 
@@ -327,9 +326,9 @@ def _root_estimates(c2, c1, c0):
     root = np.abs(c1) * np.sqrt(np.fmax(1.0 - 4.0 * (c2 / c1) * (c0 / c1), 0.0))
     x = np.where(c1 < 0.0, 2.0 * c0 / (root - c1), (c1 + root) / (-2.0 * c2))
     for _ in range(_NEWTON_STEPS):
-        x = np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
+        x = np.fmax(np.fmin(x, _ESTIMATE_MAX), _FLOAT_MIN)
         x = x - _monic_at(x, c2, c1, c0) / ((3.0 * x + 2.0 * c2) * x + c1)
-    return np.fmax(np.fmin(x, _ESTIMATE_MAX), _ESTIMATE_MIN)
+    return np.fmax(np.fmin(x, _ESTIMATE_MAX), _FLOAT_MIN)
 
 
 @np.errstate(over="ignore")
@@ -504,6 +503,7 @@ def _rates(powers: list[float], s1: float, s2: float, gaps: list[float]) -> list
 def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
     """Rate pair achievable at operating correlation rho and its gap
     g = 1 - rho (``FixedPoint.gap``)."""
+    rho, gap = _real(rho, "rho"), _real(gap, "gap")
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
     if not (0.0 <= gap <= 1.0):
@@ -515,12 +515,7 @@ def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint
 def single_user_bound(params: ChannelParams, receiver: int) -> float:
     """Point-to-point capacity of the queried receiver's own channel, using
     that receiver's noise level."""
-    if receiver == 1:
-        s = params.noise.sigma1
-    elif receiver == 2:
-        s = params.noise.sigma2
-    else:
-        raise ParameterError(f"receiver must be 1 or 2, got {receiver}")
+    s = (params.noise.sigma1, params.noise.sigma2)[_integer(receiver, "receiver", 1, 2) - 1]
     # log1p, as in achievable_rates: log2(1 + P/s^2) is 0.0 once P/s^2 is
     # below rounding of 1.
     return 0.5 * math.log1p(params.power / (s * s)) / _LN2
@@ -531,13 +526,7 @@ def power_grid(p_start: float, p_stop: float, points_per_decade: int) -> list[fl
     p_start, p_stop = _real(p_start, "p_start"), _real(p_stop, "p_stop")
     if not (0 < p_start < p_stop < math.inf):
         raise ParameterError("need 0 < p_start < p_stop < inf")
-    if isinstance(points_per_decade, bool) or not (
-        isinstance(points_per_decade, (int, np.integer)) and points_per_decade >= 1
-    ):
-        raise ParameterError(
-            f"points_per_decade must be an integer of at least 1, got {points_per_decade!r}"
-        )
-    points_per_decade = int(points_per_decade)
+    points_per_decade = _integer(points_per_decade, "points_per_decade", 1)
     lg0 = math.log10(p_start)
     n = max(1, round((math.log10(p_stop) - lg0) * points_per_decade))
     inner = [10.0 ** (lg0 + i / points_per_decade) for i in range(1, n)]
@@ -559,6 +548,7 @@ def sweep_rates(
     p_start, p_stop = _real(p_start, "p_start"), _real(p_stop, "p_stop")
     if p_stop < 100.0 * p_start:
         raise ParameterError("sweep range must span at least two decades")
+    delta = _real(delta, "delta")
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
@@ -608,6 +598,7 @@ def verify_asymptotics(
         raise ParameterError("p_grid must be strictly increasing")
     if p_grid[-1] < 1e4 * p_grid[0]:
         raise ParameterError("p_grid must span at least four decades")
+    delta, eps = _real(delta, "delta"), _real(eps, "eps")
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if not (0.0 < eps < delta):
@@ -656,7 +647,10 @@ def prelog_classify(corr: np.ndarray) -> PrelogClass:
     cover).  Perfect correlation means the entry is exactly +/-1.  The
     reason names the first such pair in row-major order.
     """
-    m = np.asarray(corr, dtype=float)
+    try:
+        m = np.asarray(corr, dtype=float)
+    except (TypeError, ValueError):  # non-numeric entries or ragged rows
+        raise ParameterError(f"correlation matrix must be a real array, got {corr!r}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"correlation matrix must be square, got shape {m.shape}")
     k = m.shape[0]

@@ -39,6 +39,16 @@ def _real(value, name: str) -> float:
         raise ParameterError(f"{name} must be a real number within float range") from None
 
 
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """The argument ``name`` as a Python int in [low, high], or in [low, inf)
+    for ``high=None``.  Bools and other non-integers raise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    span = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+
+
 def _store_floats(record, *names: str) -> None:
     """Replace each named field of a frozen ``record`` by its ``_real`` value."""
     for name in names:
@@ -98,7 +108,7 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Key of one reproducible random stream.
+    """Key of one reproducible random stream, stored as two Python ints.
 
     Streams are counter-based (Philox) and keyed by the pair
     (master_seed, stream_id): distinct pairs give statistically independent
@@ -112,10 +122,8 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (integer and 0 <= value <= _UINT64_MASK):
-                raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        for name in ("master_seed", "stream_id"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, _UINT64_MASK))
 
 
 class _PhiloxKey:

@@ -63,6 +63,7 @@ from .channel import (
     _MODES,
     ChannelParams,
     RngSpec,
+    _integer,
     _real,
     _store_floats,
     make_generator,
@@ -102,9 +103,7 @@ class MessageConfig:
     rate2: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
-            raise ParameterError(f"block length must be an integer >= 3, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "block length", 3))
         try:  # n * rate below converts n to a float
             float(self.n)
         except OverflowError:
@@ -227,8 +226,7 @@ def lmmse_coefficient_schedule(
     The schedule starts, after the two dedicated channel uses, from the
     uncorrelated errors (rho = 0) that the coding loop produces there.
     """
-    if n < 3:
-        raise ParameterError(f"block length must be >= 3, got {n}")
+    n = _integer(n, "block length", 3)
     var_theta1, var_theta2 = _real(var_theta1, "var_theta1"), _real(var_theta2, "var_theta2")
     if not (var_theta1 > 0.0 and var_theta2 > 0.0):
         raise DegenerateMessageError("message-point variances must be positive")
@@ -741,8 +739,7 @@ def run_broadcast_campaign(
     raised in any chunk is raised here.  The block error rate comes with a
     95% Wilson interval.
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 100):
-        raise ParameterError(f"trials must be an integer >= 100, got {trials!r}")
+    trials = _integer(trials, "trials", 100)
     schedule = _checked_schedule(config, params, mode, fed_back_receiver)
     n = config.n
     chunks = _map_chunks(

@@ -977,9 +977,15 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         (lambda: ErrorState(1.0, 1.0, -1.0 - 1e-11), NumericalIntegrityError,
          "|rho| = 1.00000000001 exceeds 1 beyond tolerance"),
         (lambda: single_user_bound(params_of(10.0), 3), ParameterError,
-         "receiver must be 1 or 2, got 3"),
+         "receiver must be an integer in [1, 2], got 3"),
+        (lambda: single_user_bound(params_of(10.0), True), ParameterError,
+         "receiver must be an integer in [1, 2], got True"),
         (lambda: sweep_rates(HEADLINE, 1e2, 1e6, delta=0.0), ParameterError,
          "delta must lie in (0, 1], got 0.0"),
+        (lambda: sweep_rates(HEADLINE, 1.0, 1e4, 4, "0.2"), ParameterError,
+         "delta must be a real number, got '0.2'"),
+        (lambda: sweep_rates(HEADLINE, 1.0, 1e4, 4, True), ParameterError,
+         "delta must be a real number, got True"),
         (lambda: sweep_rates(HEADLINE, True, 1e4), ParameterError,
          "p_start must be a real number, got True"),
         (lambda: sweep_rates(HEADLINE, "1", 1e4), ParameterError,
@@ -989,15 +995,17 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         (lambda: power_grid(1, 10**400, 1), ParameterError,
          "p_stop must be a real number within float range"),
         (lambda: power_grid(1.0, 1e4, math.nan), ParameterError,
-         "points_per_decade must be an integer of at least 1, got nan"),
+         "points_per_decade must be an integer >= 1, got nan"),
         (lambda: power_grid(1.0, 1e4, True), ParameterError,
-         "points_per_decade must be an integer of at least 1, got True"),
+         "points_per_decade must be an integer >= 1, got True"),
         (lambda: power_grid(1.0, 1e4, 2.5), ParameterError,
-         "points_per_decade must be an integer of at least 1, got 2.5"),
+         "points_per_decade must be an integer >= 1, got 2.5"),
         (lambda: power_grid(1.0, 1e4, np.int64(0)), ParameterError,
-         "points_per_decade must be an integer of at least 1, got np.int64(0)"),
+         "points_per_decade must be an integer >= 1, got np.int64(0)"),
         (lambda: verify_asymptotics(HEADLINE, [1e2, 1e7], delta=1.0), ParameterError,
          "delta must lie in (0, 1), got 1.0"),
+        (lambda: verify_asymptotics(HEADLINE, power_grid(1e2, 1e7, 1), 0.2, "0.1"),
+         ParameterError, "eps must be a real number, got '0.1'"),
         (lambda: verify_asymptotics(HEADLINE, [0.0, 1e2, 1e7]), ParameterError,
          "p_grid powers must be positive finite reals"),
         (lambda: MessageConfig(n=10, rate1=51.3, rate2=1.0), ParameterError,
@@ -1005,7 +1013,11 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         (lambda: message_point_variance(0), ParameterError,
          "level count must be >= 1, got 0"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 2, 0.08, 0.08), ParameterError,
-         "block length must be >= 3, got 2"),
+         "block length must be an integer >= 3, got 2"),
+        (lambda: lmmse_coefficient_schedule(params_of(10.0), 20.0, 0.08, 0.08), ParameterError,
+         "block length must be an integer >= 3, got 20.0"),
+        (lambda: lmmse_coefficient_schedule(params_of(10.0), "20", 0.08, 0.08), ParameterError,
+         "block length must be an integer >= 3, got '20'"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, 0.08, 0.0),
          DegenerateMessageError, "message-point variances must be positive"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, "0.08", 0.08), ParameterError,
@@ -1016,14 +1028,23 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "correlation matrix contains non-finite entries"),
         (lambda: prelog_classify(np.array([[1.0, 1.5], [1.5, 1.0]])), ParameterError,
          "correlation entries must lie in [-1, 1]"),
+        (lambda: prelog_classify("x"), ParameterError,
+         "correlation matrix must be a real array, got 'x'"),
+        (lambda: prelog_classify([[1, 0], [0]]), ParameterError,
+         "correlation matrix must be a real array, got [[1, 0], [0]]"),
+        (lambda: achievable_rates(params_of(10.0), "0.5", 0.5), ParameterError,
+         "rho must be a real number, got '0.5'"),
     ],
     ids=[
-        "error-state-variance", "error-state-rho", "single-user-receiver", "sweep-delta",
+        "error-state-variance", "error-state-rho", "single-user-receiver",
+        "single-user-bool-receiver", "sweep-delta", "sweep-str-delta", "sweep-bool-delta",
         "sweep-bool-start", "sweep-str-start", "sweep-start-beyond-float",
         "grid-stop-beyond-float", "grid-nan-density", "grid-bool-density",
-        "grid-fractional-density", "grid-zero-numpy-density", "verify-delta", "verify-zero-power",
-        "message-alphabet", "variance-levels", "schedule-length", "schedule-variance",
+        "grid-fractional-density", "grid-zero-numpy-density", "verify-delta", "verify-str-eps",
+        "verify-zero-power", "message-alphabet", "variance-levels", "schedule-length",
+        "schedule-float-length", "schedule-str-length", "schedule-variance",
         "schedule-str-variance", "schedule-bool-variance", "classify-nan", "classify-entry",
+        "classify-str", "classify-ragged", "rates-str-rho",
     ],
 )
 def test_library_rejects_invalid_input(call, error, message):

@@ -98,6 +98,25 @@ def test_numpy_block_length_gives_the_campaign_of_its_int():
     assert _digest(summary) == CAMPAIGNS[("broadcast", 100, 20, 0.9, 11)]
 
 
+def test_numpy_integer_arguments_are_stored_as_python_ints():
+    # A record's digest hashes the repr of each scalar field, so a numpy
+    # integer kept as given (np.int64(200), not 200) changes it.
+    config, var = _config(20, 0.9), message_point_variance(2**40)
+    calls = [
+        lambda i: run_broadcast_campaign(config, PARAMS, i(200), 11),
+        lambda i: lmmse_coefficient_schedule(PARAMS, i(20), var, var),
+        lambda i: run_broadcast_trial(config, PARAMS, RngSpec(i(7), i(3))),
+    ]
+    for call in calls:
+        assert _digest(call(np.int64)) == _digest(call(int))
+    assert _digest(calls[2](np.uint64)) == _digest(calls[2](int))
+    summary = run_broadcast_campaign(config, PARAMS, np.int64(200), 11)
+    schedule = lmmse_coefficient_schedule(PARAMS, np.int64(20), var, var)
+    spec = RngSpec(np.uint64(7), np.int64(3))
+    fields = summary.trials, schedule.n, spec.master_seed, spec.stream_id
+    assert [type(v) for v in fields] == [int] * 4 and fields == (200, 20, 7, 3)
+
+
 TRIAL_ENTRIES = {
     "broadcast": run_broadcast_trial,
     "interference": run_interference_trial,

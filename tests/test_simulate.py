@@ -1265,7 +1265,7 @@ def test_campaign_rejects_trials_that_are_not_an_integer_of_at_least_100(trials)
 def test_message_config_validation():
     with pytest.raises(ParameterError):
         MessageConfig(n=2, rate1=0.5, rate2=0.5)
-    with pytest.raises(ParameterError, match="got 2$"):
+    with pytest.raises(ParameterError, match=r"got np\.int64\(2\)$"):
         MessageConfig(n=np.int64(2), rate1=0.5, rate2=0.5)
     with pytest.raises(ParameterError, match="got 20.0$"):
         MessageConfig(n=20.0, rate1=0.5, rate2=0.5)
