@@ -115,8 +115,8 @@ class AsymptoticsRow(NamedTuple):
 
 class AsymptoticsReport(NamedTuple):
     rows: tuple[AsymptoticsRow, ...]
-    # name -> strictly-decreasing verdict over the last three decades
-    # (None when the quantity does not apply to this noise correlation)
+    # printed verdict name -> strictly-decreasing verdict over the last three
+    # decades (None when the quantity does not apply to this noise correlation)
     monotone: dict[str, bool | None]
 
 
@@ -620,13 +620,15 @@ def verify_asymptotics(
     ]
     tail = [r for r in rows if r.power >= p_grid[-1] / 1e3]
     monotone: dict[str, bool | None] = {
-        "lambda2_err": _strictly_decreasing([r.lambda2_err for r in tail]),
-        "lambda1_scaled_mag": _strictly_decreasing([abs(r.lambda1_scaled) for r in tail]),
-        "root_defect_err": _strictly_decreasing([r.root_defect_err for r in tail]),
-        "lambda0_scaled_mag": (
+        "lambda2_err_decreasing": _strictly_decreasing([r.lambda2_err for r in tail]),
+        "lambda1_scaled_vanishing": _strictly_decreasing([abs(r.lambda1_scaled) for r in tail]),
+        "root_defect_err_decreasing": _strictly_decreasing([r.root_defect_err for r in tail]),
+        "lambda0_scaled_vanishing": (
             _strictly_decreasing([abs(r.lambda0_scaled) for r in tail]) if anti else None
         ),
-        "gap_scaled": _strictly_decreasing([r.gap_scaled for r in tail]) if anti else None,
+        "gap_scaled_vanishing": (
+            _strictly_decreasing([r.gap_scaled for r in tail]) if anti else None
+        ),
     }
     return AsymptoticsReport(rows=tuple(rows), monotone=monotone)
 

@@ -54,11 +54,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _records(prefix: str, pairs) -> list[str]:
+    """One '<prefix><key>=<value>' line per (key, value) pair: every record
+    line the CLI prints is formed here."""
+    return [f"{prefix}{key}={_fmt(value)}" for key, value in pairs]
+
+
 def _option_header(command: str, opts: dict) -> list[str]:
-    lines = [f"# gbflab {command}"]
-    for key in sorted(opts):
-        lines.append(f"# option.{key}={_fmt(opts[key])}")
-    return lines
+    return [f"# gbflab {command}", *_records("# option.", sorted(opts.items()))]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -90,8 +93,7 @@ def _cmd_analyze(opts: dict) -> tuple[list[str], int]:
     params = ChannelParams(power=opts["power"], noise=_noise_from(opts))
     fp = solve_fixed_point(params)
     rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
-    lines = _option_header("analyze", opts)
-    for key, value in [
+    return _option_header("analyze", opts) + _records("", [
         ("P", params.power),
         ("sigma1", params.noise.sigma1),
         ("sigma2", params.noise.sigma2),
@@ -104,9 +106,7 @@ def _cmd_analyze(opts: dict) -> tuple[list[str], int]:
         ("R2", rp.r2),
         ("sum", rp.sum),
         ("prelog_ratio", rp.prelog_ratio),
-    ]:
-        lines.append(f"{key}={_fmt(value)}")
-    return lines, 0
+    ]), 0
 
 
 def _cmd_sweep(opts: dict) -> tuple[list[str], int]:
@@ -146,8 +146,7 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
         opts["seed"],
         mode=opts["mode"],
     )
-    lines = _option_header("simulate", opts)
-    summary_fields = [
+    fields = [
         ("mode", summary.mode),
         ("trials", summary.trials),
         ("block_length", summary.n),
@@ -163,11 +162,10 @@ def _cmd_simulate(opts: dict) -> tuple[list[str], int]:
         ("confidence", summary.confidence),
         ("mean_power", summary.mean_power),
     ]
-    for key, value in summary_fields:
-        lines.append(f"# summary.{key}={_fmt(value)}")
-    if summary.tx1_mean_power is not None:
-        lines.append(f"# summary.tx1_mean_power={_fmt(summary.tx1_mean_power)}")
-        lines.append(f"# summary.tx2_mean_power={_fmt(summary.tx2_mean_power)}")
+    if summary.tx1_mean_power is not None:  # interference mode only
+        fields += [("tx1_mean_power", summary.tx1_mean_power),
+                   ("tx2_mean_power", summary.tx2_mean_power)]
+    lines = _option_header("simulate", opts) + _records("# summary.", fields)
     columns = {"step": summary.steps}
     for name in ("mean1", "mean2", "var1", "var2", "corr", "alpha1", "alpha2", "rho"):
         columns[name] = getattr(summary, name)
@@ -191,19 +189,13 @@ def _cmd_verify(opts: dict) -> tuple[list[str], int]:
     )
     lines.extend(map(_csv_row, report.rows))
     last = report.rows[-1]
-    checks: list[tuple[str, bool | None]] = [
+    verdicts = [
         ("lambda2_to_two", last.lambda2_err < 1e-3),
         ("root_defect_to_half_noise_sum", last.root_defect_err < 0.01 * half_noise_sum),
-        ("lambda2_err_decreasing", report.monotone["lambda2_err"]),
-        ("lambda1_scaled_vanishing", report.monotone["lambda1_scaled_mag"]),
-        ("root_defect_err_decreasing", report.monotone["root_defect_err"]),
-        ("lambda0_scaled_vanishing", report.monotone["lambda0_scaled_mag"]),
-        ("gap_scaled_vanishing", report.monotone["gap_scaled"]),
+        *report.monotone.items(),
     ]
-    for name, verdict in checks:
-        status = "NA" if verdict is None else ("PASS" if verdict else "FAIL")
-        lines.append(f"# verdict.{name}={status}")
-    return lines, 0
+    status = {True: "PASS", False: "FAIL", None: "NA"}
+    return lines + _records("# verdict.", [(k, status[v]) for k, v in verdicts]), 0
 
 
 def _cmd_classify(opts: dict) -> tuple[list[str], int]:
@@ -221,8 +213,7 @@ def _cmd_classify(opts: dict) -> tuple[list[str], int]:
         raise ParameterError(f"matrix file {path!r} holds no rows") from exc
     result = prelog_classify(matrix)
     lines = _option_header("classify", opts)
-    lines.append(f"class={result.value.value}")
-    lines.append(f"reason={result.reason}")
+    lines += _records("", [("class", result.value.value), ("reason", result.reason)])
     return lines, 3 if result.value is PrelogValue.UNDEFINED else 0
 
 

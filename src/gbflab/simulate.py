@@ -123,6 +123,14 @@ class MessageConfig:
     def levels2(self) -> int:
         return level_count(self.n, self.rate2)
 
+    @cached_property
+    def var_theta1(self) -> float:
+        return message_point_variance(self.levels1)
+
+    @cached_property
+    def var_theta2(self) -> float:
+        return message_point_variance(self.levels2)
+
 
 def level_count(n: int, rate: float) -> int:
     """Number of message points carried by a block: ceil(2**(n*rate))."""
@@ -131,8 +139,7 @@ def level_count(n: int, rate: float) -> int:
 
 def message_point_variance(levels: int) -> float:
     """Exact variance of the uniform grid of ``levels`` points: (L^2-1)/(12 L^2)."""
-    if levels < 1:
-        raise ParameterError(f"level count must be >= 1, got {levels}")
+    levels = _integer(levels, "level count", 1)
     return (levels * levels - 1) / (12 * levels * levels)
 
 
@@ -288,15 +295,13 @@ def _checked_schedule(
             raise UnsupportedConfigurationError(
                 "limited feedback needs |rho_z| = 1 to reconstruct the unobserved output"
             )
-        if fed_back_receiver not in (1, 2):
-            raise ParameterError(f"fed_back_receiver must be 1 or 2, got {fed_back_receiver}")
-    levels1, levels2 = config.levels1, config.levels2
-    if levels1 < 2 or levels2 < 2:
+        _integer(fed_back_receiver, "fed_back_receiver", 1, 2)
+    if config.levels1 < 2 or config.levels2 < 2:
         raise DegenerateMessageError(
             "both users need at least two message points (n * rate must give "
             "an alphabet of size >= 2)"
         )
-    var1, var2 = message_point_variance(levels1), message_point_variance(levels2)
+    var1, var2 = config.var_theta1, config.var_theta2
     if schedule is not None:  # a longer schedule runs its first n steps
         built = (schedule.params, schedule.var_theta1, schedule.var_theta2)
         if built != (params, var1, var2) or schedule.n < config.n:
@@ -740,6 +745,7 @@ def run_broadcast_campaign(
     95% Wilson interval.
     """
     trials = _integer(trials, "trials", 100)
+    master_seed = RngSpec(master_seed).master_seed  # a Python int, checked before the schedule
     schedule = _checked_schedule(config, params, mode, fed_back_receiver)
     n = config.n
     chunks = _map_chunks(

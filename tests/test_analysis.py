@@ -734,10 +734,10 @@ def test_verify_asymptotics_headline_checks():
     by_power = {round(math.log10(r.power)): r for r in report.rows}
     assert by_power[8].lambda2_err < 1e-3
     assert by_power[6].root_defect_err < 0.01 * 1.0
-    assert report.monotone["gap_scaled"] is True
-    assert report.monotone["lambda0_scaled_mag"] is True
-    assert report.monotone["lambda2_err"] is True
-    assert report.monotone["lambda1_scaled_mag"] is True
+    assert report.monotone["gap_scaled_vanishing"] is True
+    assert report.monotone["lambda0_scaled_vanishing"] is True
+    assert report.monotone["lambda2_err_decreasing"] is True
+    assert report.monotone["lambda1_scaled_vanishing"] is True
 
 
 def test_root_defect_limit_three_sigma_configs():
@@ -752,8 +752,8 @@ def test_root_defect_limit_three_sigma_configs():
 
 def test_asymptotics_uncorrelated_marks_gap_checks_not_applicable():
     report = verify_asymptotics(NoiseSpec(1, 1, 0.0), [1e2, 1e4, 1e6, 1e8], 0.2, 0.1)
-    assert report.monotone["gap_scaled"] is None
-    assert report.monotone["lambda0_scaled_mag"] is None
+    assert report.monotone["gap_scaled_vanishing"] is None
+    assert report.monotone["lambda0_scaled_vanishing"] is None
     assert math.isnan(report.rows[0].lambda0_scaled)
 
 
@@ -1011,7 +1011,13 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         (lambda: MessageConfig(n=10, rate1=51.3, rate2=1.0), ParameterError,
          "rate1 gives an alphabet beyond 2**512; not supported"),
         (lambda: message_point_variance(0), ParameterError,
-         "level count must be >= 1, got 0"),
+         "level count must be an integer >= 1, got 0"),
+        (lambda: message_point_variance(True), ParameterError,
+         "level count must be an integer >= 1, got True"),
+        (lambda: message_point_variance(2.5), ParameterError,
+         "level count must be an integer >= 1, got 2.5"),
+        (lambda: message_point_variance(np.float32(3)), ParameterError,
+         "level count must be an integer >= 1, got np.float32(3.0)"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 2, 0.08, 0.08), ParameterError,
          "block length must be an integer >= 3, got 2"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 20.0, 0.08, 0.08), ParameterError,
@@ -1041,7 +1047,9 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         "sweep-bool-start", "sweep-str-start", "sweep-start-beyond-float",
         "grid-stop-beyond-float", "grid-nan-density", "grid-bool-density",
         "grid-fractional-density", "grid-zero-numpy-density", "verify-delta", "verify-str-eps",
-        "verify-zero-power", "message-alphabet", "variance-levels", "schedule-length",
+        "verify-zero-power", "message-alphabet", "variance-levels",
+        "variance-bool-levels", "variance-fractional-levels", "variance-numpy-float-levels",
+        "schedule-length",
         "schedule-float-length", "schedule-str-length", "schedule-variance",
         "schedule-str-variance", "schedule-bool-variance", "classify-nan", "classify-entry",
         "classify-str", "classify-ragged", "rates-str-rho",

@@ -303,11 +303,11 @@ def reference_verify(noise, p_grid, delta, eps):
         return all(b < a for a, b in zip(values, values[1:]))
 
     return rows, {
-        "lambda2_err": decreasing(2),
-        "lambda1_scaled_mag": decreasing(3, mag=True),
-        "root_defect_err": decreasing(5),
-        "lambda0_scaled_mag": decreasing(6, mag=True) if anti else None,
-        "gap_scaled": decreasing(8) if anti else None,
+        "lambda2_err_decreasing": decreasing(2),
+        "lambda1_scaled_vanishing": decreasing(3, mag=True),
+        "root_defect_err_decreasing": decreasing(5),
+        "lambda0_scaled_vanishing": decreasing(6, mag=True) if anti else None,
+        "gap_scaled_vanishing": decreasing(8) if anti else None,
     }
 
 

@@ -1108,6 +1108,27 @@ def _summary_bytes(summary):
     }
 
 
+def test_campaign_stores_a_numpy_master_seed_as_the_int_it_equals():
+    config = headline_config(n=10)
+    summary = run_broadcast_campaign(config, HEADLINE, 100, np.uint64(7))
+    assert type(summary.master_seed) is int
+    want = _summary_bytes(run_broadcast_campaign(config, HEADLINE, 100, 7))
+    assert _summary_bytes(summary) == want
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 7.0], ids=repr)
+def test_campaign_rejects_a_master_seed_before_building_a_schedule(monkeypatch, seed):
+    calls = []
+    build = simulate.lmmse_coefficient_schedule
+    monkeypatch.setattr(
+        simulate, "lmmse_coefficient_schedule", lambda *args: calls.append(args) or build(*args)
+    )
+    simulate._shared_schedule.cache_clear()
+    with pytest.raises(ParameterError, match=r"^master_seed must be an integer in \[0, "):
+        run_broadcast_campaign(headline_config(n=10), HEADLINE, 100, seed)
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode", ["broadcast", "interference", "limited"])
 def test_campaign_bytes_do_not_depend_on_the_worker_count(monkeypatch, mode):
     # Three chunks on one, two and three threads (four CPUs offered).
@@ -1310,6 +1331,21 @@ def test_message_config_rejects_rates_that_are_not_real_numbers(rate):
             MessageConfig(**{"n": 10, "rate1": 0.5, "rate2": 0.5, name: rate})
 
 
+def test_message_point_variances_are_python_floats_cached_by_the_config(monkeypatch):
+    value = message_point_variance(np.int64(3))
+    assert type(value) is float and value == message_point_variance(3) == 8 / 108
+    config = headline_config(n=10)
+    assert (config.var_theta1, config.var_theta2) == (
+        message_point_variance(config.levels1), message_point_variance(config.levels2)
+    )
+    # Trials read the variances the config cached and compute none of their own.
+    calls = []
+    monkeypatch.setattr(simulate, "message_point_variance", calls.append)
+    for seed in range(3):
+        run_broadcast_trial(config, HEADLINE, RngSpec(seed))
+    assert calls == []
+
+
 def _trial_entry(config, params, mode, fed_back_receiver=1, schedule=None):
     return _run_trial(config, params, RngSpec(0, 0), mode, fed_back_receiver, schedule)
 
@@ -1326,6 +1362,8 @@ def _campaign_entry(config, params, mode, fed_back_receiver=1, schedule=None):
     "inputs, error",
     [
         ({"mode": "limited", "fed_back_receiver": 3}, ParameterError),
+        ({"mode": "limited", "fed_back_receiver": True}, ParameterError),
+        ({"mode": "limited", "fed_back_receiver": 1.0}, ParameterError),
         (
             {"mode": "limited", "params": ChannelParams(100.0, NoiseSpec(1.0, 1.0, 0.5))},
             UnsupportedConfigurationError,
@@ -1339,7 +1377,10 @@ def _campaign_entry(config, params, mode, fed_back_receiver=1, schedule=None):
         ),
         ({"mode": "bogus"}, ParameterError),
     ],
-    ids=["fed_back_receiver_3", "non_degenerate_limited", "single_point_alphabet", "bogus_mode"],
+    ids=[
+        "fed_back_receiver_3", "fed_back_receiver_True", "fed_back_receiver_1.0",
+        "non_degenerate_limited", "single_point_alphabet", "bogus_mode",
+    ],
 )
 def test_trials_and_campaigns_reject_the_same_inputs(entry, inputs, error):
     args = {"config": headline_config(n=10), "params": HEADLINE, "mode": "broadcast", **inputs}
