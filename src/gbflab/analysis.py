@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, NoiseSpec, _integer, _real
+from .channel import ChannelParams, NoiseSpec, _integer, _real, _store_floats
 from .errors import NoFixedPointError, NumericalIntegrityError, ParameterError
 
 # The returned root must satisfy the rho-form cubic to within this multiple
@@ -36,14 +36,15 @@ _FLOAT_MIN = 2.0**-1022  # the smallest normal float
 @dataclass(frozen=True)
 class ErrorState:
     """Second moments of the two receivers' estimation errors after one
-    channel output: variances (alpha1, alpha2) and correlation rho, stored
-    clamped to [-1, 1]; a NaN rho or |rho| > 1 + 1e-12 raises."""
+    channel output, stored as Python floats: variances (alpha1, alpha2) and
+    correlation rho, clamped to [-1, 1]; a NaN rho or |rho| > 1 + 1e-12 raises."""
 
     alpha1: float
     alpha2: float
     rho: float
 
     def __post_init__(self) -> None:
+        _store_floats(self, "alpha1", "alpha2", "rho")
         if not (self.alpha1 >= 0.0 and self.alpha2 >= 0.0):
             raise ParameterError("error variances must be nonnegative")
         if not abs(self.rho) <= 1.0 + _RHO_INTEGRITY_TOL:
@@ -56,15 +57,12 @@ class ErrorState:
 
 class FixedPoint(NamedTuple):
     """A solved correlation rho*, its gap g = 1 - rho* and the rho-form
-    cubic's residual, the solver's one certificate.  ``recursion_residual``,
-    | |rho_recursion(rho*)| - rho* |, is an absolute diagnostic at the float
-    rho* with no bound: once g < 2^-53 rounds rho* to 1, it measures the
-    recursion at 1 (1.0, 0.5, 0.1 at P = 1e33, unit sigmas, rho_z = 0, 0.5, -0.9)."""
+    cubic's residual, the solver's one certificate: one power's row of
+    ``_solve_powers``."""
 
     rho_star: float
     gap: float
     residual: float
-    recursion_residual: float
 
 
 class RatePoint(NamedTuple):
@@ -466,9 +464,8 @@ def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     g = 1 - rho*: ``_solve_powers`` at one power, which also solves the
     grids of ``sweep_rates`` and ``verify_asymptotics``, with the same result
     at each power."""
-    (rho, gap, residual), _, _ = _solve_powers(params.noise, [params.power])
-    r = rho.item()
-    return FixedPoint(r, gap.item(), residual.item(), abs(abs(rho_recursion(r, params)) - r))
+    solved, _, _ = _solve_powers(params.noise, [params.power])
+    return FixedPoint(*(v.item() for v in solved))
 
 
 def solve_gap(params: ChannelParams) -> float:
@@ -582,16 +579,8 @@ def verify_asymptotics(
     gap itself, with strict-monotonicity verdicts over the last three decades
     for each quantity that must vanish.  The grid is checked as the float64
     powers it is solved at, so entries that round to one float are equal."""
-    p_grid = list(p_grid)
-    reals = all(  # bools are rejected, as channel fields reject them
-        issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool)
-        for t in set(map(type, p_grid))
-    )
-    try:
-        p_grid = list(map(float, p_grid)) if reals else p_grid
-    except OverflowError:  # an int beyond float range
-        reals = False
-    if not (reals and all(map(math.isfinite, p_grid)) and all(map((0.0).__lt__, p_grid))):
+    p_grid = [_real(p, "p_grid power") for p in p_grid]
+    if not (all(map(math.isfinite, p_grid)) and all(map((0.0).__lt__, p_grid))):
         raise ParameterError("p_grid powers must be positive finite reals")
     # finite floats, so a < b is exactly not (b <= a)
     if len(p_grid) < 2 or not all(map(float.__lt__, p_grid, p_grid[1:])):

@@ -31,6 +31,8 @@ def _real(value, name: str) -> float:
     """The argument ``name`` as a Python float, so that equal values compute
     with equal bits: a float32 compares like its float64 value but builds
     float32 arrays.  Bools, arrays (0-d ones too) and other non-reals raise."""
+    if type(value) is float:  # the object float() would return
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:

@@ -101,7 +101,6 @@ def _cmd_analyze(opts: dict) -> tuple[list[str], int]:
         ("rho_star", fp.rho_star),
         ("g", fp.gap),
         ("cubic_residual", fp.residual),
-        ("recursion_residual", fp.recursion_residual),
         ("R1", rp.r1),
         ("R2", rp.r2),
         ("sum", rp.sum),

@@ -598,39 +598,6 @@ def _stacked(rows) -> np.ndarray:
     return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
-def _add_block_sums(sums: np.ndarray, start: int, mode: str, steps):
-    """Reduce the yields of one step block, channel uses t = start + 1, ...,
-    into columns of ``sums`` (laid out as in ``_chunk_sums``); return the
-    block's last errors.
-
-    Each sum of a block is one product and one ``np.add.reduce`` along the
-    rows of the block's stacked values.  That is numpy's pairwise sum of
-    each C-contiguous row, the bits of a reduction of that row alone.  The
-    errors exist from t = 2 on, so their rows start there; t1 and t2 are
-    both arrays from t = 3 on, and ``_chunk_sums`` fills in t = 1, 2."""
-    total = np.add.reduce
-    x, t1, t2, eps1, eps2 = zip(*steps)
-    stop = start + len(x)
-    x = _stacked(x)
-    sums[0, start:stop] = total(x * x, axis=1)
-    del x
-    first = max(start, 2)
-    if mode == "interference" and first < stop:
-        for q, rows in ((1, t1), (2, t2)):
-            rows = _stacked(rows[first - start :])
-            sums[q, first:stop] = total(rows * rows, axis=1)
-            del rows
-    del t1, t2
-    first = max(start, 1)
-    if first < stop:
-        e1, e2 = _stacked(eps1[first - start :]), _stacked(eps2[first - start :])
-        sums[3, first:stop], sums[4, first:stop] = total(e1, axis=1), total(e2, axis=1)
-        sums[5, first:stop] = total(e1 * e1, axis=1)
-        sums[6, first:stop] = total(e2 * e2, axis=1)
-        sums[7, first:stop] = total(e1 * e2, axis=1)
-    return eps1[-1], eps2[-1]
-
-
 def _chunk_sums(
     config: MessageConfig,
     params: ChannelParams,
@@ -649,10 +616,13 @@ def _chunk_sums(
     count.
 
     The uses run in step blocks of k = ``_step_block(n, size)``, each
-    reduced as a whole once it has run (``_add_block_sums``): a chunk of 100
-    blocks at n = 20 draws its noise in one call and forms each quantity's
-    20 sums in one reduction, and a chunk of more than 4,096 blocks, k = 1,
-    reduces each use as it arrives."""
+    reduced as a whole once it has run, one reduction per quantity along
+    the rows of its stacked, C-contiguous values, which gives each row the
+    bits of its own reduction: a chunk of 100 blocks at n = 20 draws its
+    noise in one call and forms each quantity's 20 sums in one reduction,
+    and a chunk of more than 4,096 blocks, k = 1, reduces each use as it
+    arrives.  The errors' rows start at t = 2 and those of t1 and t2 at
+    t = 3; t1 and t2 at t = 1, 2 are filled in after the loop."""
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
@@ -664,8 +634,29 @@ def _chunk_sums(
     n = config.n
     k = _step_block(n, size)
     sums = np.zeros((8, n))
+    total = np.add.reduce
     for start in range(0, n, k):
-        eps1, eps2 = _add_block_sums(sums, start, mode, itertools.islice(steps, k))
+        x, t1, t2, eps1, eps2 = zip(*itertools.islice(steps, k))
+        stop = start + len(x)
+        x = _stacked(x)
+        sums[0, start:stop] = total(x * x, axis=1)
+        del x
+        first = max(start, 2)
+        if mode == "interference" and first < stop:
+            for q, rows in ((1, t1), (2, t2)):
+                rows = _stacked(rows[first - start :])
+                sums[q, first:stop] = total(rows * rows, axis=1)
+                del rows
+        del t1, t2
+        first = max(start, 1)
+        if first < stop:
+            e1, e2 = _stacked(eps1[first - start :]), _stacked(eps2[first - start :])
+            sums[3, first:stop], sums[4, first:stop] = total(e1, axis=1), total(e2, axis=1)
+            sums[5, first:stop] = total(e1 * e1, axis=1)
+            sums[6, first:stop] = total(e2 * e2, axis=1)
+            sums[7, first:stop] = total(e1 * e2, axis=1)
+            del e1, e2
+        eps1, eps2 = eps1[-1], eps2[-1]
     if mode == "interference":
         # Transmitter v alone sends at t = v, its message point: t_v = x.
         sums[1, 0], sums[2, 1] = sums[0, 0], sums[0, 1]

@@ -196,9 +196,9 @@ def test_rho_recursion_is_odd():
 
 
 def test_rho_recursion_on_a_float_equals_the_array_path_bit_for_bit():
-    # A float (solve_fixed_point's recursion_residual) runs through the same
-    # body as an array, without a 0-d array; every bit must agree, the sign
-    # of a zero too.
+    # A float (step_error_state's rho) runs through the same body as an
+    # array, without a 0-d array; every bit must agree, the sign of a zero
+    # too.  The array path stays for recursion_root_oracle's scan.
     special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]
     rng = np.random.default_rng(2024)
     for i in range(2000):
@@ -220,6 +220,21 @@ def test_step_error_state_returns_python_floats():
     for _ in range(5):
         state = step_error_state(state, params)
         assert [type(v) for v in (state.alpha1, state.alpha2, state.rho)] == [float] * 3
+
+
+def test_error_state_stores_float32_moments_as_their_float_values():
+    # float32 variances, or a float32 rho alone, made step_error_state return
+    # float32 variances; each moment is stored as its Python float, so both
+    # states step as the float64 state of the same values, bit for bit.
+    params = params_of(42.0, 1.2, 0.8, -0.4)
+    rho = np.float32(0.3)
+    for state in (ErrorState(np.float32(0.5), np.float32(0.25), rho), ErrorState(0.5, 0.25, rho)):
+        ref = ErrorState(0.5, 0.25, float(rho))
+        for _ in range(3):
+            got = (state.alpha1, state.alpha2, state.rho)
+            assert [type(v) for v in got] == [float] * 3
+            assert [v.hex() for v in got] == [v.hex() for v in (ref.alpha1, ref.alpha2, ref.rho)]
+            state, ref = step_error_state(state, params), step_error_state(ref, params)
 
 
 @settings(max_examples=100, deadline=None)
@@ -764,15 +779,22 @@ def test_asymptotics_grid_validation():
         verify_asymptotics(HEADLINE, [1e2, 1e2, 1e7], 0.2, 0.1)  # not increasing
     with pytest.raises(ParameterError):
         verify_asymptotics(HEADLINE, [1e2, 1e7], 0.2, 0.5)  # eps >= delta
-    # 10**400 and 2**1024 - 1 raised a bare OverflowError at their float
-    # conversion, and True was solved as P = 1.0, although channel fields
-    # reject bools.
-    for grid in (
-        ["1e2", "1e7"], [1e2, "1e7"], [1e2, None, 1e7], [1e2, np.array([1e7])],
-        [1, 10**400], [1e2, 2**1024 - 1], [True, 1e5],
+    # Every entry takes the one real rule of the channel fields: 10**400 and
+    # 2**1024 - 1 raised a bare OverflowError at their float conversion, and
+    # True was solved as P = 1.0.
+    beyond = "p_grid power must be a real number within float range"
+    for grid, message in (
+        (["1e2", "1e7"], "p_grid power must be a real number, got '1e2'"),
+        ([1e2, "1e7"], "p_grid power must be a real number, got '1e7'"),
+        ([1e2, None, 1e7], "p_grid power must be a real number, got None"),
+        ([1e2, np.array([1e7])], "p_grid power must be a real number, got array([10000000.])"),
+        ([1, 10**400], beyond),
+        ([1e2, 2**1024 - 1], beyond),
+        ([True, 1e5], "p_grid power must be a real number, got True"),
     ):
-        with pytest.raises(ParameterError, match="^p_grid powers must be positive finite reals$"):
+        with pytest.raises(ParameterError) as exc:
             verify_asymptotics(HEADLINE, grid)
+        assert str(exc.value) == message
     # The grid is made a list first, so a one-shot iterator is checked and
     # solved as the list of its entries.
     assert verify_asymptotics(HEADLINE, (p for p in (1e2, 1e7))) == verify_asymptotics(
@@ -791,6 +813,18 @@ def test_asymptotics_grid_is_validated_as_the_floats_it_is_solved_at():
     assert [row.power for row in report.rows] == [1.0, 1e4, float(2**60)]
 
 
+def test_solve_fixed_point_is_one_row_of_the_grid_solve():
+    # The one-point solve evaluates no recursion beside the grid solve, and
+    # its fields are that solve's row, bit for bit.
+    for p in (1e-3, 100.0, 1e33):
+        params = params_of(p, 1.0, 2.0, 0.3)
+        with mock.patch.object(analysis, "rho_recursion", wraps=analysis.rho_recursion) as rec:
+            fp = solve_fixed_point(params)
+        assert rec.call_count == 0
+        solved, _, _ = analysis._solve_powers(params.noise, [p])
+        assert [v.hex() for v in fp] == [v.item().hex() for v in solved]
+
+
 def test_each_grid_call_forms_the_coefficients_once():
     # sweep_rates and verify_asymptotics read every coefficient they need
     # from their one grid solve, and solve_fixed_point returns Python floats.
@@ -803,13 +837,13 @@ def test_each_grid_call_forms_the_coefficients_once():
     assert coeffs.call_args.args[1].tolist() == grid
     assert {type(v) for row in rows + list(report.rows) for v in row} == {float}
     fp = solve_fixed_point(params_of(100.0))
-    assert [type(v) for v in fp] == [float] * 4
+    assert [type(v) for v in fp] == [float] * 3
 
 
 # Each output record's fields in order, as they were when the records were
 # dataclasses: rows are built positionally and print as CSV in this order.
 RECORD_FIELDS = {
-    "FixedPoint": ("rho_star", "gap", "residual", "recursion_residual"),
+    "FixedPoint": ("rho_star", "gap", "residual"),
     "RatePoint": ("r1", "r2", "sum", "prelog_ratio"),
     "SweepRow": ("power", "rho_star", "gap", "r1", "r2", "sum", "prelog_ratio", "scaled_gap"),
     "AsymptoticsRow": (
@@ -976,6 +1010,10 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "error variances must be nonnegative"),
         (lambda: ErrorState(1.0, 1.0, -1.0 - 1e-11), NumericalIntegrityError,
          "|rho| = 1.00000000001 exceeds 1 beyond tolerance"),
+        (lambda: ErrorState(True, 1, 0), ParameterError,
+         "alpha1 must be a real number, got True"),
+        (lambda: ErrorState("a", 1, 0), ParameterError,
+         "alpha1 must be a real number, got 'a'"),
         (lambda: single_user_bound(params_of(10.0), 3), ParameterError,
          "receiver must be an integer in [1, 2], got 3"),
         (lambda: single_user_bound(params_of(10.0), True), ParameterError,
@@ -1042,7 +1080,8 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "rho must be a real number, got '0.5'"),
     ],
     ids=[
-        "error-state-variance", "error-state-rho", "single-user-receiver",
+        "error-state-variance", "error-state-rho", "error-state-bool", "error-state-str",
+        "single-user-receiver",
         "single-user-bool-receiver", "sweep-delta", "sweep-str-delta", "sweep-bool-delta",
         "sweep-bool-start", "sweep-str-start", "sweep-start-beyond-float",
         "grid-stop-beyond-float", "grid-nan-density", "grid-bool-density",

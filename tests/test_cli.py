@@ -69,6 +69,20 @@ def test_analyze_where_rho_star_rounds_to_one(capsys):
     assert (rec["rho_star"], rec["g"]) == ("1.000000000000e+00", "4.472135955000e-17")
 
 
+def test_analyze_where_the_recursion_overflows(capsys):
+    # At these tiny sigmas the recursion's spp / (q s1 s2) overflows, which
+    # printed two RuntimeWarnings and recursion_residual=nan; analyze prints
+    # the grid solve's row alone, whose values are all finite.
+    code, out, err = run_cli(
+        capsys, "analyze", "--power", "3.56e78", "--sigma1", "5.19e-71", "--sigma2", "1.47e-69",
+        "--rhoz", "0",
+    )
+    rec = parse_record(out)
+    assert code == 0 and err == "" and "recursion_residual" not in out
+    assert all(math.isfinite(float(value)) for value in rec.values())
+    assert rec["g"] == "5.703561387414e-109"
+
+
 def test_sweep_where_rho_star_rounds_to_one(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--p-start", "1e30", "--p-stop", "1e40", "--rhoz", "0.5"
@@ -439,7 +453,7 @@ def test_analyze_matches_sweep_row(capsys):
 # stdout of the subcommands at their defaults, pinned byte for byte: a change
 # to the solver or the campaign that moves any printed digit shows here.
 GOLDEN_STDOUT_SHA256 = {
-    ("analyze",): "d9d48c3c9447c232ed889e3b978b5ffc8a03c35bf623c53df44ae81a510451bb",
+    ("analyze",): "31fcbb839cb6d91b391953a657a767b5b6ec79b5be0dbcf8467c72b5c80a52fb",
     ("sweep",): "9ff2348a612cdf9444bdff3d8f2705c8325b89647468aec09e08d6e12004d62c",
     ("verify",): "98e8ffceb534b87a0c2f9ca859480429accd1d6f51c5e8c9d2378389adc372cd",
     ("simulate", "--trials", "2000"): "7b83b91a6448b2143788b64ca07404ef56e18abc5523e51027f04e87b20bd3a6",
@@ -465,7 +479,7 @@ SOLVER_STDOUT_SHA256 = {
     ("verify", "--p-start", "1e-3", "--p-stop", "1e14", "--points-per-decade", "8"):
         "aaf11a66ad833a9f05ce50567b4a8ebc72d55b7abf92aa82ab5cffc978a3bbe4",
     ("analyze", "--power", "1e-290"):
-        "7231695ae8768c7cb58f438cef7784ce231e1f981da54441e7c0d6933e1a9263",
+        "ed68ffab7803ce4a8b50b99b5598f2e46fb04fbd0b9c2da504b066ef04ce0ad1",
 }
 
 

@@ -130,14 +130,14 @@ def reference_solve(p, noise, tol=1e-10):
             "no root of the fixed-point cubic in [0, 1] is consistent with the "
             f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
         )
-    gap, rho_star, rec_res = min(genuine)
+    gap, rho_star, _ = min(genuine)
     residual = abs(rho_form(rho_star))
     scale = 1.0 + abs(a) + abs(b) + abs(c)
     if residual > tol * scale:
         raise NoFixedPointError(
             f"cubic residual {residual} exceeds tolerance {tol * scale} at rho = {rho_star}"
         )
-    return FixedPoint(rho_star=rho_star, gap=gap, residual=residual, recursion_residual=rec_res)
+    return FixedPoint(rho_star=rho_star, gap=gap, residual=residual)
 
 
 def _outcome(call):
@@ -190,8 +190,10 @@ def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
             _, gap = mpmath_fixed_point(p, s1, s2, rz)
             assert float(abs(fields[1] - gap) / gap) <= 1e-14, (p, s1, s2, rz)
             continue
-        fields += (solve_fixed_point(ChannelParams(p, noise)).recursion_residual,)
         assert tuple(map(float.hex, fields)) == tuple(map(float.hex, ref))
+        # The one-point solve is this power's row of the grid solve.
+        one_point = solve_fixed_point(ChannelParams(p, noise))
+        assert tuple(map(float.hex, one_point)) == tuple(map(float.hex, fields))
 
 
 @pytest.mark.parametrize("cfg", [(1.0, 1.0, -1.0), (1.0, 1.0, 0.0), (1.0, 2.0, 0.3), (1.0, 1.0, 0.9)])
