@@ -25,6 +25,10 @@ from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
 _MODES = ("broadcast", "interference", "limited")  # the channel modes a simulation runs
+# Philox's counter 0 as its four words: given as an int, Philox converts it
+# on every new stream.  Every stream shares this array, so it is read-only.
+_COUNTER_ZERO = np.zeros(4, np.uint64)
+_COUNTER_ZERO.setflags(write=False)
 
 
 def _real(value, name: str) -> float:
@@ -163,11 +167,11 @@ def make_generator(spec: RngSpec) -> np.random.Generator:
     """A new generator for the stream addressed by ``spec``.
 
     Philox keyed by (master_seed, stream_id) at counter 0, with the key as its
-    seed sequence: no OS entropy is drawn, and ``numpy.random`` loads on the
-    first call.
+    seed sequence and the counter given as words: no OS entropy is drawn, and
+    ``numpy.random`` loads on the first call.
     """
     key = np.array([spec.master_seed, spec.stream_id], dtype=np.uint64)
-    return np.random.Generator(_philox()(_PhiloxKey(key)))
+    return np.random.Generator(_philox()(_PhiloxKey(key), counter=_COUNTER_ZERO))
 
 
 def sample_noise_pair(

@@ -21,8 +21,9 @@ single receiver's outputs and rebuilds the other's noise from the observed
 noise (possible only for perfectly correlated or anti-correlated noises).
 The message mapping, the encoder and the channel outputs live only there.
 A single trial (``run_broadcast_trial``, ``run_interference_trial``,
-``run_limited_feedback_trial``) runs the loop on one block of Python floats
-and takes the noise of all n channel uses from its stream in one call; a
+``run_limited_feedback_trial``) runs the loop on one block of Python floats,
+with the per-step coefficients its schedule built once as ``steps``, and
+takes the noise of all n channel uses from its stream in one call; a
 campaign (``run_broadcast_campaign``) runs it on arrays of B independent
 blocks in step blocks of k = min(n, max(1, 8,192 // B)) channel uses, so
 k = 1 beyond 4,096 blocks: one call draws a step block's noise, and one
@@ -202,6 +203,11 @@ class CoefficientSchedule(NamedTuple):
     / sqrt(alpha2) are the encoder's weights of the two errors at step k, so
     the coding loop does no arithmetic on the moments.  ``params`` is the
     channel the schedule was built for.
+
+    ``steps[k-3]`` is ``(gain1, gain2, c1, c2)`` of feedback step k as Python
+    floats, built once with the schedule.  The coding loop reads only
+    ``steps``, so a copy made with ``_replace`` of ``gain1``, ``gain2``,
+    ``c1`` or ``c2`` must replace ``steps`` too.
     """
 
     params: ChannelParams
@@ -216,6 +222,7 @@ class CoefficientSchedule(NamedTuple):
     c2: np.ndarray
     gain1: np.ndarray
     gain2: np.ndarray
+    steps: tuple[tuple[float, float, float, float], ...]
 
 
 def lmmse_coefficient_schedule(
@@ -276,7 +283,8 @@ def lmmse_coefficient_schedule(
         # Every trial run on the schedule shares its arrays, so a write to
         # one raises instead of changing the trials that follow.
         array.setflags(write=False)
-    return CoefficientSchedule(params, n, var_theta1, var_theta2, *arrays)
+    steps = tuple(zip(gain1.tolist(), gain2.tolist(), c1.tolist(), c2.tolist()))
+    return CoefficientSchedule(params, n, var_theta1, var_theta2, *arrays, steps)
 
 
 def _checked_schedule(
@@ -396,8 +404,7 @@ def _coding_loop(
     yield x, 0.0, x, eps1, eps2
     del x
 
-    per_step = schedule.gain1, schedule.gain2, schedule.c1, schedule.c2
-    for gain1, gain2, c1, c2 in zip(*(a[: config.n - 2].tolist() for a in per_step)):
+    for gain1, gain2, c1, c2 in schedule.steps[: config.n - 2]:
         z1, z2 = next(noises)
         t1 = gain1 * eps1
         t2 = gain2 * eps2

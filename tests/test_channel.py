@@ -233,11 +233,24 @@ def test_keyed_stream_is_philox_of_its_key():
         gen = make_generator(RngSpec(master_seed, stream_id))
         # A uint64 array: numpy reads a list such as [2**63 + 1, 7] as float64.
         ref = np.random.Philox(key=np.array([master_seed, stream_id], dtype=np.uint64))
+        # Key, counter and the empty buffer: buffer_pos, has_uint32 and uinteger.
+        assert {"buffer_pos", "has_uint32", "uinteger"} <= ref.state.keys()
         assert _same_state(gen.bit_generator.state, ref.state)
         assert np.array_equal(gen.bit_generator.random_raw(9), ref.random_raw(9))
         ref_gen = np.random.Generator(ref)
         assert np.array_equal(gen.standard_normal(7), ref_gen.standard_normal(7))
         assert np.array_equal(gen.integers(1, 2**62, 5), ref_gen.integers(1, 2**62, 5))
+
+
+def test_streams_share_one_read_only_zero_counter():
+    from gbflab.channel import _COUNTER_ZERO
+
+    with pytest.raises(ValueError, match="read-only"):
+        _COUNTER_ZERO[0] = 1
+    gen = make_generator(RngSpec(5, 6))
+    gen.standard_normal(100)
+    assert gen.bit_generator.state["state"]["counter"][0] > 0
+    assert _COUNTER_ZERO.dtype == np.uint64 and _COUNTER_ZERO.tolist() == [0, 0, 0, 0]
 
 
 def test_make_generator_draws_no_entropy(monkeypatch):

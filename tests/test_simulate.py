@@ -41,7 +41,7 @@ from gbflab.simulate import (
     _draw_messages,
     _run_trial,
 )
-from test_pinned_bytes import field_names
+from test_pinned_bytes import _digest, field_names
 
 HEADLINE = ChannelParams(100.0, NoiseSpec(1.0, 1.0, -1.0))
 
@@ -321,6 +321,27 @@ def test_schedule_gains_are_the_encoder_weights_of_the_errors():
         assert gain1 == psi / math.sqrt(a1)
         assert gain2 == psi * 0.5 * sgn / math.sqrt(a2)
     assert len(sched.gain1) == len(sched.gain2) == 10 and signs == {1.0, -1.0}
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(1.0, 2.0, -0.6), NoiseSpec(1.0, 1.0, -1.0)])
+def test_schedule_steps_are_the_per_step_coefficients_as_python_floats(noise):
+    sched = lmmse_coefficient_schedule(ChannelParams(42.0, noise), 12, 1.0 / 12.0, 1.0 / 16.0)
+    assert type(sched.steps) is tuple and len(sched.steps) == 12 - 2
+    assert all(type(step) is tuple and len(step) == 4 for step in sched.steps)
+    assert {type(v) for step in sched.steps for v in step} == {float}
+    want = zip(*(a.tolist() for a in (sched.gain1, sched.gain2, sched.c1, sched.c2)))
+    bits = lambda steps: [tuple(map(float.hex, step)) for step in steps]
+    assert bits(sched.steps) == bits(want)
+
+
+def test_coding_loop_reads_only_the_schedules_steps():
+    config = headline_config(n=12)
+    schedule = lmmse_coefficient_schedule(HEADLINE, 16, config.var_theta1, config.var_theta2)
+    bare = schedule._replace(psi=None, c1=None, c2=None, gain1=None, gain2=None)
+    for run in (run_broadcast_trial, run_interference_trial):
+        want = run(config, HEADLINE, RngSpec(3, 3), schedule=schedule)
+        got = run(config, HEADLINE, RngSpec(3, 3), schedule=bare)
+        assert _digest(got) == _digest(want)
 
 
 def test_schedule_symmetric_coefficients_match():
