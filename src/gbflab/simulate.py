@@ -5,13 +5,13 @@ spends one channel use per user to plant a scaled copy of its message point,
 and from then on transmits a power-normalized linear combination of the two
 receivers' current estimation errors.  Each receiver refines its estimate
 with a one-step scalar LMMSE update from its newest output.  The deterministic
-moment schedule that generates the combining and estimation coefficients is
-shared, read-only, by every trial.  A process builds it once per
-configuration (channel, n and message-point variances) and keeps the 16 it
-used last, so trials and campaigns called without a schedule reuse it.  The
-key is safe because each of its fields is canonical once validated:
-``ChannelParams`` stores Python floats, n is an int and the variances are
-Python floats, so equal keys build equal bits.
+schedule of error moments and of each feedback step's combining and
+estimation coefficients is shared, read-only, by every trial.  A process
+builds it once per configuration (channel, n and message-point variances)
+and keeps the 16 it used last, so trials and campaigns called without a
+schedule reuse it.  The key is safe because each of its fields is canonical
+once validated: ``ChannelParams`` stores Python floats, n is an int and the
+variances are Python floats, so equal keys build equal bits.
 
 The scheme is written once, in the coding loop ``_coding_loop``, which runs
 it in three modes: single-encoder broadcast, the two-transmitter interference
@@ -22,7 +22,7 @@ noise (possible only for perfectly correlated or anti-correlated noises).
 The message mapping, the encoder and the channel outputs live only there.
 A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats,
-with the per-step coefficients its schedule built once as ``steps``, and
+with the per-step gains and coefficients of its schedule's ``steps``, and
 takes the noise of all n channel uses from its stream in one call; a
 campaign (``run_broadcast_campaign``) runs it on arrays of B independent
 blocks in step blocks of k = min(n, max(1, 8,192 // B)) channel uses, so
@@ -196,18 +196,14 @@ class CoefficientSchedule(NamedTuple):
     """Deterministic per-step data shared by all trials; its arrays are
     read-only.
 
-    Index convention: ``alpha1[k-2]`` etc. are the moments after output k for
-    k = 2..n; ``psi[k-3]``, ``c1[k-3]``, ``c2[k-3]`` drive feedback step k for
-    k = 3..n, and are derived from the moments at k-1 (same array index).
-    ``gain1[k-3]`` = psi / sqrt(alpha1) and ``gain2[k-3]`` = psi gamma sign(rho)
-    / sqrt(alpha2) are the encoder's weights of the two errors at step k, so
-    the coding loop does no arithmetic on the moments.  ``params`` is the
-    channel the schedule was built for.
-
-    ``steps[k-3]`` is ``(gain1, gain2, c1, c2)`` of feedback step k as Python
-    floats, built once with the schedule.  The coding loop reads only
-    ``steps``, so a copy made with ``_replace`` of ``gain1``, ``gain2``,
-    ``c1`` or ``c2`` must replace ``steps`` too.
+    Index convention: ``alpha1[k-2]``, ``alpha2[k-2]`` and ``rho[k-2]`` are
+    the moments after output k for k = 2..n.  ``steps[k-3]`` is ``(gain1,
+    gain2, c1, c2)`` of feedback step k for k = 3..n as Python floats, formed
+    from the moments at k-1: the encoder's weights psi / sqrt(alpha1) and
+    psi gamma sign(rho) / sqrt(alpha2) of the two errors, then the receivers'
+    LMMSE coefficients, so the coding loop does no arithmetic on the moments
+    and reads nothing else of the schedule.  ``params`` is the channel the
+    schedule was built for.
     """
 
     params: ChannelParams
@@ -217,11 +213,6 @@ class CoefficientSchedule(NamedTuple):
     alpha1: np.ndarray
     alpha2: np.ndarray
     rho: np.ndarray
-    psi: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    gain1: np.ndarray
-    gain2: np.ndarray
     steps: tuple[tuple[float, float, float, float], ...]
 
 
@@ -253,38 +244,37 @@ def lmmse_coefficient_schedule(
         alpha2=var_theta2 * s2 * s2 / p,
         rho=0.0,
     )
-    walk = []
+    walk, steps = [], []
     for k in range(2, n + 1):
         # Every state's variances, the first and the last too, must be normal
         # floats: a subnormal one has lost bits, and 0 leaves no gain.
-        if not (state.alpha1 >= _FLOAT_MIN and state.alpha2 >= _FLOAT_MIN):
+        a1, a2, r = state.alpha1, state.alpha2, state.rho
+        if not (a1 >= _FLOAT_MIN and a2 >= _FLOAT_MIN):
             raise NumericalIntegrityError(
                 f"error variance underflowed at step {k}; "
                 f"power P = {p} is too large for block length n = {n}"
             )
-        walk.append((state.alpha1, state.alpha2, state.rho))
-        if k < n:
-            state = step_error_state(state, params)
-    alpha1, alpha2, rho = map(np.array, zip(*walk))
-    # Each feedback step's coefficients from its state (all but the last), in
-    # the scalar formulas' order of operations: np.sqrt rounds as math.sqrt
-    # does, so the bits are the Python floats', which overflow without warning.
-    a1, a2, r = alpha1[:-1], alpha2[:-1], rho[:-1]
-    ar = np.abs(r)
-    sgn = np.where(r >= 0.0, 1.0, -1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.sqrt(p / (1.0 + g * g + 2.0 * g * ar))
-        c1 = psi * np.sqrt(a1) * (1.0 + g * ar) / pi1
-        c2 = psi * np.sqrt(a2) * sgn * (g + ar) / pi2
-        gain1 = psi / np.sqrt(a1)
-        gain2 = psi * g * sgn / np.sqrt(a2)
-    arrays = (alpha1, alpha2, rho, psi, c1, c2, gain1, gain2)  # in field order
-    for array in arrays:
+        walk.append((a1, a2, r))
+        if k == n:  # the last state drives no feedback step
+            break
+        # Step k + 1's gains and coefficients from this state; Python floats
+        # overflow to inf without warning.
+        ar, sgn = abs(r), (1.0 if r >= 0.0 else -1.0)
+        psi = math.sqrt(p / (1.0 + g * g + 2.0 * g * ar))
+        root1, root2 = math.sqrt(a1), math.sqrt(a2)
+        steps.append((
+            psi / root1,
+            psi * g * sgn / root2,
+            psi * root1 * (1.0 + g * ar) / pi1,
+            psi * root2 * sgn * (g + ar) / pi2,
+        ))
+        state = step_error_state(state, params)
+    moments = tuple(map(np.array, zip(*walk)))
+    for array in moments:
         # Every trial run on the schedule shares its arrays, so a write to
         # one raises instead of changing the trials that follow.
         array.setflags(write=False)
-    steps = tuple(zip(gain1.tolist(), gain2.tolist(), c1.tolist(), c2.tolist()))
-    return CoefficientSchedule(params, n, var_theta1, var_theta2, *arrays, steps)
+    return CoefficientSchedule(params, n, var_theta1, var_theta2, *moments, tuple(steps))
 
 
 def _checked_schedule(
@@ -294,8 +284,10 @@ def _checked_schedule(
     fed_back_receiver: int,
     schedule: CoefficientSchedule | None = None,
 ) -> CoefficientSchedule:
-    """Reject inputs the coding loop cannot run, then return ``schedule`` or,
-    when it is None, the process's shared schedule of ``config``."""
+    """Reject inputs the coding loop cannot run, a given schedule of another
+    channel, other variances, a smaller n or data not n - 2 steps and n - 1
+    moments long among them, then return ``schedule`` or, when it is None,
+    the process's shared schedule of ``config``."""
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "limited":
@@ -312,7 +304,9 @@ def _checked_schedule(
     var1, var2 = config.var_theta1, config.var_theta2
     if schedule is not None:  # a longer schedule runs its first n steps
         built = (schedule.params, schedule.var_theta1, schedule.var_theta2)
-        if built != (params, var1, var2) or schedule.n < config.n:
+        n, steps = schedule.n, len(schedule.steps)
+        moments = len(schedule.alpha1) == len(schedule.alpha2) == len(schedule.rho) == n - 1
+        if built != (params, var1, var2) or n < config.n or steps != n - 2 or not moments:
             raise ParameterError(
                 f"schedule is built for {schedule.params}, n = {schedule.n} and message-point "
                 f"variances ({schedule.var_theta1}, {schedule.var_theta2}), not for {params}, "

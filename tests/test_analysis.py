@@ -852,8 +852,7 @@ RECORD_FIELDS = {
     ),
     "AsymptoticsReport": ("rows", "monotone"),
     "CoefficientSchedule": (
-        "params", "n", "var_theta1", "var_theta2", "alpha1", "alpha2", "rho", "psi", "c1", "c2",
-        "gain1", "gain2", "steps",
+        "params", "n", "var_theta1", "var_theta2", "alpha1", "alpha2", "rho", "steps",
     ),
     "TrialRecord": (
         "message1", "message2", "decoded1", "decoded2", "success", "inputs", "eps1", "eps2",

@@ -451,7 +451,8 @@ def test_analyze_matches_sweep_row(capsys):
 
 
 # stdout of the subcommands at their defaults, pinned byte for byte: a change
-# to the solver or the campaign that moves any printed digit shows here.
+# to the solver or the campaign that moves any printed digit shows here.  These
+# and the digests below were made on the stack named in test_pinned_bytes.py.
 GOLDEN_STDOUT_SHA256 = {
     ("analyze",): "31fcbb839cb6d91b391953a657a767b5b6ec79b5be0dbcf8467c72b5c80a52fb",
     ("sweep",): "9ff2348a612cdf9444bdff3d8f2705c8325b89647468aec09e08d6e12004d62c",

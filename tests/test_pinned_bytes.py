@@ -3,7 +3,13 @@ rows pinned byte for byte.
 
 Each case hashes every field of the result (array dtype, shape and bytes;
 ``repr`` of any other value) into one sha256 and compares it with a fixed
-digest, so a speed-up that moves any bit of any field shows here."""
+digest, so a speed-up that moves any bit of any field shows here.
+
+Every digest was made and is checked on numpy 2.4.6, CPython 3.11.7 and
+x86-64 glibc 2.36.  Two layers below gbflab could move them: numpy's
+normal sampler and the platform's libm (``math.log1p`` in the rates).  The
+digests of the pinned cases' raw Philox words and of their standard normals
+tell which of the first two moved."""
 
 import dataclasses
 import hashlib
@@ -21,6 +27,7 @@ from gbflab import (
     RngSpec,
     achievable_rates,
     lmmse_coefficient_schedule,
+    make_generator,
     message_point_variance,
     run_broadcast_campaign,
     run_broadcast_trial,
@@ -173,18 +180,18 @@ def test_non_degenerate_trial_record_bytes_are_pinned(case):
 # (power, sigma1, sigma2, rho_z, n, levels1, levels2)
 SCHEDULES = {
     (100.0, 1.0, 1.0, -1.0, 20, 2**40, 2**40):
-        "639216d15f5b7b50db942f320ab7824ef1a9f15e0945776ba0a2fbc0acacc645",
+        "f482573ef6d567b7ff5b0dac83c878cf0cbbf9e3e52d86fa879cae77aa86b1c9",
     (100.0, 1.3, 0.7, -1.0, 30, 2**50, 2**30):
-        "236c56fbbaa008bc1f6ad56a37730cb8364a63e4085c0aa332f8463ed6b8d0ad",
+        "dc0895bbf01a64fd557821e8c5141fcaddd6e75442718975c82eecf0a738395e",
     (42.0, 1.0, 2.0, 0.3, 30, 1000, 17):
-        "59fd487867834fcbb4d6f7b0544a392bed245424a3bdd5be8f1371100a4d00ea",
+        "2e1d8542881dd840efb9caab0d7e32860a2f6c01320d52580c7be0338bd4f70b",
     (1e4, 0.5, 3.0, 1.0, 12, 2**60, 2**70):
-        "7e513d119ec31245a79574454fb53edc639be7c70544cec4db110d0f0a7b0d4d",
+        "5d784f031328dbdfe892ab89a91692a781eed9713c632ba8228c8ff6aa5204f9",
     (0.01, 2.0, 0.1, 0.0, 25, 2, 3):
-        "792b121f15557b3067218924beea665f41a737fd35bbb588fafe6cc84d9300c2",
+        "42fc1fdd095db933242ba2111bae674b63ff3a053905d8aa3d0ff5822e678c06",
 }
-# The fields a schedule held before it carried the encoder gains.
-SCHEDULE_FIELDS = ("n", "var_theta1", "var_theta2", "alpha1", "alpha2", "rho", "psi", "c1", "c2")
+# Every field but params, with steps in float.hex.
+SCHEDULE_FIELDS = ("n", "var_theta1", "var_theta2", "alpha1", "alpha2", "rho", "steps")
 
 
 @pytest.mark.parametrize("case", list(SCHEDULES), ids=str)
@@ -196,7 +203,60 @@ def test_schedule_bytes_are_pinned(case):
         message_point_variance(levels1),
         message_point_variance(levels2),
     )
-    assert _digest(schedule, SCHEDULE_FIELDS) == SCHEDULES[case]
+    hexed = schedule._replace(steps=[tuple(map(float.hex, step)) for step in schedule.steps])
+    assert _digest(hexed, SCHEDULE_FIELDS) == SCHEDULES[case]
+
+
+# The streams the pinned trials (RngSpec(21, 0..7)) and campaigns (chunk c of
+# master seed s is RngSpec(s, c)) run on, and the first 1,000 values of each
+# stream's two layers: Philox's raw 64-bit words, and numpy's standard
+# normals drawn from them.
+PINNED_STREAMS = [RngSpec(21, stream) for stream in range(8)]
+PINNED_STREAMS += [RngSpec(11, 0), RngSpec(12, 0), RngSpec(12, 1)]
+RNG_LAYERS = {
+    "random_raw": (
+        lambda gen: gen.bit_generator.random_raw(1000),
+        "0b89178ae2ca53e79e1e2ee47006e3705a6802368f9a2b03162ab325f11be660",
+    ),
+    "standard_normal": (
+        lambda gen: gen.standard_normal(1000),
+        "97d6ce4c5324ce577ba006af514174ca49c1b0336256038c27889e7d6bacca01",
+    ),
+}
+
+
+def _layer_digest(layer):
+    draw, _ = RNG_LAYERS[layer]
+    h = hashlib.sha256()
+    for spec in PINNED_STREAMS:
+        values = draw(make_generator(spec))
+        h.update(f"{values.dtype.str}{values.shape}".encode())
+        h.update(values.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("layer", list(RNG_LAYERS))
+def test_random_stream_layer_bytes_are_pinned(layer):
+    assert _layer_digest(layer) == RNG_LAYERS[layer][1]
+
+
+class _BoxMullerGenerator(np.random.Generator):
+    """A generator whose standard normals are the Box-Muller transform of
+    its uniforms: a valid normal sampler other than numpy's."""
+
+    def standard_normal(self, size=None):
+        u, v = 1.0 - self.random(size), self.random(size)  # u in (0, 1]
+        return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
+
+
+def test_another_normal_sampler_moves_the_normal_layer_and_not_the_raw_words(monkeypatch):
+    monkeypatch.setattr(np.random, "Generator", _BoxMullerGenerator)
+    assert type(make_generator(RngSpec(0))) is _BoxMullerGenerator
+    assert _layer_digest("random_raw") == RNG_LAYERS["random_raw"][1]
+    assert _layer_digest("standard_normal") != RNG_LAYERS["standard_normal"][1]
+    # The trials downstream of the normals move with them.
+    case = ("broadcast", 20, 0.7)
+    assert _trials_digest(case[0], _config(*case[1:]), PARAMS) != TRIALS[case]
 
 
 # (sigma1, sigma2, rho_z): every SweepRow and AsymptoticsRow over P in

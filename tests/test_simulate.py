@@ -181,8 +181,9 @@ def test_receiver_update_orthogonality_monte_carlo():
         x, _, _, eps1, eps2 = steps[t]
         z1, z2 = sample_noise_pair(params.noise, twin, size)
         y1, y2 = x + z1, x + z2
-        assert np.array_equal(eps1, steps[t - 1][3] - schedule.c1[t - 2] * y1)
-        assert np.array_equal(eps2, steps[t - 1][4] - schedule.c2[t - 2] * y2)
+        _, _, c1, c2 = schedule.steps[t - 2]
+        assert np.array_equal(eps1, steps[t - 1][3] - c1 * y1)
+        assert np.array_equal(eps2, steps[t - 1][4] - c2 * y2)
         for eps, y in ((eps1, y1), (eps2, y2)):
             assert abs(float(np.corrcoef(eps, y)[0, 1])) <= 5.0 / math.sqrt(size)
 
@@ -284,14 +285,15 @@ def test_schedule_projection_reproduces_moment_recursion():
             a1 = float(sched.alpha1[i])
             a2 = float(sched.alpha2[i])
             rho = float(sched.rho[i])
-            psi = float(sched.psi[i])
             ar, sg = abs(rho), (1.0 if rho >= 0 else -1.0)
+            psi = math.sqrt(p / (1 + g * g + 2 * g * ar))  # Var(X) = P
             cov1 = psi * math.sqrt(a1) * (1 + g * ar)
             cov2 = psi * math.sqrt(a2) * sg * (g + ar)
             c1 = cov1 / var_y1
             c2 = cov2 / var_y2
-            assert c1 == pytest.approx(float(sched.c1[i]), rel=1e-12, abs=0.0)
-            assert c2 == pytest.approx(float(sched.c2[i]), rel=1e-12, abs=0.0)
+            _, _, sched_c1, sched_c2 = sched.steps[i]
+            assert c1 == pytest.approx(sched_c1, rel=1e-12, abs=0.0)
+            assert c2 == pytest.approx(sched_c2, rel=1e-12, abs=0.0)
             a1_next = a1 - cov1 * cov1 / var_y1
             a2_next = a2 - cov2 * cov2 / var_y2
             # The reference subtracts terms of size a and cancels about
@@ -311,16 +313,20 @@ def test_schedule_projection_reproduces_moment_recursion():
 
 
 def test_schedule_gains_are_the_encoder_weights_of_the_errors():
+    # gain1 eps1 + gain2 eps2 has variance P: psi normalizes the input's power.
     params = ChannelParams(42.0, NoiseSpec(1.0, 2.0, -0.6))
     sched = lmmse_coefficient_schedule(params, 12, 1.0 / 12.0, 1.0 / 16.0)
-    per_step = sched.psi, sched.alpha1, sched.alpha2, sched.rho, sched.gain1, sched.gain2
+    moments = (a.tolist() for a in (sched.alpha1, sched.alpha2, sched.rho))
     signs = set()
-    for psi, a1, a2, rho, gain1, gain2 in zip(*(a.tolist() for a in per_step)):
+    for (gain1, gain2, _, _), a1, a2, rho in zip(sched.steps, *moments):
         sgn = 1.0 if rho >= 0.0 else -1.0
         signs.add(sgn)
+        psi = math.sqrt(42.0 / (1.0 + 0.5 * 0.5 + 2.0 * 0.5 * abs(rho)))
         assert gain1 == psi / math.sqrt(a1)
         assert gain2 == psi * 0.5 * sgn / math.sqrt(a2)
-    assert len(sched.gain1) == len(sched.gain2) == 10 and signs == {1.0, -1.0}
+        cross = 2.0 * gain1 * gain2 * rho * math.sqrt(a1 * a2)
+        assert gain1 * gain1 * a1 + gain2 * gain2 * a2 + cross == pytest.approx(42.0, rel=1e-12)
+    assert len(sched.steps) == 10 and signs == {1.0, -1.0}
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec(1.0, 2.0, -0.6), NoiseSpec(1.0, 1.0, -1.0)])
@@ -329,15 +335,16 @@ def test_schedule_steps_are_the_per_step_coefficients_as_python_floats(noise):
     assert type(sched.steps) is tuple and len(sched.steps) == 12 - 2
     assert all(type(step) is tuple and len(step) == 4 for step in sched.steps)
     assert {type(v) for step in sched.steps for v in step} == {float}
-    want = zip(*(a.tolist() for a in (sched.gain1, sched.gain2, sched.c1, sched.c2)))
-    bits = lambda steps: [tuple(map(float.hex, step)) for step in steps]
-    assert bits(sched.steps) == bits(want)
+    want = _scalar_schedule(sched.params, 12, 1.0 / 12.0, 1.0 / 16.0)[-1]
+    assert _step_bits(sched.steps) == want
 
 
 def test_coding_loop_reads_only_the_schedules_steps():
+    # The moment arrays are for campaign summaries: NaN moments of the right
+    # length run the same trials.
     config = headline_config(n=12)
     schedule = lmmse_coefficient_schedule(HEADLINE, 16, config.var_theta1, config.var_theta2)
-    bare = schedule._replace(psi=None, c1=None, c2=None, gain1=None, gain2=None)
+    bare = schedule._replace(**{name: np.full(15, np.nan) for name in SCHEDULE_ARRAYS})
     for run in (run_broadcast_trial, run_interference_trial):
         want = run(config, HEADLINE, RngSpec(3, 3), schedule=schedule)
         got = run(config, HEADLINE, RngSpec(3, 3), schedule=bare)
@@ -347,7 +354,8 @@ def test_coding_loop_reads_only_the_schedules_steps():
 def test_schedule_symmetric_coefficients_match():
     sched = lmmse_coefficient_schedule(HEADLINE, 10, 1.0 / 12.0, 1.0 / 12.0)
     # rho_z=-1, equal sigmas, symmetric start: coefficient magnitudes agree
-    assert np.allclose(np.abs(sched.c1), np.abs(sched.c2), rtol=1e-12)
+    _, _, c1, c2 = map(np.array, zip(*sched.steps))
+    assert np.allclose(np.abs(c1), np.abs(c2), rtol=1e-12)
 
 
 def test_schedule_matches_step_error_state_trajectory():
@@ -400,17 +408,20 @@ def test_schedule_whose_first_variance_is_subnormal_is_rejected():
         lmmse_coefficient_schedule(params, 5, 0.08, 0.08)
 
 
-SCHEDULE_ARRAYS = ("alpha1", "alpha2", "rho", "psi", "c1", "c2", "gain1", "gain2")
+SCHEDULE_ARRAYS = ("alpha1", "alpha2", "rho")
 
 
 def test_schedule_arrays_are_read_only_and_summaries_copy_them():
-    # Every trial run on a schedule shares its arrays: a write such as
-    # schedule.c1[0] = 0.0 would change all the trials that follow.
+    # Every trial run on a schedule shares its data: a write such as
+    # schedule.alpha1[0] = 0.0 would change all the campaigns that follow,
+    # and steps, a tuple of tuples, takes no write at all.
     var = message_point_variance(64)
     schedule = lmmse_coefficient_schedule(HEADLINE, 20, var, var)
     for name in SCHEDULE_ARRAYS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(schedule, name)[0] = 0.0
+    assert type(schedule.steps) is tuple
+    assert {type(step) for step in schedule.steps} == {tuple}
     summary = run_broadcast_campaign(headline_config(), HEADLINE, 100, 3)
     for name in ("alpha1", "alpha2", "rho"):
         getattr(summary, name)[0] = 0.0
@@ -424,9 +435,9 @@ def test_schedule_of_numpy_scalar_params_is_the_float_schedule():
     reference = lmmse_coefficient_schedule(ChannelParams(100.0, noise), 20, var, var)
     schedule = lmmse_coefficient_schedule(ChannelParams(np.float32(100.0), noise), 20, var, var)
     for name in SCHEDULE_ARRAYS:
-        got, want = getattr(schedule, name), getattr(reference, name)
-        assert got.dtype == want.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        assert getattr(schedule, name).dtype == getattr(reference, name).dtype == np.float64
+    assert {type(v) for step in schedule.steps for v in step} == {float}
+    assert _schedule_bytes(schedule) == _schedule_bytes(reference)
 
 
 def test_float32_variance_builds_the_schedule_of_its_float_value():
@@ -438,14 +449,14 @@ def test_float32_variance_builds_the_schedule_of_its_float_value():
     schedule = lmmse_coefficient_schedule(params, 20, var, var)
     reference = lmmse_coefficient_schedule(params, 20, float(var), float(var))
     assert type(schedule.var_theta1) is type(schedule.var_theta2) is float
-    for name in SCHEDULE_ARRAYS:
-        assert getattr(schedule, name).tobytes() == getattr(reference, name).tobytes()
+    assert {type(v) for step in schedule.steps for v in step} == {float}
+    assert _schedule_bytes(schedule) == _schedule_bytes(reference)
 
 
 def _scalar_schedule(params, n, var1, var2):
-    """The schedule's arrays from a per-step loop on Python floats, each step's
-    coefficients formed from its state with math.sqrt, or the step k at
-    which a variance is no normal float."""
+    """``_schedule_bytes`` of the schedule from a per-step loop on Python
+    floats, each step's coefficients formed from its state with math.sqrt,
+    or the step k at which a variance is no normal float."""
     p, s1, s2 = params.power, params.noise.sigma1, params.noise.sigma2
     g = s1 / s2
     pi1, pi2 = p + s1 * s1, p + s2 * s2
@@ -465,10 +476,9 @@ def _scalar_schedule(params, n, var1, var2):
             psi * g * sgn / math.sqrt(state.alpha2),
         ))
         state = step_error_state(state, params)
-    columns = [list(column) for column in zip(*rows)]
-    for column in columns[3:]:  # the last state drives no feedback step
-        column.pop()
-    return [np.array(column).tobytes() for column in columns]
+    alpha1, alpha2, rho, _, c1, c2, gain1, gain2 = zip(*rows)
+    steps = list(zip(gain1, gain2, c1, c2))[:-1]  # the last state drives no feedback step
+    return [np.array(column).tobytes() for column in (alpha1, alpha2, rho)] + [_step_bits(steps)]
 
 
 def test_schedule_is_its_scalar_formulas_bit_for_bit():
@@ -489,8 +499,15 @@ def test_schedule_is_its_scalar_formulas_bit_for_bit():
             assert _schedule_bytes(lmmse_coefficient_schedule(params, n, var1, var2)) == want
 
 
+def _step_bits(steps):
+    return [tuple(map(float.hex, step)) for step in steps]
+
+
 def _schedule_bytes(schedule):
-    return [getattr(schedule, name).tobytes() for name in SCHEDULE_ARRAYS]
+    """The moment arrays' bytes, then ``steps`` in float.hex."""
+    return [getattr(schedule, name).tobytes() for name in SCHEDULE_ARRAYS] + [
+        _step_bits(schedule.steps)
+    ]
 
 
 def _shared(config, params):
@@ -817,6 +834,21 @@ def test_trial_runs_config_length_on_a_longer_schedule_and_rejects_a_shorter_one
     elsewhere = ChannelParams(1e4, NoiseSpec(1.0, 2.0, 0.3))
     with pytest.raises(ParameterError, match="schedule is built for ChannelParams"):
         run_broadcast_trial(config, elsewhere, RngSpec(3, 3), schedule=longer)
+
+
+def test_schedule_whose_steps_or_moments_do_not_fit_its_n_is_rejected():
+    # steps cut to 3 ran a 5-use block of this 20-use configuration and
+    # reported success.  Moments of another length do not fit the schedule's
+    # n either.
+    config = MessageConfig(20, 0.5, 0.5)
+    schedule = simulate._checked_schedule(config, HEADLINE, "broadcast", 0)
+    changes = [{"steps": schedule.steps[:3]}, {"steps": schedule.steps + schedule.steps[-1:]}]
+    changes += [{name: getattr(schedule, name)[:-1]} for name in SCHEDULE_ARRAYS]
+    for change in changes:
+        bad = schedule._replace(**change)
+        for run in (run_broadcast_trial, run_interference_trial, run_limited_feedback_trial):
+            with pytest.raises(ParameterError, match="^schedule is built for"):
+                run(config, HEADLINE, RngSpec(3, 3), schedule=bad)
 
 
 def test_interference_trial_equals_broadcast_bitwise():
