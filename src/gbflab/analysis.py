@@ -638,9 +638,10 @@ def prelog_classify(corr: np.ndarray) -> PrelogClass:
     cover).  Perfect correlation means the entry is exactly +/-1.  The
     reason names the first such pair in row-major order.
     """
-    try:
-        m = np.asarray(corr, dtype=float)
-    except (TypeError, ValueError):  # non-numeric entries or ragged rows
+    m = np.asarray(corr, dtype=object)  # keeps each entry's type; ragged rows stay lists
+    try:  # every entry a real number by the rule of channel._real
+        m = np.array([_real(v, "correlation entry") for v in m.flat]).reshape(m.shape)
+    except ParameterError:
         raise ParameterError(f"correlation matrix must be a real array, got {corr!r}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"correlation matrix must be square, got shape {m.shape}")

@@ -304,9 +304,15 @@ def _checked_schedule(
     var1, var2 = config.var_theta1, config.var_theta2
     if schedule is not None:  # a longer schedule runs its first n steps
         built = (schedule.params, schedule.var_theta1, schedule.var_theta2)
-        n, steps = schedule.n, len(schedule.steps)
-        moments = len(schedule.alpha1) == len(schedule.alpha2) == len(schedule.rho) == n - 1
-        if built != (params, var1, var2) or n < config.n or steps != n - 2 or not moments:
+        n, steps = schedule.n, schedule.steps
+        try:  # a field without a length, None among them, does not fit
+            fits = len(schedule.alpha1) == len(schedule.alpha2) == len(schedule.rho) == n - 1
+            # The end steps stand for all, as a pass over every step doubles this
+            # check's cost; a middle step of another length fails the loop's unpacking.
+            fits = fits and len(steps) == n - 2 >= 1 and len(steps[0]) == len(steps[-1]) == 4
+        except TypeError:
+            fits = False
+        if not fits or built != (params, var1, var2) or n < config.n:
             raise ParameterError(
                 f"schedule is built for {schedule.params}, n = {schedule.n} and message-point "
                 f"variances ({schedule.var_theta1}, {schedule.var_theta2}), not for {params}, "
@@ -355,11 +361,11 @@ def _coding_loop(
     """Yield ``(x, t1, t2, eps1, eps2)`` for each channel use t = 1..n of the
     blocks carrying messages (m1, m2): the input, its two summands (what each
     interference-mode transmitter emits) and the receivers' errors after
-    output t (None after t = 1).  With ``size=None`` the messages are ints and
-    every value is a Python float, and the noise of all n uses comes from one
-    sampler call.  Otherwise the messages are arrays of ``size`` independent
-    blocks, each value is a fresh array of them, and one call draws the noise
-    of a step block of ``_step_block(n, size)`` uses.
+    output t (+0.0 for a silent summand and for the errors at t = 1).  With
+    ``size=None`` the messages are ints and every value is a Python float,
+    and the noise of all n uses comes from one sampler call.  Otherwise the
+    messages are arrays of ``size`` blocks, each value an array of them, and
+    one call draws the noise of a step block of ``_step_block(n, size)`` uses.
 
     The encoder works on the receivers' own errors in every mode.  With
     limited feedback it sees one receiver's output, hence that receiver's
@@ -381,21 +387,23 @@ def _coding_loop(
         )
         noises = (rows.pop() for rows in blocks for _ in range(len(rows)))
 
-    # t = 1 and t = 2 plant the message points (transmitter v sends point v
-    # in interference mode).  Receiver 1 keeps only the noise of t = 1 and
-    # receiver 2 only that of t = 2, so the initial errors are uncorrelated.
-    # No array stays bound once no later step needs it, and the caller owns
-    # each step's arrays after the yield: a campaign chunk's working set is
-    # the two errors, the step block's noise and the values the caller keeps.
+    # t = 1 and t = 2 plant the message points: transmitter v sends point v in
+    # interference mode, the other x - x (+0.0 for every finite x; 0.0 * x is
+    # -0.0 for x < 0).  Receiver 1 keeps only the noise of t = 1 and receiver 2
+    # only that of t = 2, so the initial errors are uncorrelated.  No array
+    # stays bound once no later step needs it, and the caller owns each step's
+    # arrays after the yield: a campaign chunk's working set is the two errors,
+    # the step block's noise and the values the caller keeps.
     eps1 = math.sqrt(var1 / p) * next(noises)[0]
     x = math.sqrt(p / var1) * (0.5 - (m1 - 1) / config.levels1)
     del m1
-    yield x, x, 0.0, None, None
-    del x
+    zero = x - x
+    yield x, x, zero, zero, zero
+    del x, zero
     eps2 = math.sqrt(var2 / p) * next(noises)[1]
     x = math.sqrt(p / var2) * (0.5 - (m2 - 1) / config.levels2)
     del m2
-    yield x, 0.0, x, eps1, eps2
+    yield x, x - x, x, eps1, eps2
     del x
 
     for gain1, gain2, c1, c2 in schedule.steps[: config.n - 2]:
@@ -610,7 +618,7 @@ def _chunk_sums(
     """Run ``size`` blocks on the stream ``rng``; return the number of blocks
     decoded wrongly and, per channel use t = 1..n, eight sums over the
     blocks: x^2, t1^2 and t2^2 (interference mode only, else 0), then eps1,
-    eps2, eps1^2, eps2^2 and eps1*eps2 (0 at t = 1, before the errors exist).
+    eps2, eps1^2, eps2^2 and eps1*eps2 (+0.0 at t = 1, before the errors exist).
     Each is numpy's pairwise sum, ``np.add.reduce`` (what ``np.sum`` runs,
     without its wrapper), over the blocks' values of one use; a BLAS dot
     product would make the bytes depend on the BLAS build and its thread
@@ -622,8 +630,7 @@ def _chunk_sums(
     bits of its own reduction: a chunk of 100 blocks at n = 20 draws its
     noise in one call and forms each quantity's 20 sums in one reduction,
     and a chunk of more than 4,096 blocks, k = 1, reduces each use as it
-    arrives.  The errors' rows start at t = 2 and those of t1 and t2 at
-    t = 3; t1 and t2 at t = 1, 2 are filled in after the loop."""
+    arrives."""
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
@@ -636,31 +643,22 @@ def _chunk_sums(
     k = _step_block(n, size)
     sums = np.zeros((8, n))
     total = np.add.reduce
+    squared = (0, 1, 2) if mode == "interference" else (0,)
     for start in range(0, n, k):
         x, t1, t2, eps1, eps2 = zip(*itertools.islice(steps, k))
         stop = start + len(x)
-        x = _stacked(x)
-        sums[0, start:stop] = total(x * x, axis=1)
-        del x
-        first = max(start, 2)
-        if mode == "interference" and first < stop:
-            for q, rows in ((1, t1), (2, t2)):
-                rows = _stacked(rows[first - start :])
-                sums[q, first:stop] = total(rows * rows, axis=1)
-                del rows
-        del t1, t2
-        first = max(start, 1)
-        if first < stop:
-            e1, e2 = _stacked(eps1[first - start :]), _stacked(eps2[first - start :])
-            sums[3, first:stop], sums[4, first:stop] = total(e1, axis=1), total(e2, axis=1)
-            sums[5, first:stop] = total(e1 * e1, axis=1)
-            sums[6, first:stop] = total(e2 * e2, axis=1)
-            sums[7, first:stop] = total(e1 * e2, axis=1)
-            del e1, e2
+        for q, rows in zip(squared, (x, t1, t2)):
+            rows = _stacked(rows)
+            sums[q, start:stop] = total(rows * rows, axis=1)
+            del rows
+        del x, t1, t2
+        e1, e2 = _stacked(eps1), _stacked(eps2)
+        sums[3, start:stop], sums[4, start:stop] = total(e1, axis=1), total(e2, axis=1)
+        sums[5, start:stop] = total(e1 * e1, axis=1)
+        sums[6, start:stop] = total(e2 * e2, axis=1)
+        sums[7, start:stop] = total(e1 * e2, axis=1)
+        del e1, e2
         eps1, eps2 = eps1[-1], eps2[-1]
-    if mode == "interference":
-        # Transmitter v alone sends at t = v, its message point: t_v = x.
-        sums[1, 0], sums[2, 1] = sums[0, 0], sums[0, 1]
 
     ok1 = _decoded_correctly(eps1, *edges1, config.levels1)
     ok2 = _decoded_correctly(eps2, *edges2, config.levels2)

@@ -1075,6 +1075,18 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
          "correlation matrix must be a real array, got 'x'"),
         (lambda: prelog_classify([[1, 0], [0]]), ParameterError,
          "correlation matrix must be a real array, got [[1, 0], [0]]"),
+        # numpy would drop the imaginary parts (with a ComplexWarning), read
+        # True as 1 and parse the strings: each was classified.
+        (lambda: prelog_classify([[1 + 0j, -1], [-1, 1]]), ParameterError,
+         "correlation matrix must be a real array, got [[(1+0j), -1], [-1, 1]]"),
+        (lambda: prelog_classify([[True, True], [True, True]]), ParameterError,
+         "correlation matrix must be a real array, got [[True, True], [True, True]]"),
+        (lambda: prelog_classify([[True, -1.0], [-1.0, 1.0]]), ParameterError,
+         "correlation matrix must be a real array, got [[True, -1.0], [-1.0, 1.0]]"),
+        (lambda: prelog_classify([["1", "-1"], ["-1", "1"]]), ParameterError,
+         "correlation matrix must be a real array, got [['1', '-1'], ['-1', '1']]"),
+        (lambda: prelog_classify([[1.0, None], [None, 1.0]]), ParameterError,
+         "correlation matrix must be a real array, got [[1.0, None], [None, 1.0]]"),
         (lambda: achievable_rates(params_of(10.0), "0.5", 0.5), ParameterError,
          "rho must be a real number, got '0.5'"),
     ],
@@ -1090,7 +1102,9 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         "schedule-length",
         "schedule-float-length", "schedule-str-length", "schedule-variance",
         "schedule-str-variance", "schedule-bool-variance", "classify-nan", "classify-entry",
-        "classify-str", "classify-ragged", "rates-str-rho",
+        "classify-str", "classify-ragged", "classify-complex", "classify-bool",
+        "classify-bool-entry", "classify-str-entries", "classify-object-entries",
+        "rates-str-rho",
     ],
 )
 def test_library_rejects_invalid_input(call, error, message):

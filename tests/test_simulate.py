@@ -114,11 +114,19 @@ def test_encode_init_examples():
     # sqrt(P / var) * theta with var = 1/16: 2 for theta = 1/2, 0 for theta = 0
     x1, t1, t2, eps1, eps2 = first
     assert x1 == pytest.approx([2.0, 0.0], rel=1e-15, abs=0.0)
-    # t = 1 is transmitter 1's use, t = 2 transmitter 2's; no errors before t = 2.
-    assert np.array_equal(t1, x1) and t2 == 0.0 and eps1 is None and eps2 is None
+    # t = 1 is transmitter 1's use, t = 2 transmitter 2's.
+    assert np.array_equal(t1, x1)
     x2, t1, t2, eps1, eps2 = second
-    assert np.array_equal(x2, x1) and t1 == 0.0 and np.array_equal(t2, x2)
+    assert np.array_equal(x2, x1) and np.array_equal(t2, x2)
     assert eps1.shape == eps2.shape == (2,)
+    # The silent transmitter's summand and both errors at t = 1 are +0.0,
+    # also where a larger alphabet sends negative points.
+    for power, n, rate in ((1.0, 3, 1.0 / 3.0), (5.0, 6, 1.0)):
+        _, (x, _, t2, eps1, eps2), (_, t1, *_) = dedicated_inputs(power, n, rate)
+        assert np.any(x < 0.0) == (n == 6)
+        for zero in (t2, eps1, eps2, t1):
+            assert zero.shape == x.shape and np.all(zero == 0.0)
+            assert not np.any(np.signbit(zero))
 
 
 def test_encode_init_mean_square_close_to_power():
@@ -844,6 +852,11 @@ def test_schedule_whose_steps_or_moments_do_not_fit_its_n_is_rejected():
     schedule = simulate._checked_schedule(config, HEADLINE, "broadcast", 0)
     changes = [{"steps": schedule.steps[:3]}, {"steps": schedule.steps + schedule.steps[-1:]}]
     changes += [{name: getattr(schedule, name)[:-1]} for name in SCHEDULE_ARRAYS]
+    # A field without a length, or steps of the right length whose entries
+    # are not (gain1, gain2, c1, c2), raised a bare TypeError or ValueError.
+    changes += [{"steps": None}, {"alpha1": None}]
+    changes += [{"steps": tuple(step[:3] for step in schedule.steps)}]
+    changes += [{"steps": tuple(step + (0.0,) for step in schedule.steps)}]
     for change in changes:
         bad = schedule._replace(**change)
         for run in (run_broadcast_trial, run_interference_trial, run_limited_feedback_trial):
@@ -1078,6 +1091,27 @@ def test_step_block_sums_equal_the_per_step_reduction_bytes(monkeypatch, size, n
             assert sums.tobytes() == ref_sums.tobytes(), (noise, mode)
             assert errors == ref_errors, (noise, mode)
             assert np.count_nonzero(sums[1:3]) == (2 * n - 2 if mode == "interference" else 0)
+
+
+@pytest.mark.parametrize("size", [4_097, 100], ids=str)
+def test_chunk_sums_reduce_the_plant_uses_like_every_other_use(size):
+    # The loop yields every quantity at t = 1 and 2 as well: the planting
+    # transmitter's summand is x, the silent one's and both errors at t = 1
+    # are +0.0, so their sums need no fill after the loop.
+    params = ChannelParams(100.0, NoiseSpec(1.0, 2.0, 0.3))
+    config = headline_config(n=20, params=params)
+    assert (simulate._step_block(config.n, size) == 1) == (size == 4_097)
+    zero = float.hex(0.0)  # +0.0; -0.0 is '-0x0.0p+0'
+    for mode in ("interference", "broadcast"):
+        schedule = simulate._checked_schedule(config, params, mode, 1)
+        sums, _ = simulate._chunk_sums(config, params, schedule, mode, RngSpec(5, 2), size)
+        assert [float.hex(v) for v in sums[3:, 0].tolist()] == [zero] * 5, mode
+        if mode == "interference":
+            assert float.hex(sums[1, 0]) == float.hex(sums[0, 0]) != zero
+            assert float.hex(sums[2, 1]) == float.hex(sums[0, 1]) != zero
+            assert float.hex(sums[2, 0]) == float.hex(sums[1, 1]) == zero
+        else:
+            assert [float.hex(v) for v in sums[1:3].ravel().tolist()] == [zero] * 40
 
 
 def test_campaign_memory_is_bounded_by_the_chunk():
