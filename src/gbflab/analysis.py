@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -378,7 +379,7 @@ def _start_brackets(c2, c1, c0):
     return lo, lo + np.ldexp(1.0, -depth - 1)
 
 
-def _solve_powers(noise: NoiseSpec, powers: list[float]):
+def _solve_powers(noise: NoiseSpec, powers: list[float] | tuple[float, ...]):
     """Arrays of rho*, the gap and the cubic residual at each of ``powers``,
     solved together, then the gap-form coefficients and the root defect.
 
@@ -459,12 +460,32 @@ def _solve_powers(noise: NoiseSpec, powers: list[float]):
     return (rho, gap, residual), (lambda0, lambda1, lambda2), defect
 
 
+@lru_cache(maxsize=1)
+def _solved_grid(noise: NoiseSpec, powers: tuple[float, ...]):
+    """``_solve_powers(noise, powers)`` with its arrays read-only, kept for
+    the last grid solved: the solve of every public call, so a
+    ``verify_asymptotics`` right after a ``sweep_rates`` of one noise and
+    grid reads that sweep's solve.
+
+    Reached only after validation, where the key is canonical: ``NoiseSpec``
+    stores Python floats and ``powers`` holds the float powers solved, so
+    equal keys solve to equal bits (rho_z = -0.0 and 0.0 do too: rho_z
+    enters each coefficient beside a nonzero term).  Until the next solve the
+    entry keeps seven arrays of the grid's length alive, about 0.56 MB for
+    10,000 powers.  ``_solve_powers`` itself is not cached, and a solve that
+    raises caches nothing."""
+    solved, gap_coeffs, defect = _solve_powers(noise, powers)
+    for array in (*solved, *gap_coeffs, defect):
+        array.setflags(write=False)
+    return solved, gap_coeffs, defect
+
+
 def solve_fixed_point(params: ChannelParams) -> FixedPoint:
     """Find the operating correlation magnitude rho* in [0, 1] and its gap
-    g = 1 - rho*: ``_solve_powers`` at one power, which also solves the
-    grids of ``sweep_rates`` and ``verify_asymptotics``, with the same result
-    at each power."""
-    solved, _, _ = _solve_powers(params.noise, [params.power])
+    g = 1 - rho*: ``_solve_powers`` at one power, through ``_solved_grid``
+    as the grids of ``sweep_rates`` and ``verify_asymptotics``, with the same
+    result at each power."""
+    solved, _, _ = _solved_grid(params.noise, (params.power,))
     return FixedPoint(*(v.item() for v in solved))
 
 
@@ -550,7 +571,7 @@ def sweep_rates(
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     grid = power_grid(p_start, p_stop, points_per_decade)
     gap_exponent = 1.0 - delta
-    (rho, gap, _), _, _ = _solve_powers(noise, grid)
+    (rho, gap, _), _, _ = _solved_grid(noise, tuple(grid))
     gaps = gap.tolist()
     rates = _rates(grid, noise.sigma1, noise.sigma2, gaps)
     new = tuple.__new__  # a row without the generated __new__'s Python call
@@ -597,7 +618,7 @@ def verify_asymptotics(
     half_noise_sum = 0.5 * (s1 * s1 + s2 * s2)
     # exponents of P in lambda0_scaled, lambda1_scaled and gap_scaled
     e0, e1, eg = 2.0 - delta - eps, 1.0 - 0.5 * eps, 1.0 - delta
-    (_, gap, _), gap_coeffs, defect = _solve_powers(noise, p_grid)
+    (_, gap, _), gap_coeffs, defect = _solved_grid(noise, tuple(p_grid))
     lambda0, lambda1, lambda2, defect, gap = (v.tolist() for v in (*gap_coeffs, defect, gap))
     new = tuple.__new__  # as in sweep_rates; pd is P * defect
     rows = [

@@ -304,22 +304,29 @@ def _checked_schedule(
     var1, var2 = config.var_theta1, config.var_theta2
     if schedule is not None:  # a longer schedule runs its first n steps
         built = (schedule.params, schedule.var_theta1, schedule.var_theta2)
-        n, steps = schedule.n, schedule.steps
+        n = schedule.n
         try:  # a field without a length, None among them, does not fit
             fits = len(schedule.alpha1) == len(schedule.alpha2) == len(schedule.rho) == n - 1
-            # The end steps stand for all, as a pass over every step doubles this
-            # check's cost; a middle step of another length fails the loop's unpacking.
-            fits = fits and len(steps) == n - 2 >= 1 and len(steps[0]) == len(steps[-1]) == 4
+            # A step that is not (gain1, gain2, c1, c2) fails in the coding loop,
+            # as a pass over every step here doubles this check's cost.
+            fits = fits and len(schedule.steps) == n - 2 >= 1
         except TypeError:
             fits = False
         if not fits or built != (params, var1, var2) or n < config.n:
-            raise ParameterError(
-                f"schedule is built for {schedule.params}, n = {schedule.n} and message-point "
-                f"variances ({schedule.var_theta1}, {schedule.var_theta2}), not for {params}, "
-                f"n = {config.n} and ({var1}, {var2})"
-            )
+            raise _misfit(schedule, config, params)
         return schedule
     return _shared_schedule(params, config.n, var1, var2)
+
+
+def _misfit(
+    schedule: CoefficientSchedule, config: MessageConfig, params: ChannelParams
+) -> ParameterError:
+    """The error of a given schedule that does not fit ``config`` on ``params``."""
+    return ParameterError(
+        f"schedule is built for {schedule.params}, n = {schedule.n} and message-point "
+        f"variances ({schedule.var_theta1}, {schedule.var_theta2}), not for {params}, "
+        f"n = {config.n} and ({config.var_theta1}, {config.var_theta2})"
+    )
 
 
 @lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
@@ -406,24 +413,29 @@ def _coding_loop(
     yield x, x - x, x, eps1, eps2
     del x
 
-    for gain1, gain2, c1, c2 in schedule.steps[: config.n - 2]:
-        z1, z2 = next(noises)
-        t1 = gain1 * eps1
-        t2 = gain2 * eps2
-        x = t1 + t2
-        # The unit-gain interference channel adds t1 and t2 into this same x.
-        # Receiver v sees y_v = x + z_v and subtracts c_v * y_v, its LMMSE
-        # estimate of its error; both are formed in place of the noise.
-        z1 += x
-        z1 *= c1
-        eps1 = eps1 - z1
-        del z1
-        z2 += x
-        z2 *= c2
-        eps2 = eps2 - z2
-        del z2
-        yield x, t1, t2, eps1, eps2
-        del x, t1, t2
+    # Only a given schedule's step raises either error here: one that does
+    # not unpack into four numbers.  The noise of validated inputs does not.
+    try:
+        for gain1, gain2, c1, c2 in schedule.steps[: config.n - 2]:
+            z1, z2 = next(noises)
+            t1 = gain1 * eps1
+            t2 = gain2 * eps2
+            x = t1 + t2
+            # The unit-gain interference channel adds t1 and t2 into this same x.
+            # Receiver v sees y_v = x + z_v and subtracts c_v * y_v, its LMMSE
+            # estimate of its error; both are formed in place of the noise.
+            z1 += x
+            z1 *= c1
+            eps1 = eps1 - z1
+            del z1
+            z2 += x
+            z2 *= c2
+            eps2 = eps2 - z2
+            del z2
+            yield x, t1, t2, eps1, eps2
+            del x, t1, t2
+    except (TypeError, ValueError):
+        raise _misfit(schedule, config, params) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,23 @@
 """Shared test plumbing: starts every test with no shared coefficient
-schedule, and collects acceptance-criterion verdicts and prints one PASS/FAIL
-line per criterion in the terminal summary."""
+schedule and no remembered grid solve, and collects acceptance-criterion
+verdicts and prints one PASS/FAIL line per criterion in the terminal
+summary."""
 
 from __future__ import annotations
 
 import pytest
 
-from gbflab import simulate
+from gbflab import analysis, simulate
 
 
 @pytest.fixture(autouse=True)
-def _no_shared_schedules():
-    """Empty the process's schedule cache, so a test that patches
-    ``lmmse_coefficient_schedule`` or counts its calls does not depend on
-    which tests ran before it."""
+def _empty_caches():
+    """Empty the process's schedule cache and its grid memo, so a test that
+    patches ``lmmse_coefficient_schedule`` or a part of ``_solve_powers``
+    (``_coeffs``, ``_start_brackets``, ``_bisect_brackets``), or counts their
+    calls, does not depend on which tests ran before it."""
     simulate._shared_schedule.cache_clear()
+    analysis._solved_grid.cache_clear()
 
 
 _ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []

@@ -826,18 +826,88 @@ def test_solve_fixed_point_is_one_row_of_the_grid_solve():
 
 
 def test_each_grid_call_forms_the_coefficients_once():
-    # sweep_rates and verify_asymptotics read every coefficient they need
-    # from their one grid solve, and solve_fixed_point returns Python floats.
+    # The last grid solved is remembered: verify_asymptotics right after a
+    # sweep_rates of the same noise and grid reads every coefficient it needs
+    # from the sweep's one solve.  Another grid or noise, or a one-point
+    # solve in between, is solved again.  Every field is a Python float.
     grid = power_grid(1e-3, 1e14, 8)
+    other = NoiseSpec(1.0, 2.0, 0.3)
     with mock.patch.object(analysis, "_coeffs", wraps=analysis._coeffs) as coeffs:
         rows = sweep_rates(HEADLINE, 1e-3, 1e14, 8)
         assert coeffs.call_count == 1
+        assert coeffs.call_args.args[1].tolist() == grid
         report = verify_asymptotics(HEADLINE, grid)
+        assert coeffs.call_count == 1
+        verify_asymptotics(HEADLINE, grid[:-1])
         assert coeffs.call_count == 2
-    assert coeffs.call_args.args[1].tolist() == grid
+        verify_asymptotics(other, grid[:-1])
+        assert coeffs.call_count == 3
+        sweep_rates(other, 1e-3, 1e14, 8)
+        assert coeffs.call_count == 4
+        fp = solve_fixed_point(ChannelParams(100.0, other))
+        assert coeffs.call_count == 5
+        verify_asymptotics(other, grid)
+        assert coeffs.call_count == 6
     assert {type(v) for row in rows + list(report.rows) for v in row} == {float}
-    fp = solve_fixed_point(params_of(100.0))
     assert [type(v) for v in fp] == [float] * 3
+
+
+def test_a_grid_that_raises_is_not_remembered():
+    # P = 1e155 is beyond the solver's float range: the solve raises, keeps
+    # nothing, and the same call solves and raises again.
+    grid = [1e2, 1e155]
+    with mock.patch.object(analysis, "_coeffs", wraps=analysis._coeffs) as coeffs:
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="^power P = 1e[+]155 ") as exc:
+                verify_asymptotics(HEADLINE, grid)
+            errors.append(str(exc.value))
+            assert analysis._solved_grid.cache_info().currsize == 0
+    assert coeffs.call_count == 2
+    assert errors[0] == errors[1]
+
+
+def test_remembered_grid_arrays_are_read_only():
+    grid = power_grid(1e-3, 1e14, 8)
+    sweep_rates(HEADLINE, 1e-3, 1e14, 8)
+    solved, gap_coeffs, defect = analysis._solved_grid(HEADLINE, tuple(grid))
+    assert analysis._solved_grid.cache_info().hits == 1
+    arrays = (*solved, *gap_coeffs, defect)
+    assert len(arrays) == 7
+    for array in arrays:
+        assert array.shape == (len(grid),)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("cfg", [(1.0, 1.0, -1.0), (1.0, 2.0, 0.3), (0.3, 4.0, 0.95)])
+def test_reports_read_through_the_memo_equal_a_fresh_solve(cfg):
+    # Both reports, and a one-point solve, in float.hex: read from the
+    # remembered grid and from a solve with the memo emptied first.
+    noise = NoiseSpec(*cfg)
+    grid = power_grid(1e-3, 1e14, 8)
+
+    def hexed(rows):
+        return [tuple(v.hex() for v in row) for row in rows]
+
+    def solve_all(fresh):
+        out = []
+        for call in (
+            lambda: sweep_rates(noise, 1e-3, 1e14, 8),
+            lambda: verify_asymptotics(noise, grid).rows,
+            lambda: [solve_fixed_point(ChannelParams(grid[40], noise))],
+            lambda: [solve_fixed_point(ChannelParams(grid[40], noise))],
+        ):
+            if fresh:
+                analysis._solved_grid.cache_clear()
+            out.append(hexed(call()))
+        return out
+
+    remembered = solve_all(fresh=False)
+    assert analysis._solved_grid.cache_info().hits == 2
+    assert remembered == solve_all(fresh=True)
+    assert analysis._solved_grid.cache_info().hits == 0
 
 
 # Each output record's fields in order, as they were when the records were

@@ -6,10 +6,11 @@ Each case hashes every field of the result (array dtype, shape and bytes;
 digest, so a speed-up that moves any bit of any field shows here.
 
 Every digest was made and is checked on numpy 2.4.6, CPython 3.11.7 and
-x86-64 glibc 2.36.  Two layers below gbflab could move them: numpy's
-normal sampler and the platform's libm (``math.log1p`` in the rates).  The
-digests of the pinned cases' raw Philox words and of their standard normals
-tell which of the first two moved."""
+x86-64 glibc 2.36.  Layers below gbflab could move them: numpy's Philox
+words and its normal sampler, and the platform's libm (``math.log1p`` in
+the rates, ``math.log10`` and ``**`` in the grids and scaled columns), which
+need not round correctly.  A digest of each layer over fixed arguments
+tells which of them moved."""
 
 import dataclasses
 import hashlib
@@ -259,6 +260,32 @@ def test_another_normal_sampler_moves_the_normal_layer_and_not_the_raw_words(mon
     assert _trials_digest(case[0], _config(*case[1:]), PARAMS) != TRIALS[case]
 
 
+# The libm functions the rows call, over exact dyadic arguments that no
+# gbflab code computes: (1 + j/16) 2^k, from 8.7e-19 to 2.5e30, spans the
+# ratios that _rates passes to log1p and the powers that the grids take
+# log10 of, and ** raises them to the rows' exponents and 10 to the grid's.
+_DYADIC = [math.ldexp(1.0 + j / 16.0, k) for k in range(-60, 101) for j in range(16)]
+LIBM_CALLS = (
+    ("log1p", lambda: [math.log1p(x) for x in _DYADIC]),
+    ("log10", lambda: [math.log10(x) for x in _DYADIC]),
+    ("pow", lambda: [x**e for e in (0.75, 0.8, 0.875, 0.95, 1.7) for x in _DYADIC]),
+    ("pow10", lambda: [10.0 ** (i / 64.0) for i in range(-64 * 3, 64 * 154)]),
+)
+LIBM_DIGEST = "502374a40ca3a908bb125277d9e7aadbb24cdfc4503df9c17cf05225cded8445"
+
+
+def _libm_digest():
+    h = hashlib.sha256()
+    for name, values in LIBM_CALLS:
+        h.update(name.encode())
+        h.update("\n".join(map(float.hex, values())).encode())
+    return h.hexdigest()
+
+
+def test_libm_layer_bytes_are_pinned():
+    assert _libm_digest() == LIBM_DIGEST
+
+
 # (sigma1, sigma2, rho_z): every SweepRow and AsymptoticsRow over P in
 # [1e-3, 1e14] at 8 points per decade, the grid of the dense sweep benchmark.
 SWEEPS = {
@@ -273,15 +300,33 @@ SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("cfg", list(SWEEPS), ids=str)
-def test_sweep_and_verify_row_bytes_are_pinned(cfg):
+def _sweep_digest(cfg):
     noise = NoiseSpec(*cfg)
     h = hashlib.sha256()
     for row in sweep_rates(noise, 1e-3, 1e14, 8):
         h.update(_digest(row).encode())
     for row in verify_asymptotics(noise, power_grid(1e-3, 1e14, 8)).rows:
         h.update(_digest(row).encode())
-    assert h.hexdigest() == SWEEPS[cfg]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg", list(SWEEPS), ids=str)
+def test_sweep_and_verify_row_bytes_are_pinned(cfg):
+    assert _sweep_digest(cfg) == SWEEPS[cfg]
+
+
+def test_a_log1p_one_ulp_off_moves_the_libm_layer_and_not_the_random_streams(monkeypatch):
+    # A libm whose log1p rounds up by one ulp above 1, as a library that is
+    # not correctly rounded may: the libm digest and the rates move, the
+    # Philox words and the normals drawn from them do not.
+    log1p = math.log1p
+    monkeypatch.setattr(
+        math, "log1p", lambda x: math.nextafter(log1p(x), math.inf) if x > 1.0 else log1p(x)
+    )
+    assert _libm_digest() != LIBM_DIGEST
+    assert _sweep_digest((1.0, 1.0, -1.0)) != SWEEPS[(1.0, 1.0, -1.0)]
+    for layer, (_, digest) in RNG_LAYERS.items():
+        assert _layer_digest(layer) == digest
 
 
 def test_bisection_collapses_onto_an_exact_dyadic_zero():

@@ -857,6 +857,11 @@ def test_schedule_whose_steps_or_moments_do_not_fit_its_n_is_rejected():
     changes += [{"steps": None}, {"alpha1": None}]
     changes += [{"steps": tuple(step[:3] for step in schedule.steps)}]
     changes += [{"steps": tuple(step + (0.0,) for step in schedule.steps)}]
+    # A middle step of another length, with both ends of four, raised a bare
+    # ValueError from inside the coding loop.
+    steps = schedule.steps
+    changes += [{"steps": steps[:5] + (steps[5][:3],) + steps[6:]}]
+    changes += [{"steps": steps[:5] + (steps[5] + (0.0,),) + steps[6:]}]
     for change in changes:
         bad = schedule._replace(**change)
         for run in (run_broadcast_trial, run_interference_trial, run_limited_feedback_trial):

@@ -29,7 +29,7 @@ from gbflab import (
     sweep_rates,
     verify_asymptotics,
 )
-from gbflab.analysis import _solve_powers, power_grid
+from gbflab.analysis import _solve_powers, _solved_grid, power_grid
 from test_analysis import cubic_forms, mpmath_fixed_point
 
 _FLOAT_MIN = 2.0**-1022  # the smallest normal float
@@ -200,6 +200,9 @@ def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
 def test_sweep_and_verify_gaps_are_equal_on_a_dense_grid(cfg):
     noise = NoiseSpec(*cfg)
     rows = sweep_rates(noise, 1e-3, 1e14, 8)
+    # Emptied, so that verify_asymptotics solves the grid again: the two
+    # solves agree, not one solve read twice.
+    _solved_grid.cache_clear()
     report = verify_asymptotics(noise, power_grid(1e-3, 1e14, 8))
     assert [r.gap for r in rows] == [r.gap for r in report.rows]
     assert [r.gap for r in rows] == [reference_solve(r.power, noise).gap for r in rows]
