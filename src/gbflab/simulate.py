@@ -7,10 +7,11 @@ receivers' current estimation errors.  Each receiver refines its estimate
 with a one-step scalar LMMSE update from its newest output.  The deterministic
 schedule of error moments and of each feedback step's combining and
 estimation coefficients is shared, read-only, by every trial.  A process
-builds it once per configuration (channel, n and message-point variances)
-and keeps the 16 it used last, so trials and campaigns called without a
-schedule reuse it.  The key is safe because each of its fields is canonical
-once validated: ``ChannelParams`` stores Python floats, n is an int and the
+builds it once per configuration (channel, n and message-point variances),
+keeps the 16 it used last and runs every trial and campaign on the one of
+its configuration: a schedule given to a trial is checked by its key and
+not read.  The key is safe because each of its fields is canonical once
+validated: ``ChannelParams`` stores Python floats, n is an int and the
 variances are Python floats, so equal keys build equal bits.
 
 The scheme is written once, in the coding loop ``_coding_loop``, which runs
@@ -22,7 +23,7 @@ noise (possible only for perfectly correlated or anti-correlated noises).
 The message mapping, the encoder and the channel outputs live only there.
 A single trial (``run_broadcast_trial``, ``run_interference_trial``,
 ``run_limited_feedback_trial``) runs the loop on one block of Python floats,
-with the per-step gains and coefficients of its schedule's ``steps``, and
+with the per-step gains and coefficients of its configuration's ``steps``, and
 takes the noise of all n channel uses from its stream in one call; a
 campaign (``run_broadcast_campaign``) runs it on arrays of B independent
 blocks in step blocks of k = min(n, max(1, 8,192 // B)) channel uses, so
@@ -284,10 +285,10 @@ def _checked_schedule(
     fed_back_receiver: int,
     schedule: CoefficientSchedule | None = None,
 ) -> CoefficientSchedule:
-    """Reject inputs the coding loop cannot run, a given schedule of another
-    channel, other variances, a smaller n or data not n - 2 steps and n - 1
-    moments long among them, then return ``schedule`` or, when it is None,
-    the process's shared schedule of ``config``."""
+    """Reject inputs the coding loop cannot run, a given ``schedule`` that is
+    not a ``CoefficientSchedule`` keyed by ``params``, an integer n >= config.n
+    and the config's variances among them, then return the shared schedule
+    of ``config``: nothing else of a given schedule is read."""
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "limited":
@@ -302,31 +303,17 @@ def _checked_schedule(
             "an alphabet of size >= 2)"
         )
     var1, var2 = config.var_theta1, config.var_theta2
-    if schedule is not None:  # a longer schedule runs its first n steps
+    if schedule is not None:
+        if not isinstance(schedule, CoefficientSchedule):
+            raise ParameterError(f"schedule is a {type(schedule).__name__}, not a schedule")
+        _integer(schedule.n, "the schedule's n", config.n)
         built = (schedule.params, schedule.var_theta1, schedule.var_theta2)
-        n = schedule.n
-        try:  # a field without a length, None among them, does not fit
-            fits = len(schedule.alpha1) == len(schedule.alpha2) == len(schedule.rho) == n - 1
-            # A step that is not (gain1, gain2, c1, c2) fails in the coding loop,
-            # as a pass over every step here doubles this check's cost.
-            fits = fits and len(schedule.steps) == n - 2 >= 1
-        except TypeError:
-            fits = False
-        if not fits or built != (params, var1, var2) or n < config.n:
-            raise _misfit(schedule, config, params)
-        return schedule
+        if built != (params, var1, var2):
+            raise ParameterError(
+                f"schedule is built for {schedule.params} and message-point variances "
+                f"{built[1:]}, not for {params} and {(var1, var2)}"
+            )
     return _shared_schedule(params, config.n, var1, var2)
-
-
-def _misfit(
-    schedule: CoefficientSchedule, config: MessageConfig, params: ChannelParams
-) -> ParameterError:
-    """The error of a given schedule that does not fit ``config`` on ``params``."""
-    return ParameterError(
-        f"schedule is built for {schedule.params}, n = {schedule.n} and message-point "
-        f"variances ({schedule.var_theta1}, {schedule.var_theta2}), not for {params}, "
-        f"n = {config.n} and ({config.var_theta1}, {config.var_theta2})"
-    )
 
 
 @lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
@@ -366,9 +353,11 @@ def _coding_loop(
     size: int | None,
 ):
     """Yield ``(x, t1, t2, eps1, eps2)`` for each channel use t = 1..n of the
-    blocks carrying messages (m1, m2): the input, its two summands (what each
-    interference-mode transmitter emits) and the receivers' errors after
-    output t (+0.0 for a silent summand and for the errors at t = 1).  With
+    blocks carrying messages (m1, m2), reading only the variances and n - 2
+    ``steps`` of ``schedule``, the one of ``config``: the input, its two
+    summands (what each interference-mode transmitter emits) and the
+    receivers' errors after output t (+0.0 for a silent summand and for the
+    errors at t = 1).  With
     ``size=None`` the messages are ints and every value is a Python float,
     and the noise of all n uses comes from one sampler call.  Otherwise the
     messages are arrays of ``size`` blocks, each value an array of them, and
@@ -413,29 +402,24 @@ def _coding_loop(
     yield x, x - x, x, eps1, eps2
     del x
 
-    # Only a given schedule's step raises either error here: one that does
-    # not unpack into four numbers.  The noise of validated inputs does not.
-    try:
-        for gain1, gain2, c1, c2 in schedule.steps[: config.n - 2]:
-            z1, z2 = next(noises)
-            t1 = gain1 * eps1
-            t2 = gain2 * eps2
-            x = t1 + t2
-            # The unit-gain interference channel adds t1 and t2 into this same x.
-            # Receiver v sees y_v = x + z_v and subtracts c_v * y_v, its LMMSE
-            # estimate of its error; both are formed in place of the noise.
-            z1 += x
-            z1 *= c1
-            eps1 = eps1 - z1
-            del z1
-            z2 += x
-            z2 *= c2
-            eps2 = eps2 - z2
-            del z2
-            yield x, t1, t2, eps1, eps2
-            del x, t1, t2
-    except (TypeError, ValueError):
-        raise _misfit(schedule, config, params) from None
+    for gain1, gain2, c1, c2 in schedule.steps:
+        z1, z2 = next(noises)
+        t1 = gain1 * eps1
+        t2 = gain2 * eps2
+        x = t1 + t2
+        # The unit-gain interference channel adds t1 and t2 into this same x.
+        # Receiver v sees y_v = x + z_v and subtracts c_v * y_v, its LMMSE
+        # estimate of its error; both are formed in place of the noise.
+        z1 += x
+        z1 *= c1
+        eps1 = eps1 - z1
+        del z1
+        z2 += x
+        z2 *= c2
+        eps2 = eps2 - z2
+        del z2
+        yield x, t1, t2, eps1, eps2
+        del x, t1, t2
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +450,8 @@ def _run_trial(
     fed_back_receiver: int,
     schedule: CoefficientSchedule | None = None,
 ) -> TrialRecord:
-    """One block on its own stream: the coding loop on Python floats, then
-    the exact-integer decode, which stays exact beyond 2**62 message points."""
+    """One block on its own stream and its configuration's schedule: the coding
+    loop on Python floats, then the decode, exact beyond 2**62 message points."""
     schedule = _checked_schedule(config, params, mode, fed_back_receiver, schedule)
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1)
@@ -496,7 +480,7 @@ def run_broadcast_trial(
     rng: RngSpec,
     schedule: CoefficientSchedule | None = None,
 ) -> TrialRecord:
-    """One block through the single-encoder broadcast channel."""
+    """One single-encoder broadcast block; a given ``schedule`` is checked by its key."""
     return _run_trial(config, params, rng, "broadcast", 0, schedule)
 
 
@@ -506,13 +490,13 @@ def run_interference_trial(
     rng: RngSpec,
     schedule: CoefficientSchedule | None = None,
 ) -> TrialRecord:
-    """One block with the two transmitters mimicking the broadcast encoder.
+    """One block with the two transmitters mimicking the broadcast encoder;
+    a given ``schedule`` is checked by its key.
 
     Transmitter v emits the summand of the broadcast input built from its own
     receiver's error; the unit-gain channel adds the two inputs, so under a
     shared random stream the output trajectories coincide with the broadcast
-    trial's.
-    """
+    trial's."""
     return _run_trial(config, params, rng, "interference", 0, schedule)
 
 
@@ -524,8 +508,8 @@ def run_limited_feedback_trial(
     schedule: CoefficientSchedule | None = None,
 ) -> TrialRecord:
     """One broadcast block where the encoder sees only one receiver's outputs
-    and reconstructs the other's (requires |rho_z| = 1).  The reconstruction
-    is exact, so the block equals the broadcast block on the same stream."""
+    and reconstructs the other's exactly (requires |rho_z| = 1), so it equals
+    the broadcast block on the same stream; ``schedule`` is checked by its key."""
     return _run_trial(config, params, rng, "limited", fed_back_receiver, schedule)
 
 

@@ -348,15 +348,19 @@ def test_schedule_steps_are_the_per_step_coefficients_as_python_floats(noise):
 
 
 def test_coding_loop_reads_only_the_schedules_steps():
-    # The moment arrays are for campaign summaries: NaN moments of the right
-    # length run the same trials.
+    # The moment arrays are for campaign summaries: NaN moments run the same
+    # blocks, one at a time and as an array of them.
     config = headline_config(n=12)
-    schedule = lmmse_coefficient_schedule(HEADLINE, 16, config.var_theta1, config.var_theta2)
-    bare = schedule._replace(**{name: np.full(15, np.nan) for name in SCHEDULE_ARRAYS})
-    for run in (run_broadcast_trial, run_interference_trial):
-        want = run(config, HEADLINE, RngSpec(3, 3), schedule=schedule)
-        got = run(config, HEADLINE, RngSpec(3, 3), schedule=bare)
-        assert _digest(got) == _digest(want)
+    schedule = _fresh(config, HEADLINE)
+    bare = schedule._replace(**{name: np.full(11, np.nan) for name in SCHEDULE_ARRAYS})
+    for size in (None, 50):
+        m = 1 if size is None else np.arange(1, size + 1)
+        want, got = (
+            np.array(list(_coding_loop(config, HEADLINE, s, make_generator(RngSpec(3, 3)),
+                                       m, m, size)))
+            for s in (schedule, bare)
+        )
+        assert want.shape[0] == 12 and got.tobytes() == want.tobytes()
 
 
 def test_schedule_symmetric_coefficients_match():
@@ -829,8 +833,12 @@ def test_trial_runs_config_length_on_a_longer_schedule_and_rejects_a_shorter_one
     rec = run_broadcast_trial(config, HEADLINE, RngSpec(3, 3), schedule=longer)
     assert np.array_equal(rec.inputs, exact.inputs) and np.array_equal(rec.eps2, exact.eps2)
     shorter = lmmse_coefficient_schedule(HEADLINE, 8, var1, var2)
-    with pytest.raises(ParameterError, match="schedule"):
+    with pytest.raises(ParameterError, match="^the schedule's n must be an integer >= 12, got 8$"):
         run_broadcast_trial(config, HEADLINE, RngSpec(3, 3), schedule=shorter)
+    # An n that is not an integer is the key of no schedule.
+    for n in (None, 12.0, "16"):
+        with pytest.raises(ParameterError, match="^the schedule's n must be an integer"):
+            run_broadcast_trial(config, HEADLINE, RngSpec(3, 3), schedule=longer._replace(n=n))
     # A 2-level alphabet has variance 1/16; a schedule built for 1/12 would
     # plant the message points at 0.75 P.
     two_level = MessageConfig(n=12, rate1=1.0 / 12.0, rate2=1.0 / 12.0)
@@ -844,29 +852,39 @@ def test_trial_runs_config_length_on_a_longer_schedule_and_rejects_a_shorter_one
         run_broadcast_trial(config, elsewhere, RngSpec(3, 3), schedule=longer)
 
 
-def test_schedule_whose_steps_or_moments_do_not_fit_its_n_is_rejected():
-    # steps cut to 3 ran a 5-use block of this 20-use configuration and
-    # reported success.  Moments of another length do not fit the schedule's
-    # n either.
+TRIALS = (run_broadcast_trial, run_interference_trial, run_limited_feedback_trial)
+
+
+def test_schedule_whose_key_fits_runs_as_no_schedule_whatever_its_data():
+    # A given schedule is checked by its key and never read: data that does
+    # not belong to its key runs the configuration's own schedule.  The
+    # gain times 1e6 once drove the broadcast inputs to 1.7e8 at P = 100, and
+    # the trial reported success.
     config = MessageConfig(20, 0.5, 0.5)
-    schedule = simulate._checked_schedule(config, HEADLINE, "broadcast", 0)
-    changes = [{"steps": schedule.steps[:3]}, {"steps": schedule.steps + schedule.steps[-1:]}]
-    changes += [{name: getattr(schedule, name)[:-1]} for name in SCHEDULE_ARRAYS]
-    # A field without a length, or steps of the right length whose entries
-    # are not (gain1, gain2, c1, c2), raised a bare TypeError or ValueError.
-    changes += [{"steps": None}, {"alpha1": None}]
-    changes += [{"steps": tuple(step[:3] for step in schedule.steps)}]
-    changes += [{"steps": tuple(step + (0.0,) for step in schedule.steps)}]
-    # A middle step of another length, with both ends of four, raised a bare
-    # ValueError from inside the coding loop.
+    schedule = _fresh(config, HEADLINE)
     steps = schedule.steps
-    changes += [{"steps": steps[:5] + (steps[5][:3],) + steps[6:]}]
-    changes += [{"steps": steps[:5] + (steps[5] + (0.0,),) + steps[6:]}]
-    for change in changes:
-        bad = schedule._replace(**change)
-        for run in (run_broadcast_trial, run_interference_trial, run_limited_feedback_trial):
-            with pytest.raises(ParameterError, match="^schedule is built for"):
-                run(config, HEADLINE, RngSpec(3, 3), schedule=bad)
+    changes = [{"steps": steps[:3]}, {"steps": None}]
+    changes += [{"steps": tuple(step[:3] for step in steps)}]
+    changes += [{"steps": tuple(step + (0.0,) for step in steps)}]
+    changes += [{"steps": steps[:5] + ((steps[5][0] * 1e6, *steps[5][1:]),) + steps[6:]}]
+    changes += [{name: getattr(schedule, name)[:-1]} for name in SCHEDULE_ARRAYS]
+    changes += [{name: None} for name in SCHEDULE_ARRAYS]
+    for run in TRIALS:
+        want = _digest(run(config, HEADLINE, RngSpec(3, 3)))
+        for change in changes:
+            got = run(config, HEADLINE, RngSpec(3, 3), schedule=schedule._replace(**change))
+            assert _digest(got) == want, (run.__name__, change)
+
+
+@pytest.mark.parametrize("kind", ["tuple", "str", "dict"])
+def test_a_schedule_that_is_not_a_coefficient_schedule_is_rejected(kind):
+    # Each of these once ended in AttributeError: no attribute 'params'.
+    config = MessageConfig(20, 0.5, 0.5)
+    schedule = _fresh(config, HEADLINE)
+    bad = {"tuple": tuple(schedule), "str": "schedule", "dict": schedule._asdict()}[kind]
+    for run in TRIALS:
+        with pytest.raises(ParameterError, match=f"^schedule is a {kind}, not a schedule$"):
+            run(config, HEADLINE, RngSpec(3, 3), schedule=bad)
 
 
 def test_interference_trial_equals_broadcast_bitwise():
