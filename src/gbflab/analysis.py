@@ -114,8 +114,8 @@ class AsymptoticsRow(NamedTuple):
 
 class AsymptoticsReport(NamedTuple):
     rows: tuple[AsymptoticsRow, ...]
-    # printed verdict name -> strictly-decreasing verdict over the last three
-    # decades (None when the quantity does not apply to this noise correlation)
+    # printed verdict name -> verdict (None when the quantity does not apply
+    # to this noise correlation)
     monotone: dict[str, bool | None]
 
 
@@ -597,8 +597,9 @@ def verify_asymptotics(
     eps: float = 0.1,
 ) -> AsymptoticsReport:
     """Tabulate the high-power behavior of the gap-form coefficients and the
-    gap itself, with strict-monotonicity verdicts over the last three decades
-    for each quantity that must vanish.  The grid is checked as the float64
+    gap itself, with the tolerance verdicts of the last row's lambda2 and root
+    defect and strict-monotonicity verdicts over the last three decades for
+    each quantity that must vanish.  The grid is checked as the float64
     powers it is solved at, so entries that round to one float are equal."""
     p_grid = [_real(p, "p_grid power") for p in p_grid]
     if not (all(map(math.isfinite, p_grid)) and all(map((0.0).__lt__, p_grid))):
@@ -630,6 +631,8 @@ def verify_asymptotics(
     ]
     tail = [r for r in rows if r.power >= p_grid[-1] / 1e3]
     monotone: dict[str, bool | None] = {
+        "lambda2_to_two": rows[-1].lambda2_err < 1e-3,
+        "root_defect_to_half_noise_sum": rows[-1].root_defect_err < 0.01 * half_noise_sum,
         "lambda2_err_decreasing": _strictly_decreasing([r.lambda2_err for r in tail]),
         "lambda1_scaled_vanishing": _strictly_decreasing([abs(r.lambda1_scaled) for r in tail]),
         "root_defect_err_decreasing": _strictly_decreasing([r.root_defect_err for r in tail]),

@@ -218,6 +218,21 @@ def test_verify_default_grid_all_checks_pass(capsys):
     assert all(v.endswith("=PASS") for v in verdicts)
 
 
+def test_verify_prints_the_report_verdicts_in_order_failing_ones_too(capsys):
+    # A grid that stops at P = 10 is far from the high-power limit: both
+    # tolerance verdicts and both anti-correlated trend verdicts fail there.
+    code, out, _ = run_cli(capsys, "verify", "--p-start", "1e-3", "--p-stop", "10")
+    assert code == 0
+    printed = [l for l in out.splitlines() if l.startswith("# verdict.")]
+    grid = gbflab.analysis.power_grid(1e-3, 10.0, 4)
+    report = gbflab.verify_asymptotics(gbflab.NoiseSpec(1.0, 1.0, -1.0), grid)
+    status = {True: "PASS", False: "FAIL", None: "NA"}
+    assert printed == [f"# verdict.{k}={status[v]}" for k, v in report.monotone.items()]
+    assert [l.rsplit("=", 1)[1] for l in printed] == [
+        "FAIL", "FAIL", "PASS", "PASS", "PASS", "FAIL", "FAIL"
+    ]
+
+
 def test_verify_eq35_column_value(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p-start", "1e2", "--p-stop", "1e6")
     header, rows = parse_csv(out)
@@ -583,6 +598,26 @@ def test_import_leaves_unneeded_modules_unloaded():
     code = f"import sys, gbflab, gbflab.cli; print(sorted({unneeded} & set(sys.modules)))"
     done = run_python("-c", code)
     assert (done.returncode, done.stdout) == (0, b"[]\n")
+
+
+TRACER_PATCHES = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+missing = [f"{m.__name__}.{a}" for m, a, _ in tracing.PATCHES if not hasattr(m, a)]
+print(len(tracing.PATCHES), missing)
+"""
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench's tracer replaces these names in a traced run; deleting or
+    # renaming one of them breaks that run.
+    tracing = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+    done = run_python("-c", TRACER_PATCHES, tracing)
+    assert done.returncode == 0, done.stderr
+    count, missing = done.stdout.decode().split(" ", 1)
+    assert int(count) > 0 and missing == "[]\n"
 
 
 SUBCOMMANDS_IN_ONE_PROCESS = """

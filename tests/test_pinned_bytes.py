@@ -408,6 +408,8 @@ def reference_verify(noise, p_grid, delta, eps):
         return all(b < a for a, b in zip(values, values[1:]))
 
     return rows, {
+        "lambda2_to_two": rows[-1][2] < 1e-3,
+        "root_defect_to_half_noise_sum": rows[-1][5] < 0.01 * (0.5 * (s1 * s1 + s2 * s2)),
         "lambda2_err_decreasing": decreasing(2),
         "lambda1_scaled_vanishing": decreasing(3, mag=True),
         "root_defect_err_decreasing": decreasing(5),
