@@ -54,7 +54,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +98,8 @@ _SCHEDULE_CACHE_SIZE = 16  # configurations whose schedules a process keeps
 @dataclass(frozen=True)
 class MessageConfig:
     """Block length and per-user rates in bits per channel use, the rates
-    stored as Python floats."""
+    stored as Python floats; ``levels1``, ``levels2``, ``var_theta1`` and
+    ``var_theta2`` are derived when it is built, as attributes, not fields."""
 
     n: int
     rate1: float
@@ -111,27 +112,14 @@ class MessageConfig:
         except OverflowError:
             raise ParameterError("block length beyond float range; not supported") from None
         _store_floats(self, "rate1", "rate2")
-        for name, rate in (("rate1", self.rate1), ("rate2", self.rate2)):
+        for v, rate in ((1, self.rate1), (2, self.rate2)):
             if not (rate >= 0.0 and math.isfinite(rate)):
-                raise ParameterError(f"{name} must be a nonnegative finite real, got {rate}")
+                raise ParameterError(f"rate{v} must be a nonnegative finite real, got {rate}")
             if self.n * rate > 512.0:
-                raise ParameterError(f"{name} gives an alphabet beyond 2**512; not supported")
-
-    @cached_property
-    def levels1(self) -> int:
-        return level_count(self.n, self.rate1)
-
-    @cached_property
-    def levels2(self) -> int:
-        return level_count(self.n, self.rate2)
-
-    @cached_property
-    def var_theta1(self) -> float:
-        return message_point_variance(self.levels1)
-
-    @cached_property
-    def var_theta2(self) -> float:
-        return message_point_variance(self.levels2)
+                raise ParameterError(f"rate{v} gives an alphabet beyond 2**512; not supported")
+            levels = level_count(self.n, rate)
+            object.__setattr__(self, f"levels{v}", levels)
+            object.__setattr__(self, f"var_theta{v}", message_point_variance(levels))
 
 
 def level_count(n: int, rate: float) -> int:
@@ -202,9 +190,9 @@ class CoefficientSchedule(NamedTuple):
     gain2, c1, c2)`` of feedback step k for k = 3..n as Python floats, formed
     from the moments at k-1: the encoder's weights psi / sqrt(alpha1) and
     psi gamma sign(rho) / sqrt(alpha2) of the two errors, then the receivers'
-    LMMSE coefficients, so the coding loop does no arithmetic on the moments
-    and reads nothing else of the schedule.  ``params`` is the channel the
-    schedule was built for.
+    LMMSE coefficients, so the coding loop does no arithmetic on the moments.
+    ``params`` is the channel the schedule was built for, the one the coding
+    loop runs on.
     """
 
     params: ChannelParams
@@ -235,7 +223,10 @@ def lmmse_coefficient_schedule(
     n = _integer(n, "block length", 3)
     var_theta1, var_theta2 = _real(var_theta1, "var_theta1"), _real(var_theta2, "var_theta2")
     if not (var_theta1 > 0.0 and var_theta2 > 0.0):
-        raise DegenerateMessageError("message-point variances must be positive")
+        raise DegenerateMessageError(
+            "message-point variances must be positive: both users need at least "
+            "two message points (n * rate must give an alphabet of size >= 2)"
+        )
     p = params.power
     s1, s2 = params.noise.sigma1, params.noise.sigma2
     g = gamma(params.noise)
@@ -285,10 +276,11 @@ def _checked_schedule(
     fed_back_receiver: int,
     schedule: CoefficientSchedule | None = None,
 ) -> CoefficientSchedule:
-    """Reject inputs the coding loop cannot run, a given ``schedule`` that is
-    not a ``CoefficientSchedule`` keyed by ``params``, an integer n >= config.n
-    and the config's variances among them, then return the shared schedule
-    of ``config``: nothing else of a given schedule is read."""
+    """Reject inputs the coding loop cannot run, then return the shared
+    schedule of ``config``, whose build rejects a single-point alphabet.  A
+    given ``schedule`` must be a ``CoefficientSchedule`` keyed by ``params``,
+    an integer n >= config.n and the config's variances: nothing else of it
+    is read."""
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "limited":
@@ -297,12 +289,8 @@ def _checked_schedule(
                 "limited feedback needs |rho_z| = 1 to reconstruct the unobserved output"
             )
         _integer(fed_back_receiver, "fed_back_receiver", 1, 2)
-    if config.levels1 < 2 or config.levels2 < 2:
-        raise DegenerateMessageError(
-            "both users need at least two message points (n * rate must give "
-            "an alphabet of size >= 2)"
-        )
     var1, var2 = config.var_theta1, config.var_theta2
+    shared = _shared_schedule(params, config.n, var1, var2)
     if schedule is not None:
         if not isinstance(schedule, CoefficientSchedule):
             raise ParameterError(f"schedule is a {type(schedule).__name__}, not a schedule")
@@ -313,7 +301,7 @@ def _checked_schedule(
                 f"schedule is built for {schedule.params} and message-point variances "
                 f"{built[1:]}, not for {params} and {(var1, var2)}"
             )
-    return _shared_schedule(params, config.n, var1, var2)
+    return shared
 
 
 @lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
@@ -325,7 +313,8 @@ def _shared_schedule(params: ChannelParams, n: int, var1: float, var2: float):
     key field is canonical: ``ChannelParams`` stores Python floats, n is an
     int and the variances are the Python floats of ``message_point_variance``.
     Equal keys therefore build equal bits; rho_z = -0.0 and 0.0 do too, as
-    rho_z enters the schedule only through s1 s2 + P rho_z.
+    rho_z enters the schedule only through s1 s2 + P rho_z, and the noise the
+    coding loop draws on the schedule's ``params`` only through rho_z u + v.
     ``lmmse_coefficient_schedule`` itself is not cached: each of its calls
     builds a schedule of its own.  A build that raises caches nothing, so it
     raises again on the next call."""
@@ -345,7 +334,6 @@ def _step_block(n: int, size: int) -> int:
 
 def _coding_loop(
     config: MessageConfig,
-    params: ChannelParams,
     schedule: CoefficientSchedule,
     gen: np.random.Generator,
     m1,
@@ -353,21 +341,21 @@ def _coding_loop(
     size: int | None,
 ):
     """Yield ``(x, t1, t2, eps1, eps2)`` for each channel use t = 1..n of the
-    blocks carrying messages (m1, m2), reading only the variances and n - 2
-    ``steps`` of ``schedule``, the one of ``config``: the input, its two
-    summands (what each interference-mode transmitter emits) and the
-    receivers' errors after output t (+0.0 for a silent summand and for the
-    errors at t = 1).  With
-    ``size=None`` the messages are ints and every value is a Python float,
-    and the noise of all n uses comes from one sampler call.  Otherwise the
-    messages are arrays of ``size`` blocks, each value an array of them, and
-    one call draws the noise of a step block of ``_step_block(n, size)`` uses.
+    blocks carrying messages (m1, m2), reading only the channel ``params``,
+    the variances and n - 2 ``steps`` of ``schedule``, the one of ``config``:
+    the input, its two summands (what each interference-mode transmitter
+    emits) and the receivers' errors after output t (+0.0 for a silent
+    summand and for the errors at t = 1).  With ``size=None`` the messages
+    are ints and every value is a Python float, and the noise of all n uses
+    comes from one sampler call.  Otherwise the messages are arrays of
+    ``size`` blocks, each value an array of them, and one call draws the
+    noise of a step block of ``_step_block(n, size)`` uses.
 
     The encoder works on the receivers' own errors in every mode.  With
     limited feedback it sees one receiver's output, hence that receiver's
     noise, and |rho_z| = 1 makes the other noise an exact scaling of it: the
     encoder knows both errors, so the mode runs the broadcast scheme."""
-    noise, p = params.noise, params.power
+    noise, p = schedule.params.noise, schedule.params.power
     var1, var2 = schedule.var_theta1, schedule.var_theta2
     n = config.n
     if size is None:
@@ -456,7 +444,7 @@ def _run_trial(
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1)
     m2 = _draw_messages(gen, config.levels2)
-    steps = _coding_loop(config, params, schedule, gen, m1, m2, None)
+    steps = _coding_loop(config, schedule, gen, m1, m2, None)
     inputs, tx1, tx2, eps1, eps2 = zip(*steps)
     decoded1 = _decode_from_error(eps1[-1], m1, config.levels1)
     decoded2 = _decode_from_error(eps2[-1], m2, config.levels2)
@@ -605,7 +593,6 @@ def _stacked(rows) -> np.ndarray:
 
 def _chunk_sums(
     config: MessageConfig,
-    params: ChannelParams,
     schedule: CoefficientSchedule,
     mode: str,
     rng: RngSpec,
@@ -630,7 +617,7 @@ def _chunk_sums(
     gen = make_generator(rng)
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
-    steps = _coding_loop(config, params, schedule, gen, m1, m2, size)
+    steps = _coding_loop(config, schedule, gen, m1, m2, size)
     # Decoding needs only whether each message is an end of its grid.
     edges1 = m1 == 1, m1 == config.levels1
     edges2 = m2 == 1, m2 == config.levels2
@@ -735,7 +722,7 @@ def run_broadcast_campaign(
     schedule = _checked_schedule(config, params, mode, fed_back_receiver)
     n = config.n
     chunks = _map_chunks(
-        lambda c, size: _chunk_sums(config, params, schedule, mode, RngSpec(master_seed, c), size),
+        lambda c, size: _chunk_sums(config, schedule, mode, RngSpec(master_seed, c), size),
         _chunk_sizes(trials),
     )
     # Summed in chunk-index order, whatever order the chunks ran in.

@@ -1051,6 +1051,32 @@ def test_classifier_validation():
         prelog_classify(bad)
 
 
+@pytest.mark.parametrize("asymmetry, accepted", [(1e-13, True), (1e-6, False)])
+def test_classifier_symmetry_tolerance(asymmetry, accepted):
+    # Rounding-level asymmetry passes; a visible one is rejected.  Only the
+    # verdict is checked, not the class.
+    m = np.array([[1.0, 0.5], [0.5 + asymmetry, 1.0]])
+    if accepted:
+        prelog_classify(m)
+    else:
+        with pytest.raises(ParameterError, match="must be symmetric"):
+            prelog_classify(m)
+
+
+@pytest.mark.parametrize("delta, accepted", [(5e-11, True), (5e-8, False)])
+def test_classifier_psd_tolerance(delta, accepted):
+    # Off-diagonal entries -1/2 - delta give the smallest eigenvalue -2 delta:
+    # -1e-10 lies within the tolerance, -1e-7 beyond it.
+    c = -0.5 - delta
+    m = np.array([[1.0, c, c], [c, 1.0, c], [c, c, 1.0]])
+    assert float(np.min(np.linalg.eigvalsh(m))) == pytest.approx(-2.0 * delta, rel=1e-4)
+    if accepted:
+        prelog_classify(m)
+    else:
+        with pytest.raises(ParameterError, match="not PSD"):
+            prelog_classify(m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
 def test_classifier_total_on_random_psd_inputs(k, seed):
@@ -1132,7 +1158,8 @@ def test_classifier_total_on_random_psd_inputs(k, seed):
         (lambda: lmmse_coefficient_schedule(params_of(10.0), "20", 0.08, 0.08), ParameterError,
          "block length must be an integer >= 3, got '20'"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, 0.08, 0.0),
-         DegenerateMessageError, "message-point variances must be positive"),
+         DegenerateMessageError, "message-point variances must be positive: both users need "
+         "at least two message points (n * rate must give an alphabet of size >= 2)"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, "0.08", 0.08), ParameterError,
          "var_theta1 must be a real number, got '0.08'"),
         (lambda: lmmse_coefficient_schedule(params_of(10.0), 5, 0.08, True), ParameterError,

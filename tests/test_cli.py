@@ -210,6 +210,15 @@ def test_simulate_limited_requires_degenerate_noise(capsys):
     assert "rho_z" in err
 
 
+def test_simulate_single_point_alphabet_exits_2(capsys):
+    # --rate1 0 gives user 1 one message point: its variance is zero, and the
+    # message says what to change.
+    code, out, err = run_cli(capsys, "simulate", "--rate1", "0", "--trials", "100")
+    assert code == 2 and out == ""
+    assert "message-point variances must be positive" in err
+    assert "at least two message points" in err and "alphabet of size >= 2" in err
+
+
 def test_verify_default_grid_all_checks_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

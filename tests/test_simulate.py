@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import sys
 import threading
 import time
@@ -72,7 +73,7 @@ def dedicated_inputs(power, n, rate):
     schedule = lmmse_coefficient_schedule(params, n, var, var)
     m = np.arange(1, levels + 1)
     gen = make_generator(RngSpec(0, 0))
-    steps = _coding_loop(config, params, schedule, gen, m, m, levels)
+    steps = _coding_loop(config, schedule, gen, m, m, levels)
     return levels, next(steps), next(steps)
 
 
@@ -150,7 +151,7 @@ def test_encode_step_examples():
     schedule = lmmse_coefficient_schedule(params, config.n, var, var)
     m = np.arange(1, 101) % config.levels1 + 1
     gen = make_generator(RngSpec(3, 0))
-    steps = list(_coding_loop(config, params, schedule, gen, m, m, 100))
+    steps = list(_coding_loop(config, schedule, gen, m, m, 100))
     _, _, _, eps1, eps2 = steps[1]
     x = steps[2][0]
     alpha = var / 8.0
@@ -181,7 +182,7 @@ def test_receiver_update_orthogonality_monte_carlo():
     size = 100_000
     m = np.ones(size, dtype=np.int64)
     gen = make_generator(RngSpec(4242, 0))
-    steps = list(_coding_loop(config, params, schedule, gen, m, m, size))
+    steps = list(_coding_loop(config, schedule, gen, m, m, size))
     twin = make_generator(RngSpec(4242, 0))
     sample_noise_pair(params.noise, twin, size)
     sample_noise_pair(params.noise, twin, size)
@@ -356,8 +357,7 @@ def test_coding_loop_reads_only_the_schedules_steps():
     for size in (None, 50):
         m = 1 if size is None else np.arange(1, size + 1)
         want, got = (
-            np.array(list(_coding_loop(config, HEADLINE, s, make_generator(RngSpec(3, 3)),
-                                       m, m, size)))
+            np.array(list(_coding_loop(config, s, make_generator(RngSpec(3, 3)), m, m, size)))
             for s in (schedule, bare)
         )
         assert want.shape[0] == 12 and got.tobytes() == want.tobytes()
@@ -704,10 +704,10 @@ def _impulse_errors(params, n, mode):
     identity = np.eye(normals)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(simulate, "make_generator", lambda rng: _Impulses(identity))
-        sums, _ = simulate._chunk_sums(config, params, schedule, mode, RngSpec(0), normals)
+        sums, _ = simulate._chunk_sums(config, schedule, mode, RngSpec(0), normals)
     trial = np.zeros((3, n - 1))
     for j in range(normals):
-        steps = _coding_loop(config, params, schedule, _Impulses(identity[j]), 1, 1, None)
+        steps = _coding_loop(config, schedule, _Impulses(identity[j]), 1, 1, None)
         _, _, _, eps1, eps2 = (np.array(v[1:]) for v in zip(*steps))
         trial += eps1 * eps1, eps2 * eps2, eps1 * eps2
     alpha1, alpha2, rho = schedule.alpha1, schedule.alpha2, schedule.rho
@@ -1004,7 +1004,7 @@ def test_multi_chunk_campaign_pools_its_chunk_streams():
             gen = make_generator(RngSpec(seed, c))
             m1 = _draw_messages(gen, config.levels1, size)
             m2 = _draw_messages(gen, config.levels2, size)
-            steps = list(_coding_loop(config, params, schedule, gen, m1, m2, size))
+            steps = list(_coding_loop(config, schedule, gen, m1, m2, size))
             eps1, eps2 = steps[-1][3], steps[-1][4]
             ok1 = _decoded_correctly(eps1, m1 == 1, m1 == config.levels1, config.levels1)
             ok2 = _decoded_correctly(eps2, m2 == 1, m2 == config.levels2, config.levels2)
@@ -1052,7 +1052,7 @@ def test_campaign_chunks_are_balanced():
         assert np.all(np.isfinite(getattr(summary, field))), field
 
 
-def _per_step_chunk_sums(config, params, schedule, mode, rng, size):
+def _per_step_chunk_sums(config, schedule, mode, rng, size):
     """The sums and decode errors of one chunk as they were formed before
     step blocks: the coding loop draws each use's noise in its own call
     (step blocks of one use), and each use is reduced as it arrives, one 1-D
@@ -1062,7 +1062,7 @@ def _per_step_chunk_sums(config, params, schedule, mode, rng, size):
     m1 = _draw_messages(gen, config.levels1, size)
     m2 = _draw_messages(gen, config.levels2, size)
     sums = np.zeros((8, config.n))
-    steps = _coding_loop(config, params, schedule, gen, m1, m2, size)
+    steps = _coding_loop(config, schedule, gen, m1, m2, size)
     for t, (x, t1, t2, eps1, eps2) in enumerate(steps):
         sums[0, t] = total(x * x)
         if mode == "interference":
@@ -1105,12 +1105,10 @@ def test_step_block_sums_equal_the_per_step_reduction_bytes(monkeypatch, size, n
         for mode in modes:
             schedule = simulate._checked_schedule(config, params, mode, 1)
             rng = RngSpec(17, 3)
-            sums, errors = simulate._chunk_sums(config, params, schedule, mode, rng, size)
+            sums, errors = simulate._chunk_sums(config, schedule, mode, rng, size)
             with monkeypatch.context() as m:
                 m.setattr(simulate, "_step_block", lambda n, size: 1)
-                ref_sums, ref_errors = _per_step_chunk_sums(
-                    config, params, schedule, mode, rng, size
-                )
+                ref_sums, ref_errors = _per_step_chunk_sums(config, schedule, mode, rng, size)
             assert sums.tobytes() == ref_sums.tobytes(), (noise, mode)
             assert errors == ref_errors, (noise, mode)
             assert np.count_nonzero(sums[1:3]) == (2 * n - 2 if mode == "interference" else 0)
@@ -1127,7 +1125,7 @@ def test_chunk_sums_reduce_the_plant_uses_like_every_other_use(size):
     zero = float.hex(0.0)  # +0.0; -0.0 is '-0x0.0p+0'
     for mode in ("interference", "broadcast"):
         schedule = simulate._checked_schedule(config, params, mode, 1)
-        sums, _ = simulate._chunk_sums(config, params, schedule, mode, RngSpec(5, 2), size)
+        sums, _ = simulate._chunk_sums(config, schedule, mode, RngSpec(5, 2), size)
         assert [float.hex(v) for v in sums[3:, 0].tolist()] == [zero] * 5, mode
         if mode == "interference":
             assert float.hex(sums[1, 0]) == float.hex(sums[0, 0]) != zero
@@ -1199,12 +1197,12 @@ def _chunks_side_by_side(monkeypatch, cpus, chunks, fail_at=None):
     barrier = threading.Barrier(workers, timeout=30)
     original = simulate._chunk_sums
 
-    def chunk_sums(config, params, schedule, mode, rng, size):
+    def chunk_sums(config, schedule, mode, rng, size):
         if rng.stream_id < workers:
             barrier.wait()
         if rng.stream_id == fail_at:
             raise UnsupportedConfigurationError(f"chunk {fail_at} failed")
-        return original(config, params, schedule, mode, rng, size)
+        return original(config, schedule, mode, rng, size)
 
     monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(simulate, "_chunk_sums", chunk_sums)
@@ -1379,6 +1377,32 @@ def test_wilson_z_is_the_normal_quantile_of_the_confidence():
     assert simulate._WILSON_Z == NormalDist().inv_cdf(0.5 + 0.5 * simulate._CONFIDENCE)
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="the lower bound is center - half, a rounding residue at 0 errors (CHANGES.md "
+    "FOUND line on simulate._wilson_interval; ROADMAP item 23)",
+)
+def test_wilson_lower_bound_is_zero_at_zero_errors():
+    # 1.084e-19 at 2,000 trials and 4.2e-22 at 10**6.
+    for trials in (2000, 10**6):
+        assert simulate._wilson_interval(0, trials)[0] == 0.0, trials
+
+
+def test_moment_z_scores_floor_the_correlation_standard_error():
+    # The floor 1e-12 on 1 - rho^2 only keeps rho = 1 finite: at
+    # 1 - rho^2 = 2e-9 the z-score is the unfloored one.
+    summary = run_broadcast_campaign(headline_config(n=10), HEADLINE, 100, 4)
+    root = math.sqrt(summary.trials)
+    near = dataclasses.replace(summary, rho=np.full_like(summary.rho, 1.0 - 1e-9))
+    want = (near.corr - near.rho) * root / (1.0 - near.rho**2)
+    assert np.allclose(near.moment_z_scores()["corr"], want, rtol=1e-12, atol=0.0)
+    one = dataclasses.replace(summary, rho=np.ones_like(summary.rho))
+    z = one.moment_z_scores()["corr"]
+    assert np.all(np.isfinite(z))
+    assert np.allclose(z, (one.corr - 1.0) * root / 1e-12, rtol=1e-12, atol=0.0)
+
+
 def test_campaign_validation():
     config = headline_config(n=10)
     with pytest.raises(ParameterError):
@@ -1405,6 +1429,26 @@ def test_message_config_validation():
         MessageConfig(n=10, rate1=-0.1, rate2=0.5)
     with pytest.raises(DegenerateMessageError):
         run_broadcast_trial(MessageConfig(n=5, rate1=0.0, rate2=0.4), HEADLINE, RngSpec(0, 0))
+
+
+def test_message_config_derives_its_alphabets_when_built():
+    # n * rate = 512 bits is the largest alphabet accepted, one ulp more is not.
+    edge = MessageConfig(512, 1.0, 1.0)
+    assert edge.levels1 == edge.levels2 == 2**512
+    with pytest.raises(ParameterError, match="^rate1 gives an alphabet beyond 2"):
+        MessageConfig(512, math.nextafter(1.0, 2.0), 1.0)
+    config = MessageConfig(20, 0.5, 0.35)
+    for levels, var, rate in ((config.levels1, config.var_theta1, 0.5),
+                              (config.levels2, config.var_theta2, 0.35)):
+        assert levels == level_count(20, rate)
+        assert var == message_point_variance(levels)
+    # The derived values are attributes, not fields.
+    assert [f.name for f in dataclasses.fields(MessageConfig)] == ["n", "rate1", "rate2"]
+    assert repr(config) == "MessageConfig(n=20, rate1=0.5, rate2=0.35)"
+    assert pickle.loads(pickle.dumps(config)).var_theta2 == config.var_theta2
+    wider = dataclasses.replace(config, rate1=1.0)
+    assert (wider.levels1, wider.var_theta1) == (2**20, message_point_variance(2**20))
+    assert (wider.levels2, wider.var_theta2) == (config.levels2, config.var_theta2)
 
 
 def test_message_config_rejects_a_block_length_beyond_float_range():
@@ -1448,7 +1492,7 @@ def test_message_point_variances_are_python_floats_cached_by_the_config(monkeypa
     assert (config.var_theta1, config.var_theta2) == (
         message_point_variance(config.levels1), message_point_variance(config.levels2)
     )
-    # Trials read the variances the config cached and compute none of their own.
+    # Trials read the variances the config stored when built and compute none.
     calls = []
     monkeypatch.setattr(simulate, "message_point_variance", calls.append)
     for seed in range(3):
