@@ -34,6 +34,10 @@ HEADLINE_NOISE = NoiseSpec(1.0, 1.0, -1.0)
 HEADLINE_PARAMS = ChannelParams(100.0, HEADLINE_NOISE)
 
 
+# Derives its rates from achievable_rates.  Every criterion calls it at
+# HEADLINE_PARAMS' equal sigmas, where the rate formula is the scheme's.
+# Criterion 10, decoding at 70% of the rate, is about the rate itself;
+# criteria 7 to 9 compare moments or paths at whatever rates it gives.
 def headline_rates(params, fraction):
     fp = solve_fixed_point(params)
     rp = achievable_rates(params, fp.rho_star, gap=fp.gap)

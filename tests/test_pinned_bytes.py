@@ -5,6 +5,13 @@ Each case hashes every field of the result (array dtype, shape and bytes;
 ``repr`` of any other value) into one sha256 and compares it with a fixed
 digest, so a speed-up that moves any bit of any field shows here.
 
+The simulator cases take their inputs as literals, their rates included, so
+their digests pin the simulator and nothing that computes those inputs: a
+change to the rate formula moves only the digests and references whose
+subject is the rates.  A change that moves a digest on purpose re-pins it
+in a commit of its own, and CHANGES.md names each moved digest and why it
+moved.
+
 Every digest was made and is checked on numpy 2.4.6, CPython 3.11.7 and
 x86-64 glibc 2.36.  Layers below gbflab could move them: numpy's Philox
 words and its normal sampler, and the platform's libm (``math.log1p`` in
@@ -34,7 +41,6 @@ from gbflab import (
     run_broadcast_trial,
     run_interference_trial,
     run_limited_feedback_trial,
-    solve_fixed_point,
     sweep_rates,
     verify_asymptotics,
 )
@@ -45,11 +51,12 @@ from gbflab.analysis import _bisect_brackets, _solve_powers, power_grid
 # limited mode can run.
 PARAMS = ChannelParams(100.0, NoiseSpec(1.3, 0.7, -1.0))
 
-
-def _config(n, fraction, params=PARAMS):
-    fp = solve_fixed_point(params)
-    rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
-    return MessageConfig(n=n, rate1=fraction * rp.r1, rate2=fraction * rp.r2)
+# The simulator cases' rates (rate1, rate2) are data, not derived: 0.7, 0.9
+# and 0.95 of the rates achievable_rates gave for PARAMS when their digests
+# were made.  A change to the rate formula moves none of these digests.
+RATES_70 = (1.9131647175831907, 2.279534112534192)
+RATES_90 = (2.4597832083212454, 2.9308295732582472)
+RATES_95 = (2.5964378310057588, 3.0936534384392607)
 
 
 def field_names(record):
@@ -73,43 +80,45 @@ def _digest(obj, fields=None):
     return h.hexdigest()
 
 
-# (mode, trials, n, rate fraction, master seed): 100 trials are one chunk;
+# (mode, trials, n, rate1, rate2, master seed): 100 trials are one chunk;
 # 65,537 are two, run on two threads.
 CAMPAIGNS = {
-    ("broadcast", 100, 20, 0.9, 11):
+    ("broadcast", 100, 20, *RATES_90, 11):
         "09cd1efe0b178fd060f756d9ebb7356afdc08f5af93c8eacdab861eef137b18c",
-    ("interference", 100, 20, 0.9, 11):
+    ("interference", 100, 20, *RATES_90, 11):
         "18a52006ea41aa250ffb669dbd37f9c475ba6cb776b94b9638499e31bf8c12d7",
-    ("limited", 100, 20, 0.9, 11):
+    ("limited", 100, 20, *RATES_90, 11):
         "b43584c92c67ec3855e788651de8fab8268a185b27f44d85e435a2a5f5e66f79",
-    ("broadcast", 65_537, 6, 0.9, 12):
+    ("broadcast", 65_537, 6, *RATES_90, 12):
         "3dfd56357cc06b0977df376353fb33af03932d79df011000d9b83548ea1e4fb6",
-    ("interference", 65_537, 6, 0.9, 12):
+    ("interference", 65_537, 6, *RATES_90, 12):
         "9c70b4f7560e9095efdd91990d377e217239674209836dee3d583b197de6eebd",
-    ("limited", 65_537, 6, 0.9, 12):
+    ("limited", 65_537, 6, *RATES_90, 12):
         "f32589620d813b85e41103c3c244ef4d325845ce794c4c13495cb2c4c9aef9cd",
 }
 
 
 @pytest.mark.parametrize("case", list(CAMPAIGNS), ids=str)
 def test_campaign_summary_bytes_are_pinned(monkeypatch, case):
-    mode, trials, n, fraction, seed = case
+    mode, trials, n, rate1, rate2, seed = case
     monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
-    summary = run_broadcast_campaign(_config(n, fraction), PARAMS, trials, seed, mode=mode)
+    summary = run_broadcast_campaign(
+        MessageConfig(n, rate1, rate2), PARAMS, trials, seed, mode=mode
+    )
     assert len(simulate._chunk_sizes(trials)) == (1 if trials == 100 else 2)
     assert _digest(summary) == CAMPAIGNS[case]
 
 
 def test_numpy_block_length_gives_the_campaign_of_its_int():
     # MessageConfig stores an np.int64 block length as a Python int.
-    summary = run_broadcast_campaign(_config(np.int64(20), 0.9), PARAMS, 100, 11)
-    assert _digest(summary) == CAMPAIGNS[("broadcast", 100, 20, 0.9, 11)]
+    summary = run_broadcast_campaign(MessageConfig(np.int64(20), *RATES_90), PARAMS, 100, 11)
+    assert _digest(summary) == CAMPAIGNS[("broadcast", 100, 20, *RATES_90, 11)]
 
 
 def test_numpy_integer_arguments_are_stored_as_python_ints():
     # A record's digest hashes the repr of each scalar field, so a numpy
     # integer kept as given (np.int64(200), not 200) changes it.
-    config, var = _config(20, 0.9), message_point_variance(2**40)
+    config, var = MessageConfig(20, *RATES_90), message_point_variance(2**40)
     calls = [
         lambda i: run_broadcast_campaign(config, PARAMS, i(200), 11),
         lambda i: lmmse_coefficient_schedule(PARAMS, i(20), var, var),
@@ -131,14 +140,20 @@ TRIAL_ENTRIES = {
     "limited": run_limited_feedback_trial,
 }
 
-# (mode, n, rate fraction): n = 40 gives alphabets beyond 2**62 points.
+# (mode, n, rate1, rate2): n = 40 gives alphabets beyond 2**62 points.
 TRIALS = {
-    ("broadcast", 20, 0.7): "60a0c5c665c0df215898e1f3da026848743ab117b6b939f4065ff355e8e5488f",
-    ("interference", 20, 0.7): "48ddfc68c53f019e2d65b13b0a28f2fd9691340c87c562ea178873c9703b1564",
-    ("limited", 20, 0.7): "60a0c5c665c0df215898e1f3da026848743ab117b6b939f4065ff355e8e5488f",
-    ("broadcast", 40, 0.95): "b91112739313fcb79db0b64248dfd4c74b1351782e9e787fa2c3720dac223b13",
-    ("interference", 40, 0.95): "32a914eb36cc02842e8931dd6b3e75834d2137b27b86f5295741d8f0c44c392d",
-    ("limited", 40, 0.95): "b91112739313fcb79db0b64248dfd4c74b1351782e9e787fa2c3720dac223b13",
+    ("broadcast", 20, *RATES_70):
+        "60a0c5c665c0df215898e1f3da026848743ab117b6b939f4065ff355e8e5488f",
+    ("interference", 20, *RATES_70):
+        "48ddfc68c53f019e2d65b13b0a28f2fd9691340c87c562ea178873c9703b1564",
+    ("limited", 20, *RATES_70):
+        "60a0c5c665c0df215898e1f3da026848743ab117b6b939f4065ff355e8e5488f",
+    ("broadcast", 40, *RATES_95):
+        "b91112739313fcb79db0b64248dfd4c74b1351782e9e787fa2c3720dac223b13",
+    ("interference", 40, *RATES_95):
+        "32a914eb36cc02842e8931dd6b3e75834d2137b27b86f5295741d8f0c44c392d",
+    ("limited", 40, *RATES_95):
+        "b91112739313fcb79db0b64248dfd4c74b1351782e9e787fa2c3720dac223b13",
 }
 
 
@@ -152,30 +167,32 @@ def _trials_digest(mode, config, params):
 
 @pytest.mark.parametrize("case", list(TRIALS), ids=str)
 def test_trial_record_bytes_are_pinned(case):
-    mode, n, fraction = case
-    assert _trials_digest(mode, _config(n, fraction), PARAMS) == TRIALS[case]
+    mode, n, rate1, rate2 = case
+    assert _trials_digest(mode, MessageConfig(n, rate1, rate2), PARAMS) == TRIALS[case]
 
 
-# (mode, sigma1, sigma2, rho_z, n, rate fraction) at P = 100: noises with
+# (mode, sigma1, sigma2, rho_z, n, rate1, rate2) at P = 100: noises with
 # |rho_z| < 1 draw two normals per channel use, so these pin the pair layout
-# of the draw as well as its order.
+# of the draw as well as its order.  The rates are 0.7 and 0.95 of those
+# achievable_rates gave for each noise when the digests were made.
 NON_DEGENERATE_TRIALS = {
-    ("broadcast", 1.0, 2.0, 0.3, 20, 0.7):
+    ("broadcast", 1.0, 2.0, 0.3, 20, 1.1005083574293753, 0.9975401942870535):
         "5738ae80a4c7ae92ac5a31846ad62146a5d5bdbebd076b35374e25f9cc336cb6",
-    ("interference", 1.0, 2.0, 0.3, 20, 0.7):
+    ("interference", 1.0, 2.0, 0.3, 20, 1.1005083574293753, 0.9975401942870535):
         "b009ec2e4c0ea6d2200a65d087dc70841db7dbfa1fe71733cf5d7a910d997347",
-    ("broadcast", 1.3, 0.7, 0.0, 40, 0.95):
+    ("broadcast", 1.3, 0.7, 0.0, 40, 1.735556007526154, 1.8376061391413712):
         "f981f7910d226e191d7588ea009273a9b3b46c7f66e470abe4d79325f26abe2c",
-    ("interference", 1.3, 0.7, 0.0, 40, 0.95):
+    ("interference", 1.3, 0.7, 0.0, 40, 1.735556007526154, 1.8376061391413712):
         "ba282d8dc6342c5bc82a4feb8e77461ad3936b11765ab6a61b77eb98e9383e25",
 }
 
 
 @pytest.mark.parametrize("case", list(NON_DEGENERATE_TRIALS), ids=str)
 def test_non_degenerate_trial_record_bytes_are_pinned(case):
-    mode, s1, s2, rz, n, fraction = case
+    mode, s1, s2, rz, n, rate1, rate2 = case
     params = ChannelParams(100.0, NoiseSpec(s1, s2, rz))
-    assert _trials_digest(mode, _config(n, fraction, params), params) == NON_DEGENERATE_TRIALS[case]
+    config = MessageConfig(n, rate1, rate2)
+    assert _trials_digest(mode, config, params) == NON_DEGENERATE_TRIALS[case]
 
 
 # (power, sigma1, sigma2, rho_z, n, levels1, levels2)
@@ -256,8 +273,8 @@ def test_another_normal_sampler_moves_the_normal_layer_and_not_the_raw_words(mon
     assert _layer_digest("random_raw") == RNG_LAYERS["random_raw"][1]
     assert _layer_digest("standard_normal") != RNG_LAYERS["standard_normal"][1]
     # The trials downstream of the normals move with them.
-    case = ("broadcast", 20, 0.7)
-    assert _trials_digest(case[0], _config(*case[1:]), PARAMS) != TRIALS[case]
+    case = ("broadcast", 20, *RATES_70)
+    assert _trials_digest(case[0], MessageConfig(*case[1:]), PARAMS) != TRIALS[case]
 
 
 # The libm functions the rows call, over exact dyadic arguments that no

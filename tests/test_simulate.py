@@ -47,6 +47,11 @@ from test_pinned_bytes import _digest, field_names
 HEADLINE = ChannelParams(100.0, NoiseSpec(1.0, 1.0, -1.0))
 
 
+# Derives its rates from achievable_rates, unlike the pinned cases of
+# test_pinned_bytes.py.  It runs at HEADLINE's equal sigmas, where the rate
+# formula is the scheme's; the tests that pass unequal-sigma params compare
+# two paths or bound a working set at whatever rates it gives, so a new rate
+# formula moves none of their assertions.
 def headline_config(n=20, fraction=0.7, params=HEADLINE):
     fp = solve_fixed_point(params)
     rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
