@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,9 @@ import pytest
 import gbflab
 import gbflab.cli
 from gbflab.cli import build_parser, main
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -477,6 +481,8 @@ def test_analyze_matches_sweep_row(capsys):
 # stdout of the subcommands at their defaults, pinned byte for byte: a change
 # to the solver or the campaign that moves any printed digit shows here.  These
 # and the digests below were made on the stack named in test_pinned_bytes.py.
+# Each invocation's stdout is also committed as text under tests/golden/, so
+# a mismatch shows the lines that moved; the file must hash to the digest.
 GOLDEN_STDOUT_SHA256 = {
     ("analyze",): "31fcbb839cb6d91b391953a657a767b5b6ec79b5be0dbcf8467c72b5c80a52fb",
     ("sweep",): "9ff2348a612cdf9444bdff3d8f2705c8325b89647468aec09e08d6e12004d62c",
@@ -489,11 +495,21 @@ GOLDEN_STDOUT_SHA256 = {
 }
 
 
+def golden_text(argv, digest):
+    """The committed stdout of ``gbflab *argv``, read without newline
+    translation, after checking that it hashes to its pinned digest."""
+    name = "-".join(arg.lstrip("-") for arg in argv) + ".txt"
+    with open(GOLDEN / name, encoding="utf-8", newline="") as f:
+        text = f.read()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+    return text
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
 def test_default_stdout_bytes_are_unchanged(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+    assert out == golden_text(argv, GOLDEN_STDOUT_SHA256[argv])
 
 
 # stdout of invocations whose solves start far from [0, 1/2]: a grid down to
@@ -512,7 +528,7 @@ SOLVER_STDOUT_SHA256 = {
 def test_solver_stdout_bytes_are_unchanged(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SOLVER_STDOUT_SHA256[argv]
+    assert out == golden_text(argv, SOLVER_STDOUT_SHA256[argv])
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
