@@ -557,9 +557,12 @@ def _wilson_interval(errors: int, trials: int):
     z = _WILSON_Z
     phat = errors / trials
     denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    shift = z * z / (2.0 * trials)
+    root = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
+    # The lower bound center - half with its numerator rationalised: it
+    # cancels nothing, is never negative and is exactly 0 at 0 errors.
+    lower = phat * phat / (phat + shift + root)
+    return lower, min(1.0, (phat + shift) / denom + root / denom)
 
 
 def _decoded_correctly(eps: np.ndarray, first: np.ndarray, last: np.ndarray, levels: int):

@@ -85,17 +85,17 @@ def _digest(obj, fields=None):
 # 65,537 are two, run on two threads.
 CAMPAIGNS = {
     ("broadcast", 100, 20, *RATES_90, 11):
-        "09cd1efe0b178fd060f756d9ebb7356afdc08f5af93c8eacdab861eef137b18c",
+        "2f4e6434e88d41c19a6e0def7b1d62a9d86fe138398f44d48c63f82529fa0a5a",
     ("interference", 100, 20, *RATES_90, 11):
-        "18a52006ea41aa250ffb669dbd37f9c475ba6cb776b94b9638499e31bf8c12d7",
+        "82d442ed5dfd2ecd2d1632f133a965eba3ec57da33742daa684981b479086516",
     ("limited", 100, 20, *RATES_90, 11):
-        "b43584c92c67ec3855e788651de8fab8268a185b27f44d85e435a2a5f5e66f79",
+        "8c9e0404b1e5c1af0758eb49bea9f5cdc301fec22172d727d83347ba3ae53a24",
     ("broadcast", 65_537, 6, *RATES_90, 12):
-        "3dfd56357cc06b0977df376353fb33af03932d79df011000d9b83548ea1e4fb6",
+        "414aead1a734c39088973065bca114fc7aa07dd90519a6552db411a22bd214f1",
     ("interference", 65_537, 6, *RATES_90, 12):
-        "9c70b4f7560e9095efdd91990d377e217239674209836dee3d583b197de6eebd",
+        "90ce90c1e270b6408112ae605d39f4c3b37c240b9c2f3b896ad6d1af0a8b8116",
     ("limited", 65_537, 6, *RATES_90, 12):
-        "f32589620d813b85e41103c3c244ef4d325845ce794c4c13495cb2c4c9aef9cd",
+        "5a779be0ca6d1bcf095982266674684944500ebb07490bb338789e912be770ae",
 }
 
 

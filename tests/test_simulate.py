@@ -1382,14 +1382,9 @@ def test_wilson_z_is_the_normal_quantile_of_the_confidence():
     assert simulate._WILSON_Z == NormalDist().inv_cdf(0.5 + 0.5 * simulate._CONFIDENCE)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="the lower bound is center - half, a rounding residue at 0 errors (CHANGES.md "
-    "FOUND line on simulate._wilson_interval; ROADMAP item 23)",
-)
 def test_wilson_lower_bound_is_zero_at_zero_errors():
-    # 1.084e-19 at 2,000 trials and 4.2e-22 at 10**6.
+    # center - half, the form before, left a rounding residue here: 1.084e-19
+    # at 2,000 trials and 4.2e-22 at 10**6.
     for trials in (2000, 10**6):
         assert simulate._wilson_interval(0, trials)[0] == 0.0, trials
 
