@@ -1383,8 +1383,8 @@ def test_wilson_z_is_the_normal_quantile_of_the_confidence():
 
 
 def test_wilson_lower_bound_is_zero_at_zero_errors():
-    # center - half, the form before, left a rounding residue here: 1.084e-19
-    # at 2,000 trials and 4.2e-22 at 10**6.
+    # Formed as center - half, the bound would be a rounding residue here:
+    # 1.084e-19 at 2,000 trials and 4.2e-22 at 10**6.
     for trials in (2000, 10**6):
         assert simulate._wilson_interval(0, trials)[0] == 0.0, trials
 
