@@ -2,14 +2,12 @@
 
 ``reference_solve`` is that scalar solver, kept here as a test oracle: one
 1,025-point scan per power on Python-float coefficients, then one scalar
-bisection per bracket, then its recursion screen, which rejected a root
-whose | |rho_recursion(rho)| - rho | exceeded 1e-6.  The grid solver has no
-such screen.  Where the reference returns a ``FixedPoint``, the grid solver
-must give the same fields bit for bit; where it raises its cubic-residual
-error, the grid solver must raise it with the same message.  Where only the
-screen rejected the root (at high power, once g < 2^-53 rounds rho* to 1 and
-the recursion is evaluated at 1), that solver was wrong, and the grid
-solver's gap must match the mpmath oracle instead.
+bisection per bracket, each root in its smaller variable, and the smallest
+gap among them.  The cubic has one root in [0, 1], so there is nothing to
+screen out.  Where the reference returns a ``FixedPoint``, the grid solver
+and ``solve_fixed_point`` must give the same fields bit for bit; where it
+raises its cubic-residual error, the grid solver must raise it with the
+same message.
 """
 
 import math
@@ -30,13 +28,9 @@ from gbflab import (
     verify_asymptotics,
 )
 from gbflab.analysis import _solve_powers, _solved_grid, power_grid
-from test_analysis import cubic_forms, mpmath_fixed_point
+from test_analysis import cubic_forms
 
 _FLOAT_MIN = 2.0**-1022  # the smallest normal float
-
-# The reference's screen: a root was accepted only if one application of the
-# correlation recursion returned to it (in magnitude) within this residual.
-SCREEN_ACCEPT = 1e-6
 
 # ---------------------------------------------------------------------------
 # reference: the scalar solver, one power at a time
@@ -61,23 +55,6 @@ def _ref_coeffs(p, noise):
     sq = s11 + 2.0 * s12 + s22
     lambda0 = -(sq / p) * ((1.0 + rz) - rz * defect) - s12 * sq / (p * spp)
     return (a, b, c), (lambda0, lambda1, lambda2)
-
-
-def _ref_recursion(rho, p, noise):
-    s1, s2, rz = noise.sigma1, noise.sigma2, noise.rho_z
-    rho = np.asarray(rho, dtype=float)
-    ar = np.abs(rho)
-    sg = np.where(rho >= 0.0, 1.0, -1.0)
-    s11, s22, s12 = s1 * s1, s2 * s2, s1 * s2
-    pi1, pi2 = p + s11, p + s22
-    spp = math.sqrt(pi1) * math.sqrt(pi2)
-    b_noise = s11 + s22 + 2.0 * s12 * ar
-    omr2 = (1.0 - ar) * (1.0 + ar)
-    q = p * omr2 + b_noise
-    tau = s12 * (s12 + p * rz) / (pi1 * pi2)
-    w0 = (s1 + s2 * ar) * (s2 + s1 * ar)
-    core = sg * (w0 * tau - s12 * omr2)
-    return float(spp / (q * s12) * core)
 
 
 def _ref_bisect(f, lo, hi):
@@ -123,14 +100,8 @@ def reference_solve(p, noise, tol=1e-10):
         else:
             g = _ref_bisect(gap_form, g_lo, g_hi)
             rho = 1.0 - g
-        candidates.append((g, rho, abs(abs(_ref_recursion(rho, p, noise)) - rho)))
-    genuine = [cand for cand in candidates if cand[2] <= SCREEN_ACCEPT]
-    if not genuine:
-        raise NoFixedPointError(
-            "no root of the fixed-point cubic in [0, 1] is consistent with the "
-            f"correlation recursion (candidates (gap, rho, residual): {candidates!r})"
-        )
-    gap, rho_star, _ = min(genuine)
+        candidates.append((g, rho))
+    gap, rho_star = min(candidates)
     residual = abs(rho_form(rho_star))
     scale = 1.0 + abs(a) + abs(b) + abs(c)
     if residual > tol * scale:
@@ -159,11 +130,6 @@ _RHO_Z = st.one_of(
 _POWERS = st.lists(st.floats(-3.0, 150.0).map(lambda e: 10.0**e), min_size=1, max_size=40)
 
 
-def _screened(outcome):
-    """Whether the reference raised its screen's error, not the cubic's."""
-    return not isinstance(outcome, FixedPoint) and "consistent with the" in outcome[1]
-
-
 @settings(max_examples=80, deadline=None)
 @given(s1=_LOG_SIGMA, s2=_LOG_SIGMA, rz=_RHO_Z, powers=_POWERS)
 @example(s1=1e-3, s2=1e-3, rz=-1.0, powers=[1e2, 1e150])
@@ -177,7 +143,7 @@ def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
             _solve_powers(noise, powers)
         return
     expected = [_outcome(lambda: reference_solve(p, noise)) for p in powers]
-    cubic_errors = [e for e in expected if not isinstance(e, FixedPoint) and not _screened(e)]
+    cubic_errors = [e for e in expected if not isinstance(e, FixedPoint)]
     if cubic_errors:
         # The grid solve raises for its first failing power.
         assert _outcome(lambda: _solve_powers(noise, powers)) == cubic_errors[0]
@@ -186,10 +152,6 @@ def test_grid_solver_equals_scalar_reference_bit_for_bit(s1, s2, rz, powers):
     got = list(zip(*(v.tolist() for v in solved)))
     assert len(got) == len(expected)
     for p, fields, ref in zip(powers, got, expected):
-        if _screened(ref):
-            _, gap = mpmath_fixed_point(p, s1, s2, rz)
-            assert float(abs(fields[1] - gap) / gap) <= 1e-14, (p, s1, s2, rz)
-            continue
         assert tuple(map(float.hex, fields)) == tuple(map(float.hex, ref))
         # The one-point solve is this power's row of the grid solve.
         one_point = solve_fixed_point(ChannelParams(p, noise))
