@@ -500,34 +500,59 @@ def solve_gap(params: ChannelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rates(powers: list[float], s1: float, s2: float, gaps: list[float]) -> list[tuple]:
-    """(R1, R2, R1 + R2, pre-log ratio) at each power P and its gap
+def _rates(
+    powers: list[float], s1: float, s2: float, rhos: list[float], gaps: list[float]
+) -> list[tuple]:
+    """(R1, R2, R1 + R2, pre-log ratio) at each power P, its rho and gap
     g = 1 - rho, noise levels s1, s2: the one transcription of the rate
-    formula, whose denominators P g / 2 + sigma^2 never form 1 - rho.  One
-    loop over Python floats: numpy's log1p does not always give math's bits."""
+    formula.  R_v is the scheme's per-step decay of user v's error variance
+    at rho, -1/2 log2 of ``step_error_state``'s ratio_v, rearranged so that
+    every term is positive: with gamma = s1 / s2 and d = 1 + gamma^2 +
+    2 gamma rho, R1 = 1/2 log2(1 + P (1 + gamma rho)^2 / (gamma^2 P (1 - rho^2)
+    + s1^2 d)) and R2 = 1/2 log2(1 + P (gamma + rho)^2 / (P (1 - rho^2) +
+    s2^2 d)), where 1 - rho^2 is formed as g (2 - g).  The formula is
+    symmetric in the users, and the users are taken in the order that makes
+    gamma <= 1, so that no term leaves the float range; a quotient that
+    does (a rate above 512 bits) is taken through logs, where the 1 is below
+    its rounding.  One loop over Python floats: numpy's log1p does not
+    always give math's bits."""
+    swap = s1 > s2
+    if swap:
+        s1, s2 = s2, s1
     s11, s22 = s1 * s1, s2 * s2
+    gm = s1 / s2
+    gm2 = gm * gm
+    inf, log, log1p = math.inf, math.log, math.log1p
     out = []
-    for p, gap in zip(powers, gaps):
-        half_gap_power = 0.5 * p * gap
-        # log1p keeps full relative precision at low SNR, where the ratios
-        # (P + s^2) / (P g/2 + s^2) and 1 + P lie within rounding of 1.
-        r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s11)) / _LN2
-        r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s22)) / _LN2
+    for p, rho, gap in zip(powers, rhos, gaps):
+        p_omr2 = p * (gap * (2.0 - gap))  # P (1 - rho^2)
+        d = 1.0 + gm2 + 2.0 * gm * rho
+        u1, u2 = 1.0 + gm * rho, gm + rho
+        n1, n2 = p * (u1 * u1), p * (u2 * u2)
+        d1, d2 = gm2 * p_omr2 + s11 * d, p_omr2 + s22 * d
+        x1, x2 = n1 / d1, n2 / d2
+        # log1p keeps full relative precision at low SNR, where the variance
+        # ratios and 1 + P lie within rounding of 1.
+        r1 = 0.5 * (log1p(x1) if x1 < inf else log(n1) - log(d1)) / _LN2
+        r2 = 0.5 * (log1p(x2) if x2 < inf else log(n2) - log(d2)) / _LN2
+        if swap:
+            r1, r2 = r2, r1
         total = r1 + r2
-        out.append((r1, r2, total, total / (0.5 * math.log1p(p) / _LN2)))
+        out.append((r1, r2, total, total / (0.5 * log1p(p) / _LN2)))
     return out
 
 
 def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
     """Rate pair achievable at operating correlation rho and its gap
-    g = 1 - rho (``FixedPoint.gap``)."""
+    g = 1 - rho (``FixedPoint.gap``): the per-step decay of each user's
+    error variance there."""
     rho, gap = _real(rho, "rho"), _real(gap, "gap")
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
     if not (0.0 <= gap <= 1.0):
         raise ParameterError(f"gap must lie in [0, 1], got {gap}")
     noise = params.noise
-    return RatePoint(*_rates([params.power], noise.sigma1, noise.sigma2, [gap])[0])
+    return RatePoint(*_rates([params.power], noise.sigma1, noise.sigma2, [rho], [gap])[0])
 
 
 def single_user_bound(params: ChannelParams, receiver: int) -> float:
@@ -572,12 +597,12 @@ def sweep_rates(
     grid = power_grid(p_start, p_stop, points_per_decade)
     gap_exponent = 1.0 - delta
     (rho, gap, _), _, _ = _solved_grid(noise, tuple(grid))
-    gaps = gap.tolist()
-    rates = _rates(grid, noise.sigma1, noise.sigma2, gaps)
+    rhos, gaps = rho.tolist(), gap.tolist()
+    rates = _rates(grid, noise.sigma1, noise.sigma2, rhos, gaps)
     new = tuple.__new__  # a row without the generated __new__'s Python call
     return [
         new(SweepRow, (p, r, g, r1, r2, total, ratio, p**gap_exponent * g))
-        for p, r, g, (r1, r2, total, ratio) in zip(grid, rho.tolist(), gaps, rates)
+        for p, r, g, (r1, r2, total, ratio) in zip(grid, rhos, gaps, rates)
     ]
 
 

@@ -496,15 +496,26 @@ def mpmath_fixed_point(p, s1, s2, rz):
         return rho, 1 - rho
 
 
-def mpmath_rates(p, s1, s2, gap):
-    """R1, R2, their sum and the pre-log ratio at the float gap, to
-    ``oracle_digits``."""
+def mpmath_rates(p, s1, s2, rho, gap):
+    """R1, R2, their sum and the pre-log ratio at the solver's float root, to
+    ``oracle_digits``: -1/2 log2 of each user's per-step error-variance ratio
+    in ``step_error_state``.  The root's smaller variable is taken as exact,
+    as the solver bisects it, and the other as its complement: rho where
+    g >= 1/2, else g."""
     import mpmath as mp
 
     with mp.workdps(oracle_digits(p, s1, s2)):
-        p, s1, s2, gap = mp.mpf(p), mp.mpf(s1), mp.mpf(s2), mp.mpf(gap)
-        r1 = mp.log((p + s1 * s1) / (p * gap / 2 + s1 * s1), 2) / 2
-        r2 = mp.log((p + s2 * s2) / (p * gap / 2 + s2 * s2), 2) / 2
+        p, s1, s2 = mp.mpf(p), mp.mpf(s1), mp.mpf(s2)
+        if gap >= 0.5:
+            rho = mp.mpf(rho)
+        else:
+            rho = 1 - mp.mpf(gap)
+        g = s1 / s2
+        d = 1 + g * g + 2 * g * rho
+        omr2 = (1 - rho) * (1 + rho)
+        ratio1 = (g * g * p * omr2 + s1 * s1 * d) / (d * (p + s1 * s1))
+        ratio2 = (p * omr2 + s2 * s2 * d) / (d * (p + s2 * s2))
+        r1, r2 = -mp.log(ratio1, 2) / 2, -mp.log(ratio2, 2) / 2
         return r1, r2, r1 + r2, (r1 + r2) / (mp.log(1 + p, 2) / 2)
 
 
@@ -541,10 +552,10 @@ def test_fixed_point_matches_mpmath_oracle_over_domain():
         assert float(abs(fp.gap - gap) / gap) <= 1e-14, (p, s1, s2, rz)
         assert fp.rho_star + fp.gap == 1.0
         assert fp.residual <= 1e-14 * cubic_scale(params), (p, s1, s2, rz)
-        # The rates at the solver's own gap, against the same formula in
-        # mpmath; at low SNR the log arguments lie within P / sigma^2 of 1.
+        # The rates at the solver's own root, against the per-step decay in
+        # mpmath; at low SNR the variance ratios lie within P / sigma^2 of 1.
         rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
-        oracle = mpmath_rates(p, s1, s2, fp.gap)
+        oracle = mpmath_rates(p, s1, s2, fp.rho_star, fp.gap)
         for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), oracle):
             assert float(abs(getattr(rp, name) - value) / value) <= 1e-14, (name, p, s1, s2, rz)
 
@@ -582,7 +593,7 @@ def test_small_lambda0_corner_is_solved_to_full_precision_or_rejected():
         assert float(abs(gap[0] - want_gap) / want_gap) <= 1e-15, (p, s1, s2, rz)
         assert float(abs(rho[0] - want_rho) / want_rho) <= 1e-15, (p, s1, s2, rz)
         rp = achievable_rates(ChannelParams(p, noise), float(rho[0]), gap=float(gap[0]))
-        for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), mpmath_rates(p, s1, s2, gap[0])):
+        for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), mpmath_rates(p, s1, s2, rho[0], gap[0])):
             assert float(abs(getattr(rp, name) - value) / value) <= 1e-14, (name, p, s1, s2, rz)
     # Both halves hold inputs of both kinds.
     assert 0 < sum(outcomes[:40]) < 40 and 0 < sum(outcomes[40:]) < 40
@@ -633,34 +644,50 @@ def test_rates_headline_value():
     assert rp.prelog_ratio == pytest.approx(rp.sum / (0.5 * math.log2(11.0)), rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "sigmas",
-    [
-        (1.0, 1.0),
-        pytest.param(
-            (1.0, 2.0),
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason=(
-                    "Known defect: achievable_rates uses the equal-noise formula "
-                    "1/2 log2((P + s_v^2) / (P g/2 + s_v^2)), which is the scheme's rate "
-                    "only at sigma1 = sigma2. At sigma = (1, 2), rho_z = -1, P = 100 it "
-                    "gives (2.7123, 2.1402), while each step of the schedule at rho* "
-                    "shrinks the error variances by rates (2.9901, 2.0113)."
-                ),
-            ),
-        ),
-    ],
-    ids=["equal", "unequal"],
-)
+@pytest.mark.parametrize("sigmas", [(1.0, 1.0), (1.0, 2.0)], ids=["equal", "unequal"])
 def test_rates_are_the_per_step_decay_of_the_error_variances(sigmas):
     # At the fixed point each channel use multiplies alpha_v by 2^(-2 R_v).
-    params = params_of(100.0, *sigmas)
-    fp = solve_fixed_point(params)
-    rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
-    step = step_error_state(ErrorState(alpha1=1.0, alpha2=1.0, rho=fp.rho_star), params)
-    assert rp.r1 == pytest.approx(-0.5 * math.log2(step.alpha1), abs=1e-12)
-    assert rp.r2 == pytest.approx(-0.5 * math.log2(step.alpha2), abs=1e-12)
+    draws = [(100.0, *sigmas, -1.0)]
+    if sigmas[0] != sigmas[1]:
+        # Seeded draws of sigma in [1e-2, 1e2], every kind of rho_z and P in
+        # [1e-2, 1e2].  Beyond P ~ 1e2 step_error_state, which forms 1 - |rho|
+        # from the rounded rho*, drifts from the decay (by up to 7e-6 at
+        # P = 1e10): the schedule's float floor (ROADMAP item 4), not the rates'.
+        rng = np.random.default_rng(43)
+        for i in range(400):
+            s1, s2 = 10 ** rng.uniform(-2, 2, size=2)
+            rz = (1.0, -1.0, rng.uniform(-1, 1), -1.0 + rng.uniform(0, 1e-15))[i % 4]
+            draws.append((10 ** rng.uniform(-2, 2), s1, s2, rz))
+    for p, s1, s2, rz in draws:
+        params = params_of(p, s1, s2, rz)
+        fp = solve_fixed_point(params)
+        rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
+        step = step_error_state(ErrorState(alpha1=1.0, alpha2=1.0, rho=fp.rho_star), params)
+        assert rp.r1 == pytest.approx(-0.5 * math.log2(step.alpha1), abs=1e-12), (p, s1, s2, rz)
+        assert rp.r2 == pytest.approx(-0.5 * math.log2(step.alpha2), abs=1e-12), (p, s1, s2, rz)
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["as_drawn", "users_swapped"])
+def test_rates_keep_full_precision_at_extreme_noise_ratios(mirror):
+    # gamma = s1 / s2 up to 1e157, whose square overflows, and rates of 531
+    # and 656 bits, whose log1p argument overflows: each rate is finite and
+    # within 1e-14 of the mpmath decay, whichever user has the larger noise.
+    pytest.importorskip("mpmath")
+    cases = [
+        (1e-50, 1e15, 1e-142, 0.5),
+        (1e145, 1e75, 1e-66, -1.0),
+        (1e115, 1e-140, 1e92, 0.0),
+        (1e120, 1e-140, 1e-20, 1.0),
+    ]
+    for p, s1, s2, rz in cases:
+        if mirror:
+            s1, s2 = s2, s1
+        params = params_of(p, s1, s2, rz)
+        fp = solve_fixed_point(params)
+        rp = achievable_rates(params, fp.rho_star, gap=fp.gap)
+        oracle = mpmath_rates(p, s1, s2, fp.rho_star, fp.gap)
+        for name, value in zip(("r1", "r2", "sum", "prelog_ratio"), oracle):
+            assert float(abs(getattr(rp, name) - value) / value) <= 1e-14, (name, p, s1, s2, rz)
 
 
 def test_rates_monotone_in_rho():

@@ -364,11 +364,17 @@ def test_bisection_collapses_onto_an_exact_dyadic_zero():
 _LN2 = math.log(2.0)
 
 
-def reference_rates(p, s1, s2, gap):
-    """The rate formula applied one power at a time, as each row once was."""
-    half_gap_power = 0.5 * p * gap
-    r1 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s1 * s1)) / _LN2
-    r2 = 0.5 * math.log1p((p - half_gap_power) / (half_gap_power + s2 * s2)) / _LN2
+def reference_rates(p, s1, s2, rho, gap):
+    """The rate formula applied one power at a time, as each row once was,
+    with the users taken in the order that makes gamma = sa / sb <= 1."""
+    sa, sb = min(s1, s2), max(s1, s2)
+    gm = sa / sb
+    p_omr2 = p * (gap * (2.0 - gap))
+    d = 1.0 + gm * gm + 2.0 * gm * rho
+    ua, ub = 1.0 + gm * rho, gm + rho
+    ra = 0.5 * math.log1p(p * (ua * ua) / (gm * gm * p_omr2 + sa * sa * d)) / _LN2
+    rb = 0.5 * math.log1p(p * (ub * ub) / (p_omr2 + sb * sb * d)) / _LN2
+    r1, r2 = (ra, rb) if s1 <= s2 else (rb, ra)
     total = r1 + r2
     return r1, r2, total, total / (0.5 * math.log1p(p) / _LN2)
 
@@ -381,7 +387,7 @@ def reference_sweep(noise, p_start, p_stop, points_per_decade, delta):
     grid = power_grid(p_start, p_stop, points_per_decade)
     (rho, gap, _), _, _ = _solve_powers(noise, grid)
     return [
-        (p, r, g, *reference_rates(p, noise.sigma1, noise.sigma2, g), p ** (1.0 - delta) * g)
+        (p, r, g, *reference_rates(p, noise.sigma1, noise.sigma2, r, g), p ** (1.0 - delta) * g)
         for p, r, g in zip(grid, rho.tolist(), gap.tolist())
     ]
 
