@@ -308,13 +308,13 @@ def test_libm_layer_bytes_are_pinned():
 # [1e-3, 1e14] at 8 points per decade, the grid of the dense sweep benchmark.
 SWEEPS = {
     (1.0, 1.0, -1.0):
-        "533f5d9f154429c72234baa5dbfd091bdd59c810bd48bdbf2be7778c7257b6e0",
+        "eac983bc25fee62eeb870b62b3b67afa9efb86786c131cb6ba5e480c3282afca",
     (1.0, 1.0, 0.0):
-        "7ca261016222a6d2915a3a2f91f10cc4726ac08139ee2ce2e312cc57c4612619",
+        "83160aafbe74e44b0ba6f8f877a59a5ea3cf8f8e5076fceca53211716ccb17e3",
     (1.0, 2.0, 0.3):
-        "319c201304edbec09e3beb5941cf9c9a31125b345f3353e9b4fb92ee624de76c",
+        "4d27d3c332c6d8d846930b1f3f73ebe8ed16b1c67e99500d9e37020252d08f41",
     (1.0, 1.0, 0.9):
-        "f34c90b4353bb1713769b47e854cbb1e4a2f74141f6df4da2c4c89242bd08fd8",
+        "907454ea77b5504bec1285e11e39996bc9f8b1a23c3aef07a3f14c8a29722ac1",
 }
 
 
