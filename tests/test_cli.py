@@ -477,12 +477,15 @@ def test_analyze_matches_sweep_row(capsys):
         assert cells[key] == rec[key], key
 
 
-# stdout of the subcommands at their defaults, pinned byte for byte: a change
-# to the solver or the campaign that moves any printed digit shows here.  Each
-# invocation's stdout is committed as text under tests/golden/, made on the
-# stack named in test_pinned_bytes.py, so a mismatch shows the lines that moved.
+# stdout of the subcommands at their defaults, and of analyze at unequal
+# sigmas, where the two users' rates differ, pinned byte for byte: a change to
+# the solver, the rates or the campaign that moves any printed digit shows
+# here.  Each invocation's stdout is committed as text under tests/golden/,
+# made on the stack named in test_pinned_bytes.py, so a mismatch shows the
+# lines that moved.
 GOLDEN_ARGV = [
     ("analyze",),
+    ("analyze", "--sigma2", "2"),
     ("sweep",),
     ("verify",),
     ("simulate", "--trials", "2000"),
