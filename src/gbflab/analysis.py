@@ -506,16 +506,14 @@ def _rates(
     """(R1, R2, R1 + R2, pre-log ratio) at each power P, its rho and gap
     g = 1 - rho, noise levels s1, s2: the one transcription of the rate
     formula.  R_v is the scheme's per-step decay of user v's error variance
-    at rho, -1/2 log2 of ``step_error_state``'s ratio_v, rearranged so that
-    every term is positive: with gamma = s1 / s2 and d = 1 + gamma^2 +
-    2 gamma rho, R1 = 1/2 log2(1 + P (1 + gamma rho)^2 / (gamma^2 P (1 - rho^2)
-    + s1^2 d)) and R2 = 1/2 log2(1 + P (gamma + rho)^2 / (P (1 - rho^2) +
-    s2^2 d)), where 1 - rho^2 is formed as g (2 - g).  The formula is
-    symmetric in the users, and the users are taken in the order that makes
-    gamma <= 1, so that no term leaves the float range; a quotient that
-    does (a rate above 512 bits) is taken through logs, where the 1 is below
-    its rounding.  One loop over Python floats: numpy's log1p does not
-    always give math's bits."""
+    at rho, -1/2 log2 of ``step_error_state``'s ratio_v, with every term
+    positive: gamma = s1 / s2, d = 1 + gamma^2 + 2 gamma rho, 1 - rho^2
+    formed as g (2 - g), R1 = 1/2 log2(1 + P (1 + gamma rho)^2 /
+    (gamma^2 P (1 - rho^2) + s1^2 d)), R2 = 1/2 log2(1 + P (gamma + rho)^2 /
+    (P (1 - rho^2) + s2^2 d)).  The formula is symmetric in the users, who
+    are ordered so that gamma <= 1 and no term leaves float range; a
+    quotient that does (a rate above 512 bits) is taken through logs.  One
+    loop over Python floats: numpy's log1p does not always give math's bits."""
     swap = s1 > s2
     if swap:
         s1, s2 = s2, s1
@@ -529,12 +527,12 @@ def _rates(
         d = 1.0 + gm2 + 2.0 * gm * rho
         u1, u2 = 1.0 + gm * rho, gm + rho
         n1, n2 = p * (u1 * u1), p * (u2 * u2)
-        d1, d2 = gm2 * p_omr2 + s11 * d, p_omr2 + s22 * d
-        x1, x2 = n1 / d1, n2 / d2
+        den1, den2 = gm2 * p_omr2 + s11 * d, p_omr2 + s22 * d
+        x1, x2 = n1 / den1, n2 / den2
         # log1p keeps full relative precision at low SNR, where the variance
         # ratios and 1 + P lie within rounding of 1.
-        r1 = 0.5 * (log1p(x1) if x1 < inf else log(n1) - log(d1)) / _LN2
-        r2 = 0.5 * (log1p(x2) if x2 < inf else log(n2) - log(d2)) / _LN2
+        r1 = 0.5 * (log1p(x1) if x1 < inf else log(n1) - log(den1)) / _LN2
+        r2 = 0.5 * (log1p(x2) if x2 < inf else log(n2) - log(den2)) / _LN2
         if swap:
             r1, r2 = r2, r1
         total = r1 + r2
