@@ -506,14 +506,11 @@ def mpmath_rates(p, s1, s2, rho, gap):
 
     with mp.workdps(oracle_digits(p, s1, s2)):
         p, s1, s2 = mp.mpf(p), mp.mpf(s1), mp.mpf(s2)
-        if gap >= 0.5:
-            rho = mp.mpf(rho)
-        else:
-            rho = 1 - mp.mpf(gap)
-        g = s1 / s2
-        d = 1 + g * g + 2 * g * rho
+        rho = mp.mpf(rho) if gap >= 0.5 else 1 - mp.mpf(gap)
+        gm = s1 / s2
+        d = 1 + gm * gm + 2 * gm * rho
         omr2 = (1 - rho) * (1 + rho)
-        ratio1 = (g * g * p * omr2 + s1 * s1 * d) / (d * (p + s1 * s1))
+        ratio1 = (gm * gm * p * omr2 + s1 * s1 * d) / (d * (p + s1 * s1))
         ratio2 = (p * omr2 + s2 * s2 * d) / (d * (p + s2 * s2))
         r1, r2 = -mp.log(ratio1, 2) / 2, -mp.log(ratio2, 2) / 2
         return r1, r2, r1 + r2, (r1 + r2) / (mp.log(1 + p, 2) / 2)

@@ -10,8 +10,8 @@ their digests pin the simulator and nothing that computes those inputs: a
 change to the rate formula moves only the digests and references whose
 subject is the rates.  The CLI's stdout is pinned in ``test_cli.py`` as
 committed text under ``tests/golden/``, each run compared with its file
-byte for byte.  A change that moves a digest on purpose re-pins it in a commit of
-its own, and CHANGES.md names each moved digest and why it moved.
+byte for byte.  A change that moves a digest on purpose re-pins it in a
+commit of its own, and CHANGES.md names each moved digest and why it moved.
 
 Every digest was made and is checked on numpy 2.4.6, CPython 3.11.7 and
 x86-64 glibc 2.36.  Layers below gbflab could move them: numpy's Philox
