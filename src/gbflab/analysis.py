@@ -543,12 +543,15 @@ def _rates(
 def achievable_rates(params: ChannelParams, rho: float, gap: float) -> RatePoint:
     """Rate pair achievable at operating correlation rho and its gap
     g = 1 - rho (``FixedPoint.gap``): the per-step decay of each user's
-    error variance there."""
+    error variance there.  ``rho + gap`` must be 1.0 in float arithmetic,
+    as it is for every pair the solver returns and for ``(r, 1.0 - r)``."""
     rho, gap = _real(rho, "rho"), _real(gap, "gap")
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
     if not (0.0 <= gap <= 1.0):
         raise ParameterError(f"gap must lie in [0, 1], got {gap}")
+    if rho + gap != 1.0:
+        raise ParameterError(f"rho and gap must sum to 1, got rho={rho} and gap={gap}")
     noise = params.noise
     return RatePoint(*_rates([params.power], noise.sigma1, noise.sigma2, [rho], [gap])[0])
 

@@ -20,6 +20,7 @@ classification, 4 internal numerical-integrity failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 
@@ -330,5 +331,18 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point of the ``gbflab`` script and ``python -m gbflab.cli``.
+
+    ``gc.freeze()`` first moves every object alive after the imports,
+    numpy's included, into the GC's permanent generation, so that no
+    collection walks them again, the one at exit included.  ``main`` is the
+    in-process call and leaves the GC alone: a freeze there would keep its
+    callers' cyclic garbage for good.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -709,6 +709,12 @@ def test_rates_validation():
         achievable_rates(params_of(10.0), 1.5, gap=1.0 - 1.5)
     with pytest.raises(ParameterError):
         achievable_rates(params_of(10.0), 0.5, gap=-0.1)
+    # Each value in [0, 1], but together no operating point; both enter the
+    # rate formula.
+    for rho, gap in ((0.5, 0.9), (0.9, 0.5)):
+        message = f"rho and gap must sum to 1, got rho={rho} and gap={gap}"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            achievable_rates(params_of(100.0, 1.0, 2.0, -1.0), rho, gap=gap)
 
 
 def test_single_user_bound_examples():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -766,7 +767,56 @@ def test_first_streams_opened_on_threads_at_once_are_the_keyed_streams():
     assert (done.returncode, done.stdout) == (0, b"ok\n"), done.stderr
 
 
-def test_module_entry_point_prints_the_golden_analyze_bytes():
-    done = run_python("-m", "gbflab.cli", "analyze")
+# Through run(), in a fresh process: simulate loads numpy.random and starts
+# its stream after the freeze.
+@pytest.mark.parametrize(
+    "argv", [("analyze",), ("verify",), ("simulate", "--mode", "limited")], ids=" ".join
+)
+def test_module_entry_point_prints_the_golden_bytes(argv):
+    done = run_python("-m", "gbflab.cli", *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == (GOLDEN / "analyze.txt").read_bytes()
+    assert done.stdout == golden_text(argv).encode()
+
+
+def test_module_entry_point_exits_2_as_main_does(capsys):
+    argv = ("analyze", "--power", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    done = run_python("-m", "gbflab.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze",), ("simulate", "--trials", "1000")], ids=" ".join
+)
+def test_main_leaves_the_gc_unfrozen(capsys, argv):
+    # main is the in-process call; a freeze there would keep every caller's
+    # cyclic garbage for the life of the process.
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["analyze"], 0),
+    (["analyze", "--power", "-1"], 2),
+], ids=["analyze", "power-1"])
+def test_run_freezes_once_before_main_and_exits_with_its_status(monkeypatch, argv, status):
+    # The recorder stands in for gc.freeze, so this process is never frozen.
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(gbflab.cli, "main", lambda: events.append("main") or main())
+    monkeypatch.setattr(sys, "argv", ["gbflab", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        gbflab.cli.run()
+    assert exit_info.value.code == status
+    assert events == ["freeze", "main"]
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["gbflab"] == "gbflab.cli:run"
