@@ -562,7 +562,9 @@ def _wilson_interval(errors: int, trials: int):
     # The lower bound center - half with its numerator rationalised: it
     # cancels nothing, is never negative and is exactly 0 at 0 errors.
     lower = phat * phat / (phat + shift + root)
-    return lower, min(1.0, (phat + shift) / denom + root / denom)
+    # center + half rounds to just below 1 at some N when every block fails.
+    upper = 1.0 if errors == trials else min(1.0, (phat + shift) / denom + root / denom)
+    return lower, upper
 
 
 def _decoded_correctly(eps: np.ndarray, first: np.ndarray, last: np.ndarray, levels: int):

@@ -1382,11 +1382,16 @@ def test_wilson_z_is_the_normal_quantile_of_the_confidence():
     assert simulate._WILSON_Z == NormalDist().inv_cdf(0.5 + 0.5 * simulate._CONFIDENCE)
 
 
-def test_wilson_lower_bound_is_zero_at_zero_errors():
-    # Formed as center - half, the bound would be a rounding residue here:
-    # 1.084e-19 at 2,000 trials and 4.2e-22 at 10**6.
+def test_wilson_interval_is_exact_at_both_ends():
+    # Formed as center - half, the lower bound would be a rounding residue
+    # here: 1.084e-19 at 2,000 trials and 4.2e-22 at 10**6.
     for trials in (2000, 10**6):
         assert simulate._wilson_interval(0, trials)[0] == 0.0, trials
+    # min(1, center + half) alone gives 1 - 2**-53 or 1 - 2**-52 at 62,565
+    # of these N when every block fails, N = 104 the first.
+    for trials in range(100, 200_001):
+        assert simulate._wilson_interval(0, trials)[0] == 0.0, trials
+        assert simulate._wilson_interval(trials, trials)[1] == 1.0, trials
 
 
 def test_moment_z_scores_floor_the_correlation_standard_error():
